@@ -29,7 +29,7 @@ class OrientationWarning(UserWarning):
 
 
 def _require_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("%s must be finite" % what)
 
 
@@ -60,25 +60,27 @@ class Point3:
         return np.array([self.x, self.y, self.z])
 
 
+def _next(a):
+    """The loop successor of every entry: a[1:] then a[0] (np.roll(a, -1)
+    along the first axis, without its per-call overhead)."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def signed_area(pts):
     """Shoelace signed area of a closed loop given as an (n, 2) array."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    nxt = _next(pts)
+    return 0.5 * float((pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]).sum())
 
 
 def loop_moments(pts):
     """Signed area and first moments (integral of x, of y) of one loop."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
+    nxt = _next(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = nxt[:, 0], nxt[:, 1]
     cr = x * yn - xn * y
-    a = 0.5 * float(np.sum(cr))
-    sx = float(np.sum((x + xn) * cr)) / 6.0
-    sy = float(np.sum((y + yn) * cr)) / 6.0
+    a = 0.5 * float(cr.sum())
+    sx = float(((x + xn) * cr).sum()) / 6.0
+    sy = float(((y + yn) * cr).sum()) / 6.0
     return a, sx, sy
 
 
@@ -94,17 +96,18 @@ class Loop:
         ids = np.asarray(ids, dtype=np.intp)
         if ids.ndim != 1 or ids.size < 3:
             raise InvariantViolation("a loop needs at least 3 vertices")
-        if np.any(ids == np.roll(ids, -1)):
+        if (ids == _next(ids)).any():
             raise InvariantViolation("repeated consecutive vertex in loop")
-        pts = np.asarray(coords, dtype=float)[ids]
+        coords = np.asarray(coords, dtype=float)
+        pts = coords[ids]
         _require_finite(pts, "loop coordinates")
-        seg = np.roll(pts, -1, axis=0) - pts
+        seg = _next(pts) - pts
         lens = np.hypot(seg[:, 0], seg[:, 1])
-        scale = float(max(np.max(np.ptp(pts, axis=0)), 0.0))
-        if scale == 0.0 or np.any(lens <= 1e-14 * scale):
+        scale = float(max((pts.max(axis=0) - pts.min(axis=0)).max(), 0.0))
+        if scale == 0.0 or (lens <= 1e-14 * scale).any():
             raise InvariantViolation("zero-length edge in loop")
         self.ids = ids
-        self.coords = np.asarray(coords, dtype=float)
+        self.coords = coords
         self.signed_area = signed_area(pts)
         if abs(self.signed_area) <= 1e-14 * scale * scale:
             raise InvalidOrientation("loop encloses no area; winding undefined")
@@ -127,14 +130,13 @@ def point_in_loop(p, loop):
     """Winding-number containment test; boundary points are unreliable."""
     pts = loop.points()
     x, y = float(p[0]), float(p[1])
-    x0 = pts[:, 0]
-    y0 = pts[:, 1]
-    x1 = np.roll(x0, -1)
-    y1 = np.roll(y0, -1)
+    nxt = _next(pts)
+    x0, y0 = pts[:, 0], pts[:, 1]
+    x1, y1 = nxt[:, 0], nxt[:, 1]
     side = (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)
     up = (y0 <= y) & (y1 > y) & (side > 0)
     dn = (y0 > y) & (y1 <= y) & (side < 0)
-    return int(np.sum(up)) - int(np.sum(dn)) != 0
+    return int(up.sum()) - int(dn.sum()) != 0
 
 
 @dataclass
@@ -191,16 +193,17 @@ class Facet:
                 hl = hl.reversed()
             hole_loops.append(hl)
 
-        area, sx, sy = loop_moments(loop.points())
-        for hl in hole_loops:
-            ha, hx, hy = loop_moments(hl.points())
+        loop_pts = [l.points() for l in [loop] + hole_loops]
+        area, sx, sy = loop_moments(loop_pts[0])
+        for hp in loop_pts[1:]:
+            ha, hx, hy = loop_moments(hp)
             area += ha  # clockwise holes contribute negatively
             sx += hx
             sy += hy
         if area <= 0.0:
             raise InvariantViolation("facet area must be positive")
-        for hl in hole_loops:
-            if not point_in_loop(hl.points()[0], loop):
+        for hp in loop_pts[1:]:
+            if not point_in_loop(hp[0], loop):
                 raise InvariantViolation("hole loop lies outside the outer loop")
 
         self.coords = coords
@@ -208,9 +211,9 @@ class Facet:
         self.holes = hole_loops
         self.area = area
         self.centroid = np.array([sx / area, sy / area])
-        pts = np.concatenate([l.points() for l in self.loops()])
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        self.diameter = float(np.sqrt(np.max(d2)))
+        pts = np.concatenate(loop_pts)
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        self.diameter = float(np.sqrt(d2.max()))
 
     def loops(self):
         return [self.outer] + self.holes

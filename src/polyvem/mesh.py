@@ -44,6 +44,81 @@ def _normalize_element(entry):
     return list(map(int, entry)), []
 
 
+def _ranges(counts):
+    """Owner index and offset within the owner for counts[i] slots each."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
+
+
+class _VertexGrid:
+    """Uniform grid hash over a point table.
+
+    Cells are about the mean point spacing, so on a spread-out mesh each
+    holds a few points.  ``candidates`` pairs query boxes with the points
+    in the cells the boxes meet, a run of boxes at a time, so the work
+    grows with the number of near pairs, not with boxes times points, and
+    the temporaries stay bounded even where points crowd into few cells.
+    """
+
+    CHUNK = 16384  # pairs (and box-cell slots) per yielded run of boxes
+
+    def __init__(self, points):
+        self.lo = points.min(axis=0)
+        self.hi = points.max(axis=0)
+        extent = self.hi - self.lo
+        n = len(points)
+        # the second term keeps cells small when the points lie on a line;
+        # coincident points get a single cell of any size
+        self.cell = max(
+            float(np.sqrt(extent[0] * extent[1] / n)), float(extent.max()) / n
+        ) or 1.0
+        self.shape = np.floor(extent / self.cell).astype(np.intp) + 1
+        key = self._key(self._cells(points))
+        self.order = np.argsort(key, kind="stable")
+        counts = np.bincount(key, minlength=self.shape[0] * self.shape[1])
+        self.bounds = np.concatenate(([0], np.cumsum(counts)))
+        # points in cells [0, i) x [0, j): the pair count of any cell range
+        self.table = np.zeros(self.shape + 1, dtype=np.intp)
+        self.table[1:, 1:] = counts.reshape(self.shape).cumsum(0).cumsum(1)
+
+    def _cells(self, pts):
+        ij = np.floor((pts - self.lo) / self.cell).astype(np.intp)
+        return np.clip(ij, 0, self.shape - 1)
+
+    def _key(self, ij):
+        return ij[:, 0] * self.shape[1] + ij[:, 1]
+
+    def candidates(self, box_lo, box_hi):
+        """Yield (box ids, point ids) pairs, boxes in order, run by run.
+
+        Every point inside a closed box is paired with it; so are some
+        points near it, which the caller's exact test rejects.
+        """
+        c0, c1 = self._cells(box_lo), self._cells(box_hi)
+        span = c1 - c0 + 1
+        meets = np.all(box_hi >= self.lo, axis=1) & np.all(box_lo <= self.hi, axis=1)
+        ncells = np.where(meets, span[:, 0] * span[:, 1], 0)
+        t = self.table
+        npairs = np.where(meets, (
+            t[c1[:, 0] + 1, c1[:, 1] + 1] - t[c0[:, 0], c1[:, 1] + 1]
+            - t[c1[:, 0] + 1, c0[:, 1]] + t[c0[:, 0], c0[:, 1]]
+        ), 0)
+        done = np.cumsum(ncells + npairs)
+        start = 0
+        while start < len(ncells):
+            before = done[start - 1] if start else 0
+            stop = max(int(np.searchsorted(done, before + self.CHUNK, "right")), start + 1)
+            box, off = _ranges(ncells[start:stop])
+            box += start
+            ij = c0[box] + np.column_stack((off // span[box, 1], off % span[box, 1]))
+            key = self._key(ij)
+            first = self.bounds[key]
+            pair, off = _ranges(self.bounds[key + 1] - first)
+            yield box[pair], self.order[first[pair] + off]
+            start = stop
+
+
 class PolyMesh:
     """Conforming polygonal mesh over one vertex table."""
 
@@ -56,6 +131,7 @@ class PolyMesh:
         self.vertices = vertices
         lo, hi = vertices.min(axis=0), vertices.max(axis=0)
         self.diameter = float(np.hypot(*(hi - lo)))
+        self._grid = _VertexGrid(vertices)
         self._check_duplicates()
         self.elements = []
         self.facets = []
@@ -74,20 +150,26 @@ class PolyMesh:
     # -- construction helpers -------------------------------------------
 
     def _check_duplicates(self):
+        # report the pair a scan in (x, y) order meets first: the lowest
+        # sort rank for the first vertex, then for the second
         v = self.vertices
         if len(v) < 2:
             return
         tol = DUPLICATE_TOL * (self.diameter or 1.0)
         order = np.lexsort((v[:, 1], v[:, 0]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
         sv = v[order]
-        for i in range(len(sv)):
-            j = i + 1
-            while j < len(sv) and sv[j, 0] - sv[i, 0] <= tol:
-                if np.hypot(*(sv[j] - sv[i])) <= tol:
-                    raise InvariantViolation(
-                        "vertices %d and %d coincide" % (order[i], order[j])
-                    )
-                j += 1
+        for ri, j in self._grid.candidates(sv - 2.0 * tol, sv + 2.0 * tol):
+            later = rank[j] > ri
+            i, j = order[ri[later]], j[later]
+            d = v[j] - v[i]
+            hit = np.nonzero(np.hypot(d[:, 0], d[:, 1]) <= tol)[0]
+            if hit.size:
+                first = hit[np.lexsort((rank[j[hit]], rank[i[hit]]))[0]]
+                raise InvariantViolation(
+                    "vertices %d and %d coincide" % (i[first], j[first])
+                )
 
     def _fix_orientation(self, eid, outer, holes):
         if signed_area(self.vertices[outer]) < 0:
@@ -140,23 +222,28 @@ class PolyMesh:
                     "(elements %d and %d)" % (key, inc[0][0], inc[1][0])
                 )
         # a vertex strictly inside any segment means a T-junction whose
-        # hanging vertex was not inserted on the long side
+        # hanging vertex was not inserted on the long side; segments are
+        # visited in edge-table order and the lowest vertex id is reported
         tol = DUPLICATE_TOL * (self.diameter or 1.0)
         v = self.vertices
-        for key, inc in zip(self.edge_keys, self.edge_elements):
-            a, b = v[key[0]], v[key[1]]
-            e = b - a
-            L = np.hypot(*e)
-            rel = v - a
-            t = (rel @ e) / (L * L)
-            perp = np.abs(rel[:, 0] * e[1] - rel[:, 1] * e[0]) / L
+        keys = np.array(self.edge_keys, dtype=np.intp).reshape(-1, 2)
+        a, b = v[keys[:, 0]], v[keys[:, 1]]
+        boxes = np.minimum(a, b) - 2.0 * tol, np.maximum(a, b) + 2.0 * tol
+        for s, j in self._grid.candidates(*boxes):
+            e = b[s] - a[s]
+            L = np.hypot(e[:, 0], e[:, 1])
+            rel = v[j] - a[s]
+            t = (rel[:, 0] * e[:, 0] + rel[:, 1] * e[:, 1]) / (L * L)
+            perp = np.abs(rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / L
             inside = (perp <= tol) & (t * L > tol) & ((1.0 - t) * L > tol)
-            inside[list(key)] = False
+            inside &= (j != keys[s, 0]) & (j != keys[s, 1])
             bad = np.nonzero(inside)[0]
             if bad.size:
+                first = bad[np.lexsort((j[bad], s[bad]))[0]]
+                key = self.edge_keys[s[first]]
                 raise InvariantViolation(
                     "vertex %d lies inside segment %s of element %d"
-                    % (bad[0], key, inc[0][0])
+                    % (j[first], key, self.edge_elements[s[first]][0][0])
                 )
 
     # -- queries ---------------------------------------------------------
@@ -449,9 +536,37 @@ def _point_segment_distance(p, a, b):
     return float(np.hypot(*(a + t * e - p)))
 
 
-def _boundary_segments(mesh):
-    for i in mesh.boundary_edge_ids:
-        yield mesh.edge_keys[i]
+def _facet_box_pairs(mesh, other):
+    """(facet of mesh, vertex of other) pairs with the vertex inside the
+    facet's closed bounding box, the only pairs Facet.contains accepts."""
+    if not mesh.facets:
+        return
+    ids = [f.outer.ids for f in mesh.facets]
+    starts = np.cumsum([0] + [len(i) for i in ids[:-1]])
+    pts = mesh.vertices[np.concatenate(ids)]
+    lo = np.minimum.reduceat(pts, starts)
+    hi = np.maximum.reduceat(pts, starts)
+    for f, v in other._grid.candidates(lo, hi):
+        p = other.vertices[v]
+        inside = np.all((lo[f] <= p) & (p <= hi[f]), axis=1)
+        yield from zip(f[inside].tolist(), v[inside].tolist())
+
+
+def _near_segments(keys, candidates, coords, tol):
+    """Map each segment key to the candidate ids near it: every candidate
+    within tol of the segment, and a few more."""
+    near = {key: [] for key in keys}
+    if not keys or not candidates:
+        return near
+    keys = sorted(keys)
+    ends = coords[np.array(keys)]
+    cand = np.array(candidates)
+    grid = _VertexGrid(coords[cand])
+    lo, hi = ends.min(axis=1) - 2.0 * tol, ends.max(axis=1) + 2.0 * tol
+    for s, c in grid.candidates(lo, hi):
+        for si, ci in zip(s.tolist(), cand[c].tolist()):
+            near[keys[si]].append(ci)
+    return near
 
 
 def merge_meshes(a, b, tol=None):
@@ -468,17 +583,23 @@ def merge_meshes(a, b, tol=None):
     a_boundary = a.boundary_vertex_ids()
     b_boundary = b.boundary_vertex_ids()
 
-    # unify coincident boundary vertices, b ids remapped onto a ids
+    # unify coincident boundary vertices, b ids remapped onto a ids; the
+    # target is the lowest a boundary id within tol
+    targets = {}
+    on_a_boundary = np.zeros(a.num_vertices, dtype=bool)
+    on_a_boundary[a_boundary] = True
+    pb = b.vertices[b_boundary]
+    for q, va in a._grid.candidates(pb - 2.0 * tol, pb + 2.0 * tol):
+        q, va = q[on_a_boundary[va]], va[on_a_boundary[va]]
+        d = a.vertices[va] - pb[q]
+        near = np.hypot(d[:, 0], d[:, 1]) <= tol
+        for qi, vi in zip(q[near].tolist(), va[near].tolist()):
+            vb = b_boundary[qi]
+            targets[vb] = min(vi, targets.get(vb, vi))
     vertices = [v for v in a.vertices]
     remap = {}
     for vb in range(b.num_vertices):
-        target = None
-        if vb in set(b_boundary):
-            pb = b.vertices[vb]
-            for va in a_boundary:
-                if np.hypot(*(a.vertices[va] - pb)) <= tol:
-                    target = va
-                    break
+        target = targets.get(vb)
         if target is None:
             remap[vb] = len(vertices)
             vertices.append(b.vertices[vb])
@@ -487,25 +608,24 @@ def merge_meshes(a, b, tol=None):
     vertices = np.array(vertices)
 
     # overlap check: any vertex of one mesh strictly interior to an
-    # element of the other one
-    def strictly_inside(mesh, p):
-        for f in mesh.facets:
-            if not f.contains(p):
-                continue
-            dist = min(
-                _point_segment_distance(p, e.p0, e.p1)
-                for e in f.boundary_edges()
-            )
-            if dist > tol:
-                return True
-        return False
+    # element of the other one; only facets whose closed bounding box
+    # holds the vertex can contain it
+    def strictly_inside(f, p):
+        if not f.contains(p):
+            return False
+        dist = min(
+            _point_segment_distance(p, e.p0, e.p1)
+            for e in f.boundary_edges()
+        )
+        return dist > tol
 
-    for vb in range(b.num_vertices):
-        if strictly_inside(a, b.vertices[vb]):
-            raise OverlapDetected("vertex of the second mesh is inside the first")
-    for va in range(a.num_vertices):
-        if strictly_inside(b, a.vertices[va]):
-            raise OverlapDetected("vertex of the first mesh is inside the second")
+    for mesh, other, message in (
+        (a, b, "vertex of the second mesh is inside the first"),
+        (b, a, "vertex of the first mesh is inside the second"),
+    ):
+        for fid, vid in _facet_box_pairs(mesh, other):
+            if strictly_inside(mesh.facets[fid], other.vertices[vid]):
+                raise OverlapDetected(message)
 
     # hanging-node insertion: other-side vertices strictly inside a
     # boundary segment subdivide it
@@ -525,9 +645,9 @@ def merge_meshes(a, b, tol=None):
         return [cid for _, cid in sorted(found)]
 
     b_boundary_mapped = sorted({remap[v] for v in b_boundary})
-    a_boundary_set = sorted(set(a_boundary))
 
     def insert_hanging(loops_elements, boundary_keys, candidates):
+        near = _near_segments(boundary_keys, candidates, vertices, tol)
         inserted_any = False
         new_elems = []
         for outer, holes in loops_elements:
@@ -541,7 +661,7 @@ def merge_meshes(a, b, tol=None):
                     key = (u, v) if u < v else (v, u)
                     if key not in boundary_keys:
                         continue
-                    subs = subdividers(u, v, candidates, vertices)
+                    subs = subdividers(u, v, near[key], vertices)
                     if subs:
                         inserted_any = True
                         out.extend(subs)
@@ -562,7 +682,7 @@ def merge_meshes(a, b, tol=None):
         b_bkeys.add((u, v) if u < v else (v, u))
 
     a_elements, ins_a = insert_hanging(a_elements, a_bkeys, b_boundary_mapped)
-    b_elements, ins_b = insert_hanging(b_elements, b_bkeys, a_boundary_set)
+    b_elements, ins_b = insert_hanging(b_elements, b_bkeys, a_boundary)
 
     unified = sum(1 for vb, target in remap.items() if target < a.num_vertices)
     if unified + int(ins_a) + int(ins_b) == 0:

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvem.errors import (
     DegenerateCut,
@@ -12,8 +14,10 @@ from polyvem.errors import (
     OverlapDetected,
     ParseError,
 )
+from polyvem import mesh as mesh_module
 from polyvem.geometry import OrientationWarning
 from polyvem.mesh import (
+    DUPLICATE_TOL,
     CutLine,
     PolyMesh,
     build_global_dofs,
@@ -28,6 +32,27 @@ from polyvem.vemspace import build_layout
 
 def unit_square_mesh():
     return PolyMesh(np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1]]), [[0, 1, 2, 3]])
+
+
+def jittered_quads(x0, x1, y0, y1, cells, seed):
+    """cells x cells quads on a rectangle, interior vertices moved by up to
+    0.15 of a cell with a seeded generator."""
+    X, Y = np.meshgrid(np.linspace(x0, x1, cells + 1), np.linspace(y0, y1, cells + 1))
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    interior = np.zeros((cells + 1, cells + 1), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    interior = interior.ravel()
+    step = np.array([(x1 - x0) / cells, (y1 - y0) / cells])
+    rng = np.random.default_rng(seed)
+    verts[interior] += rng.uniform(-0.15, 0.15, size=(interior.sum(), 2)) * step
+    corners = (j * (cells + 1) + i for j in range(cells) for i in range(cells))
+    return PolyMesh(verts, [[v, v + 1, v + cells + 2, v + cells + 1] for v in corners])
+
+
+def poly2d_sha256(mesh, tmp_path):
+    path = tmp_path / "mesh.poly2d"
+    write_mesh(mesh, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def holed_mesh():
@@ -99,6 +124,128 @@ def test_holed_mesh_is_conforming():
     assert len(m.boundary_edge_ids) == 4
     inner = [inc for inc in m.edge_elements if len(inc) == 2]
     assert len(inner) == 4
+
+
+# -- validation against the all-pairs scans --------------------------------
+
+
+def scan_duplicates(v, tol):
+    """Reference: walk every pair that shares an x column, in (x, y) order."""
+    order = np.lexsort((v[:, 1], v[:, 0]))
+    sv = v[order]
+    for i in range(len(sv)):
+        j = i + 1
+        while j < len(sv) and sv[j, 0] - sv[i, 0] <= tol:
+            if np.hypot(*(sv[j] - sv[i])) <= tol:
+                return "vertices %d and %d coincide" % (order[i], order[j])
+            j += 1
+    return None
+
+
+def scan_t_junctions(v, elements, tol):
+    """Reference: test every vertex against every segment, in key order."""
+    incidence = {}
+    for eid, loop in enumerate(elements):
+        for u, w in zip(loop, loop[1:] + loop[:1]):
+            incidence.setdefault((min(u, w), max(u, w)), []).append(eid)
+    for key in sorted(incidence):
+        a, b = v[key[0]], v[key[1]]
+        e = b - a
+        L = np.hypot(*e)
+        rel = v - a
+        t = (rel @ e) / (L * L)
+        perp = np.abs(rel[:, 0] * e[1] - rel[:, 1] * e[0]) / L
+        inside = (perp <= tol) & (t * L > tol) & ((1.0 - t) * L > tol)
+        inside[list(key)] = False
+        bad = np.nonzero(inside)[0]
+        if bad.size:
+            return "vertex %d lies inside segment %s of element %d" % (
+                bad[0], key, incidence[key][0])
+    return None
+
+
+def renumbered(verts, elements, rng):
+    """The same mesh with its vertex ids shuffled."""
+    perm = rng.permutation(len(verts))
+    out = np.empty_like(verts)
+    out[perm] = verts
+    return out, [[int(perm[i]) for i in loop] for loop in elements]
+
+
+def tables(mesh):
+    """Editable copies of a hole-free mesh's vertex and element tables."""
+    return mesh.vertices.copy(), [list(outer) for outer, _ in mesh.elements]
+
+
+def build_in_runs(verts, elements, chunk):
+    """PolyMesh with the grid hash yielding candidates in runs of about
+    chunk pairs, so a defect can sit in any run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module._VertexGrid, "CHUNK", chunk)
+        return PolyMesh(verts, elements)
+
+
+RUN_SIZES = st.sampled_from([1, 5, 64, mesh_module._VertexGrid.CHUNK])
+
+
+@given(
+    st.integers(2, 9),
+    st.integers(1, 4),
+    st.floats(0.0, 2.0),
+    st.integers(0, 2**32 - 1),
+    RUN_SIZES,
+)
+@settings(max_examples=40, deadline=None)
+def test_duplicate_found_after_renumbering(n, copies, shift, seed, chunk):
+    rng = np.random.default_rng(seed)
+    verts, elements = tables(gen_structured("distortedQuads", n))
+    # copies of random vertices, each moved by at most a few ulps
+    src = rng.integers(len(verts), size=copies)
+    extra = verts[src] + shift * 1e-16 * rng.uniform(-1.0, 1.0, size=(copies, 2))
+    verts, elements = renumbered(np.vstack([verts, extra]), elements, rng)
+    tol = DUPLICATE_TOL * np.hypot(*np.ptp(verts, axis=0))
+    with pytest.raises(InvariantViolation, match="coincide") as err:
+        build_in_runs(verts, elements, chunk)
+    assert str(err.value) == scan_duplicates(verts, tol)
+
+
+@given(st.integers(2, 9), st.integers(1, 4), st.integers(0, 2**32 - 1), RUN_SIZES)
+@settings(max_examples=40, deadline=None)
+def test_t_junction_found_after_renumbering(n, count, seed, chunk):
+    rng = np.random.default_rng(seed)
+    m = gen_structured("distortedQuads", n)
+    verts, elements = tables(m)
+    interior = [i for i, inc in enumerate(m.edge_elements) if len(inc) == 2]
+    extra = []
+    for i in rng.choice(interior, size=min(count, len(interior)), replace=False):
+        u, w = m.edge_keys[i]
+        # the midpoint goes into one side only: a T-junction
+        eid = m.edge_elements[i][rng.integers(2)][0]
+        loop = elements[eid]
+        at = next(j for j in range(len(loop)) if {loop[j - 1], loop[j]} == {u, w})
+        loop.insert(at, len(verts) + len(extra))
+        extra.append(0.5 * (verts[u] + verts[w]))
+    verts, elements = renumbered(np.vstack([verts] + extra), elements, rng)
+    tol = DUPLICATE_TOL * np.hypot(*np.ptp(verts, axis=0))
+    with pytest.raises(InvariantViolation, match="inside segment") as err:
+        build_in_runs(verts, elements, chunk)
+    assert str(err.value) == scan_t_junctions(verts, elements, tol)
+
+
+@given(
+    st.integers(1, 12),
+    st.floats(1e-3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_quads_with_aligned_columns_build(n, scale, offset, seed):
+    # every column of vertices shares one x coordinate exactly
+    verts, elements = tables(gen_structured("quads", n))
+    verts, elements = renumbered(verts * scale + offset, elements, np.random.default_rng(seed))
+    m = PolyMesh(verts, elements)
+    assert m.num_edges == 2 * n * (n + 1)
+    assert len(m.boundary_edge_ids) == 4 * n
 
 
 # -- text format ---------------------------------------------------------
@@ -344,6 +491,78 @@ def test_merge_overlap_rejected():
     )
     with pytest.raises(OverlapDetected):
         merge_meshes(left, shifted)
+
+
+def test_merge_unifies_onto_lowest_first_mesh_id():
+    # b's vertex is within tol of a's vertices 2 and 3; it becomes vertex 2,
+    # which leaves vertex 3 inside b's glued segment (1, 2)
+    a = PolyMesh(
+        np.array([[0.0, 0], [1, 0], [1, 0.5 + 1e-10], [1, 0.5], [1, 1], [0, 1]]),
+        [[0, 1, 3, 2, 4, 5]],
+    )
+    b = PolyMesh(
+        np.array([[1.0, 0], [2, 0], [2, 1], [1, 1], [1, 0.5 + 0.5e-10]]),
+        [[0, 1, 2, 3, 4]],
+    )
+    with pytest.raises(InvariantViolation, match=r"vertex 3 lies inside segment \(1, 2\)"):
+        merge_meshes(a, b)
+
+
+def lshape_mesh():
+    verts = np.array([[0.0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    return PolyMesh(verts, [[0, 1, 2, 3, 4, 5]])
+
+
+def test_merge_vertex_in_lshape_body_overlaps():
+    # only the tip (0.1, 0.1) lies inside the L, near its box's corner
+    wedge = PolyMesh(np.array([[-1.0, -1], [0.5, -1], [0.1, 0.1]]), [[0, 1, 2]])
+    with pytest.raises(OverlapDetected, match="second mesh is inside the first"):
+        merge_meshes(lshape_mesh(), wedge)
+
+
+def test_merge_vertex_in_lshape_notch_is_no_overlap():
+    # the 2x2 block fills the notch; its centre (1.5, 1.5) lies inside the
+    # L's bounding box but outside the L
+    notch = gen_structured("quads", 2)
+    notch = PolyMesh(notch.vertices + 1.0, [outer for outer, _ in notch.elements])
+    m = merge_meshes(lshape_mesh(), notch)
+    assert m.num_elements == 5
+    assert len(m.elements[0][0]) == 8  # two hanging nodes on the L
+    assert m.area == pytest.approx(4.0, rel=1e-14)
+
+
+def test_merge_vertex_in_hole_is_no_overlap():
+    # a square with a square hole, the hole then filled by a 2x2 block
+    # whose centre lies inside the hole
+    verts = np.array([[0.0, 0], [3, 0], [3, 3], [0, 3], [1, 1], [1, 2], [2, 2], [2, 1]])
+    ring = PolyMesh(verts, [([0, 1, 2, 3], [[4, 5, 6, 7]])])
+    block = gen_structured("quads", 2)
+    block = PolyMesh(block.vertices + 1.0, [outer for outer, _ in block.elements])
+    m = merge_meshes(ring, block)
+    assert m.num_elements == 5
+    assert len(m.elements[0][1][0]) == 8  # hanging nodes on the hole loop
+    assert m.area == pytest.approx(9.0, rel=1e-14)
+
+
+# poly2d digests of the pipelines below, recorded before the validation and
+# merge moved to the grid hash; the rewrite must keep every byte
+CUT_CHAIN_SHA256 = "29c143937ced26325c69142edec1e61839d554652e92259e756432ccd858641e"
+MERGE_SHA256 = "a353cf80c3f23282420180761f9e875ee3707753c15d7532b0548a31bee79c37"
+
+
+def test_cut_chain_output_is_pinned(tmp_path):
+    m = gen_structured("distortedQuads", 32)
+    for line in [(1.0, 0.35, 0.5123), (-0.3, 1.0, 0.2871), (0.8, 0.6, 0.9137)]:
+        m = cut_mesh(m, CutLine(*line))
+    assert (m.num_vertices, m.num_elements) == (1223, 1155)
+    assert poly2d_sha256(m, tmp_path) == CUT_CHAIN_SHA256
+
+
+def test_merge_output_is_pinned(tmp_path):
+    neighbour = jittered_quads(1.0, 1.75, 0.0, 1.0, 10, seed=2024)
+    m = merge_meshes(gen_structured("distortedQuads", 16), neighbour)
+    assert (m.num_vertices, m.num_elements) == (407, 356)
+    assert poly2d_sha256(m, tmp_path) == MERGE_SHA256
 
 
 def test_merge_then_cut_pipeline_keeps_area():
