@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from .errors import PolyVemError
-from .geometry import triangulate
 from .localmat import MatrixTag, find_or_compute
 from .mesh import (
     CutLine,
@@ -156,7 +155,7 @@ def write_vtk(path, mesh, solution, coeffs):
         if holes:
             # facet coords are the mesh vertex pool, so triangle ids
             # are already global
-            for tri in triangulate(f):
+            for tri in f.triangles:
                 cells.append((5, [int(t) for t in tri]))
                 parents.append(eid)
         else:

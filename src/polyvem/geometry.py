@@ -12,6 +12,7 @@ nodes enter the element shapes.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,7 +167,8 @@ class Facet:
     holes : sequence of sequences of int, optional
         Hole loops.  Reversed (with a warning) if counterclockwise.
 
-    Area, centroid and diameter are computed once at construction.  The
+    Area, centroid and diameter are computed once at construction; the
+    boundary edges, perimeter and triangulation once, on first use.  The
     diameter is the largest pairwise vertex distance over all loops, and the
     local frame used for scaled monomials is (centroid, diameter).
     """
@@ -231,12 +233,23 @@ class Facet:
         """All boundary vertex ids, outer loop first, then holes."""
         return np.concatenate([l.ids for l in self.loops()])
 
-    @property
+    @cached_property
     def perimeter(self):
         return sum(e.length for e in self.boundary_edges())
 
+    @cached_property
+    def triangles(self):
+        """This facet's `triangulate` cover, computed once (read-only)."""
+        tris = triangulate(self)
+        tris.flags.writeable = False
+        return tris
+
     def boundary_edges(self):
         """Traversal edges of every loop, outward normals included."""
+        return self._edges
+
+    @cached_property
+    def _edges(self):
         edges = []
         count = 0
         for li, loop in enumerate(self.loops()):
@@ -255,7 +268,7 @@ class Facet:
                             loop_index=li, edge_index=count)
                 )
                 count += 1
-        return edges
+        return tuple(edges)
 
     def contains(self, p):
         """True when p lies in the material region (outer minus holes)."""

@@ -146,6 +146,8 @@ class PolyMesh:
         self._build_edge_table()
         self._check_conformity()
         self.area = float(sum(f.area for f in self.facets))
+        # order k -> (dof map, elements), filled by polyvem.system
+        self.discretisations = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -715,7 +717,7 @@ class GlobalDofMap:
     interior nodes, then per-element moments."""
 
     def __init__(self, mesh, k):
-        self.mesh = mesh
+        # keeps no reference to the mesh, which holds its dof maps: no cycle
         self.k = k
         nv, ne, nel = mesh.num_vertices, mesh.num_edges, mesh.num_elements
         npe = k - 1
@@ -747,7 +749,7 @@ class GlobalDofMap:
                 gmap.append(u)
             for u, v in walk:
                 key = (u, v) if u < v else (v, u)
-                base = nv + self.mesh.edge_index[key] * npe
+                base = nv + mesh.edge_index[key] * npe
                 if u < v:
                     gmap.extend(base + (j - 1) for j in range(1, k))
                 else:

@@ -16,8 +16,8 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import monomials
-from .errors import NonPlanarFace, UnknownTag
-from .geometry import Facet, face_frame, triangulate
+from .errors import NonPlanarFace
+from .geometry import Facet, face_frame
 
 
 class QuadratureKind(enum.Enum):
@@ -186,29 +186,24 @@ def _triangle_rule(degree):
 def polygon_rule(facet, degree):
     """Quadrature over a facet, exact for scaled monomials up to degree.
 
-    Triangulates (holes handled there) and maps the reference-triangle rule
-    onto every triangle; weights sum to the facet area.
+    Maps the reference-triangle rule onto every triangle of the facet's
+    triangulation (holes handled there); weights sum to the facet area.
     """
     if degree < 0:
         raise ValueError("quadrature degree must be >= 0")
     ref_pts, ref_wts = _triangle_rule(degree)
-    tris = triangulate(facet)
-    coords = facet.coords
-    all_pts = []
-    all_wts = []
-    for (i, j, k) in tris:
-        a = coords[i]
-        b = coords[j]
-        c = coords[k]
-        e1 = b - a
-        e2 = c - a
-        jac = e1[0] * e2[1] - e1[1] * e2[0]  # 2 * triangle area, positive
-        pts = a[None, :] + np.outer(ref_pts[:, 0], e1) + np.outer(ref_pts[:, 1], e2)
-        all_pts.append(pts)
-        all_wts.append(ref_wts * jac)
+    tris = facet.triangles
+    a = facet.coords[tris[:, 0]]
+    e1 = facet.coords[tris[:, 1]] - a
+    e2 = facet.coords[tris[:, 2]] - a
+    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # 2 * triangle areas, positive
+    # (a + r0 e1) + r1 e2 on every triangle at once, in that order, so the
+    # points round exactly as a per-triangle a + outer(r0, e1) + outer(r1, e2)
+    r0, r1 = ref_pts[None, :, :1], ref_pts[None, :, 1:]
+    pts = (a[:, None, :] + r0 * e1[:, None, :]) + r1 * e2[:, None, :]
     return QuadratureRule(
-        np.concatenate(all_pts),
-        np.concatenate(all_wts),
+        pts.reshape(-1, 2),
+        (ref_wts[None, :] * jac[:, None]).ravel(),
         degree,
         QuadratureKind.TRIANGULATED_POLYGON,
     )
@@ -415,29 +410,3 @@ def planar_face_rule(coords, outer, holes=(), degree=2, tol=1e-10):
     rule2 = polygon_rule(facet, degree)
     lifted = origin[None, :] + np.outer(rule2.points[:, 0], u) + np.outer(rule2.points[:, 1], v)
     return QuadratureRule(lifted, rule2.weights, degree, QuadratureKind.PLANAR_FACE)
-
-
-RULE_BUILDERS = {}
-
-
-def register_rule_builder(kind, builder, overwrite=False):
-    """Extension seam: map a QuadratureKind (or any tag) to a constructor."""
-    if kind in RULE_BUILDERS and not overwrite:
-        raise ValueError("builder for %r already registered" % (kind,))
-    RULE_BUILDERS[kind] = builder
-
-
-def make_rule(kind, **kwargs):
-    """Construct a rule through the registry; UnknownTag when unmapped."""
-    try:
-        builder = RULE_BUILDERS[kind]
-    except KeyError:
-        raise UnknownTag("no quadrature builder registered for %r" % (kind,)) from None
-    return builder(**kwargs)
-
-
-register_rule_builder(QuadratureKind.GAUSS_EDGE, gauss_edge)
-register_rule_builder(QuadratureKind.GAUSS_LOBATTO_EDGE, gauss_lobatto_edge)
-register_rule_builder(QuadratureKind.TRIANGULATED_POLYGON, polygon_rule)
-register_rule_builder(QuadratureKind.COMPRESSED_POLYGON, compressed_polygon_rule)
-register_rule_builder(QuadratureKind.PLANAR_FACE, planar_face_rule)

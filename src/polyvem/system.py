@@ -9,6 +9,7 @@ relies on.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,26 +60,42 @@ class SparseSystem:
         return np.flatnonzero(mask)
 
 
+@contextmanager
+def _element_errors(eid):
+    # a bad polygon in a big mesh is identifiable by its id
+    try:
+        yield
+    except PolyVemError as err:
+        raise type(err)("element %d: %s" % (eid, err))
+
+
+def discretisation(mesh, k):
+    """Dof map and per-element (Element, ElementMatrixCache) pairs at order k.
+
+    Built once and kept on the mesh, so assembly, the load vector, the error
+    norms, the interpolant and the CLI share every element's projectors.
+    """
+    if k not in mesh.discretisations:
+        dofmap = build_global_dofs(mesh, k)
+        elements = [(Element(f, k), ElementMatrixCache()) for f in mesh.facets]
+        mesh.discretisations[k] = (dofmap, elements)
+    return mesh.discretisations[k]
+
+
 def assemble(mesh, k, f=None):
     """Assemble the global stiffness matrix and load vector.
 
-    Element failures are re-raised with the element id prepended so a bad
-    polygon in a big mesh is identifiable.
+    Element failures are re-raised with the element id prepended.
     """
-    dofmap = build_global_dofs(mesh, k)
+    dofmap, elements = discretisation(mesh, k)
     n = dofmap.num_dofs
     rows, cols, vals = [], [], []
     b = np.zeros(n)
-    caches = []
-    for eid, facet in enumerate(mesh.facets):
-        element = Element(facet, k)
-        cache = ElementMatrixCache()
-        try:
+    for eid, (element, cache) in enumerate(elements):
+        with _element_errors(eid):
             K = find_or_compute(cache, element, MatrixTag.STIFFNESS)
             if f is not None:
                 be = load_vector(element, f, cache)
-        except PolyVemError as err:
-            raise type(err)("element %d: %s" % (eid, err))
         K = 0.5 * (K + K.T)
         g = dofmap.element_maps[eid]
         m = len(g)
@@ -87,7 +104,6 @@ def assemble(mesh, k, f=None):
         vals.append(K.ravel())
         if f is not None:
             np.add.at(b, g, be)
-        caches.append((element, cache))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
@@ -101,7 +117,7 @@ def assemble(mesh, k, f=None):
     A = sp.csr_matrix(
         (summed, (rows[starts], cols[starts])), shape=(n, n)
     )
-    return SparseSystem(A, b, dofmap, mesh, k, caches)
+    return SparseSystem(A, b, dofmap, mesh, k, elements)
 
 
 def apply_dirichlet(system, g):
@@ -189,20 +205,20 @@ def interpolate_dofs(mesh, k, u):
     Point dofs sample u; moment dofs average u against the scaled
     monomials with a quadrature well beyond the space's own degree.
     """
-    dofmap = build_global_dofs(mesh, k)
+    dofmap, elements = discretisation(mesh, k)
     x = np.zeros(dofmap.num_dofs)
     pts = dofmap.dof_points[: dofmap.moment_offset]
     x[: dofmap.moment_offset] = u(pts[:, 0], pts[:, 1])
     if k >= 2:
-        for eid, facet in enumerate(mesh.facets):
-            element = Element(facet, k)
-            rule = element.rule(2 * k + 2)
+        for eid, (element, _) in enumerate(elements):
+            with _element_errors(eid):
+                rule = element.rule(2 * k + 2)
             V = element.basis.eval(rule.points, element.frame)
             uv = np.asarray(u(rule.points[:, 0], rule.points[:, 1]), dtype=float)
             g = dofmap.element_maps[eid]
             nm = element.layout.num_moment_dofs
             moments = (V[:, :nm] * (rule.weights * uv)[:, None]).sum(axis=0)
-            x[g[element.layout.moment_offset :]] = moments / facet.area
+            x[g[element.layout.moment_offset :]] = moments / element.facet.area
     return x
 
 
@@ -212,16 +228,14 @@ def error_norms(mesh, k, solution, u_exact, grad_exact):
     The discrete function is replaced element-wise by its energy
     projection onto polynomials, which is the computable representative.
     """
-    dofmap = build_global_dofs(mesh, k)
+    dofmap, elements = discretisation(mesh, k)
     err_l2 = 0.0
     err_h1 = 0.0
-    for eid, facet in enumerate(mesh.facets):
-        element = Element(facet, k)
-        cache = ElementMatrixCache()
-        PiS = find_or_compute(cache, element, MatrixTag.PI_GRAD_STAR)
-        local = solution[dofmap.element_maps[eid]]
-        coeff = PiS @ local
-        rule = element.rule(2 * k + 2)
+    for eid, (element, cache) in enumerate(elements):
+        with _element_errors(eid):
+            PiS = find_or_compute(cache, element, MatrixTag.PI_GRAD_STAR)
+            rule = element.rule(2 * k + 2)
+        coeff = PiS @ solution[dofmap.element_maps[eid]]
         xq, yq = rule.points[:, 0], rule.points[:, 1]
         V = element.basis.eval(rule.points, element.frame)
         uh = V @ coeff

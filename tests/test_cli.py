@@ -5,6 +5,7 @@ stdout/stderr are checked exactly as a shell user would see them.
 """
 
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
@@ -140,6 +141,51 @@ def test_dump_matrices(tmp_path, monkeypatch):
     text = (tmp_path / "matrices_element0.csv").read_text()
     for tag in ("tag,D", "tag,B", "tag,G", "tag,H", "tag,STIFFNESS"):
         assert tag in text
+
+
+# sha256 of the files these runs write, recorded before the element
+# projectors were shared between assembly, error norms and the VTK export
+SOLVE_SHA256 = {
+    "distortedQuads": {
+        "out.vtk": "88e8a61cdc03d54f6ce68d26d38eb8b9805083fa5c492c84cc19b60a142991e7",
+        "err.csv": "3b216c46d97e7a598f0b9a07b7741c44519bfc94362cf7056feab16cc9717b60",
+        "matrices_element5.csv":
+            "53f78d9f02ce52f415159bd166f08ced5679f5e83dfdf1b1a68423a641f16398",
+    },
+    "holed": {
+        "out.vtk": "a726d45f25212fdcd6d1a77422f1afed0a006d81d061003936041a2ff0c602d8",
+        "err.csv": "4c742b7f2684a511c554875d43e42483b76438ae18be36a806196facc306dd65",
+        "matrices_element0.csv":
+            "d843d9cc6181b1b7c723c21de7e3bd08a361ac2d7af5e16754ecd87d0bed76a7",
+    },
+}
+CONVERGENCE_SHA256 = "8a8671e97d0dfb67d4f15bdf0344eb28c418f4e6f647c2aeaed874cdc1f1c5ed"
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("case", ["distortedQuads", "holed"])
+def test_solve_outputs_match_golden_bytes(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if case == "holed":
+        source, element = ["--mesh", holed_file(tmp_path)], "0"
+    else:
+        source, element = ["--gen", "distortedQuads:8"], "5"
+    rc = cli.main(["solve", *source, "--degree", "2", "--out", "out.vtk",
+                   "--errors", "err.csv", "--dump-matrices", element])
+    assert rc == 0
+    assert {name: sha256(name) for name in SOLVE_SHA256[case]} == SOLVE_SHA256[case]
+
+
+def test_convergence_csv_matches_golden_bytes(tmp_path):
+    out = str(tmp_path / "conv.csv")
+    rc = cli.main(["convergence", "--family", "distortedQuads", "--levels", "3",
+                   "--degree", "2", "--out", out])
+    assert rc == 0
+    assert sha256(out) == CONVERGENCE_SHA256
 
 
 def test_dump_matrices_bad_id_exits_1(capsys):

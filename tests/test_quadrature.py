@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from polyvem.errors import NonPlanarFace, UnknownTag
-from polyvem.geometry import Facet
+from polyvem import geometry
+from polyvem.errors import NonPlanarFace
+from polyvem.geometry import Facet, triangulate
 from polyvem.monomials import MonomialBasis, basis_size
 from polyvem.quadrature import (
     QuadratureKind,
     QuadratureRule,
-    RULE_BUILDERS,
     certify_rule,
     compress_rule,
     compressed_polygon_rule,
@@ -17,12 +17,10 @@ from polyvem.quadrature import (
     gauss_edge,
     gauss_lobatto_1d,
     gauss_lobatto_edge,
-    make_rule,
     monomial_integral,
     nnls,
     planar_face_rule,
     polygon_rule,
-    register_rule_builder,
     _TRIANGLE_TABLES,
     _triangle_rule,
 )
@@ -191,7 +189,48 @@ class TestMonomialOracle:
         )
 
 
+def looped_polygon_rule(facet, degree):
+    """Reference: the per-triangle loop that polygon_rule used to run."""
+    ref_pts, ref_wts = _triangle_rule(degree)
+    coords = facet.coords
+    all_pts, all_wts = [], []
+    for (i, j, k) in triangulate(facet):
+        a, b, c = coords[i], coords[j], coords[k]
+        e1 = b - a
+        e2 = c - a
+        jac = e1[0] * e2[1] - e1[1] * e2[0]
+        all_pts.append(a[None, :] + np.outer(ref_pts[:, 0], e1) + np.outer(ref_pts[:, 1], e2))
+        all_wts.append(ref_wts * jac)
+    return np.concatenate(all_pts), np.concatenate(all_wts)
+
+
 class TestPolygonRule:
+    def test_broadcast_matches_per_triangle_loop_bitwise(self):
+        # degrees 0..8 cover the table rules and the collapsed (Duffy) one
+        rng = np.random.default_rng(29)
+        for kind in ("plain", "hanging", "hole"):
+            for _ in range(3):
+                f = random_facet(rng, kind)
+                for deg in range(0, 9):
+                    r = polygon_rule(f, deg)
+                    pts, wts = looped_polygon_rule(f, deg)
+                    assert np.array_equal(r.points, pts), (kind, deg)
+                    assert np.array_equal(r.weights, wts), (kind, deg)
+
+    def test_facet_triangulated_once(self, monkeypatch):
+        calls = []
+
+        def counting(facet):
+            calls.append(facet)
+            return triangulate(facet)
+
+        monkeypatch.setattr(geometry, "triangulate", counting)
+        f = square_with_hole()
+        for deg in (2, 4, 7):
+            polygon_rule(f, deg)
+        assert len(calls) == 1
+        assert not f.triangles.flags.writeable
+
     def test_weight_sum_matches_area(self):
         rng = np.random.default_rng(21)
         for kind in ("plain", "hanging", "hole"):
@@ -404,39 +443,3 @@ class TestPlanarFace:
         with pytest.raises(NonPlanarFace):
             planar_face_rule(coords, [0, 1, 2, 3], degree=1)
 
-
-class TestRegistry:
-    def test_every_kind_dispatches(self):
-        f = unit_square()
-        r = make_rule(QuadratureKind.TRIANGULATED_POLYGON, facet=f, degree=2)
-        assert r.kind is QuadratureKind.TRIANGULATED_POLYGON
-        r = make_rule(QuadratureKind.COMPRESSED_POLYGON, facet=f, degree=2)
-        assert r.compressed
-        r = make_rule(QuadratureKind.GAUSS_EDGE, p0=[0, 0], p1=[1, 0], n=2)
-        assert r.npoints == 2
-        r = make_rule(QuadratureKind.GAUSS_LOBATTO_EDGE, p0=[0, 0], p1=[1, 0], k=2)
-        assert r.npoints == 3
-
-    def test_unknown_tag(self):
-        with pytest.raises(UnknownTag):
-            make_rule("no-such-kind")
-
-    def test_register_custom_builder(self):
-        def midpoint_edge(p0, p1):
-            p0 = np.asarray(p0, float)
-            p1 = np.asarray(p1, float)
-            return QuadratureRule(
-                0.5 * (p0 + p1)[None, :],
-                np.array([float(np.linalg.norm(p1 - p0))]),
-                1,
-                QuadratureKind.GAUSS_EDGE,
-            )
-
-        register_rule_builder("midpoint-edge", midpoint_edge)
-        try:
-            r = make_rule("midpoint-edge", p0=[0, 0], p1=[2, 0])
-            assert r.npoints == 1 and r.weights[0] == pytest.approx(2.0)
-            with pytest.raises(ValueError):
-                register_rule_builder("midpoint-edge", midpoint_edge)
-        finally:
-            RULE_BUILDERS.pop("midpoint-edge", None)

@@ -1,11 +1,15 @@
 """Assembly, boundary conditions, the CG solver and error norms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polyvem.errors import SingularG
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
-from polyvem.mesh import PolyMesh, CutLine, cut_mesh, gen_structured
+from polyvem.mesh import PolyMesh, CutLine, build_global_dofs, cut_mesh, gen_structured
 from polyvem.system import (
     SOLVERS,
     apply_dirichlet,
@@ -83,6 +87,52 @@ def test_element_errors_carry_element_id():
     # k below 1 fails inside the element machinery for every element
     with pytest.raises(ValueError):
         assemble(gen_structured("quads", 1), 0)
+
+
+def test_error_norms_name_the_failing_element():
+    # unit square plus a 1 x 1e-4 sliver on top: the sliver's projector
+    # Gram matrix is singular at k = 3, also when nothing was assembled
+    verts = np.array(
+        [[0, 0], [1, 0], [1, 1], [0, 1], [1, 1 + 1e-4], [0, 1 + 1e-4]], dtype=float
+    )
+    mesh = PolyMesh(verts, [[0, 1, 2, 3], [3, 2, 4, 5]])
+    u = lambda x, y: x
+    grad = lambda x, y: (np.ones_like(x), np.zeros_like(x))
+    x = np.zeros(build_global_dofs(mesh, 3).num_dofs)
+    with pytest.raises(SingularG, match="^element 1: "):
+        error_norms(mesh, 3, x, u, grad)
+    with pytest.raises(SingularG, match="^element 1: "):
+        assemble(mesh, 3)
+
+
+def test_dropped_mesh_freed_without_cycle_collector():
+    # the mesh keeps its dof map and elements; none of them may point back
+    # at it, or every level of a refinement study outlives its use
+    u = lambda x, y: x * y
+    grad = lambda x, y: (y, x)
+    mesh = gen_structured("distortedQuads", 3)
+    gc.disable()
+    try:
+        sys_ = assemble(mesh, 2, lambda x, y: np.zeros_like(x))
+        error_norms(mesh, 2, np.zeros(sys_.num_dofs), u, grad)
+        interpolate_dofs(mesh, 2, u)
+        ref = weakref.ref(mesh)
+        del sys_, mesh
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_error_norms_reuse_assembled_elements():
+    mesh = gen_structured("distortedQuads", 2)
+    sys_ = assemble(mesh, 2, lambda x, y: np.ones_like(x))
+    counts = [cache.compute_count for _, cache in sys_.caches]
+    u = lambda x, y: x
+    grad = lambda x, y: (np.ones_like(x), np.zeros_like(x))
+    error_norms(mesh, 2, np.zeros(sys_.num_dofs), u, grad)
+    interpolate_dofs(mesh, 2, u)
+    assert [cache.compute_count for _, cache in sys_.caches] == counts
+    assert assemble(mesh, 2).dofmap is sys_.dofmap
 
 
 # -- boundary conditions -------------------------------------------------
