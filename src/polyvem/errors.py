@@ -25,14 +25,6 @@ class NonPlanarFace(PolyVemError):
     pass
 
 
-class CompressionFailure(PolyVemError):
-    """Quadrature compression could not reproduce the moments.
-
-    Kept for completeness; the compression routine reports failure through
-    a flag on the returned rule instead of raising.
-    """
-
-
 class SingularG(PolyVemError):
     """Projector system matrix not invertible; element likely degenerate."""
 

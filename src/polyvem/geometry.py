@@ -9,7 +9,6 @@ degrees.  Collinear vertices along an edge are legal and are how hanging
 nodes enter the element shapes.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,33 +31,6 @@ class OrientationWarning(UserWarning):
 def _require_finite(arr, what):
     if not np.isfinite(arr).all():
         raise ValueError("%s must be finite" % what)
-
-
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("point coordinates must be finite")
-
-    def as_array(self):
-        return np.array([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError("point coordinates must be finite")
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z])
 
 
 def _next(a):
@@ -235,7 +207,14 @@ class Facet:
 
     @cached_property
     def perimeter(self):
-        return sum(e.length for e in self.boundary_edges())
+        # the lengths of boundary_edges(), summed in their order, without
+        # building the edges
+        lengths = []
+        for loop in self.loops():
+            pts = loop.points()
+            d = _next(pts) - pts
+            lengths.extend(np.hypot(d[:, 0], d[:, 1]).tolist())
+        return sum(lengths)
 
     @cached_property
     def triangles(self):

@@ -9,18 +9,29 @@ reads moment dofs exactly.  The stiffness adds a plain dof-difference
 penalty on the complement of the projector, which is enough for spectral
 equivalence on shape-regular polygons.
 
+Elements are computed in groups, in the style of Sutton's "virtual element
+method in 50 lines of MATLAB": an `ElementGroup` stacks the geometry, dof
+points and quadrature rules of like-shaped elements along a leading member
+axis, and each registered computation yields the matrices of all members at
+once.  There is one arithmetic path, as a lone element is a group of one;
+elementwise operations, one BLAS or LAPACK call per member and scatters in
+the per-edge order round as for a member alone, so a matrix has the same
+bits in any group.  Only `_symmetric_gram` runs member by member: stacked
+products and sums round differently.
+
 Matrices are requested by tag through `find_or_compute`, which walks the
-dependency graph and memoizes per element, so a stiffness request performs
-each intermediate computation once.
+dependency graph and memoizes per group and per element, so a stiffness
+request performs each intermediate computation once.
 """
 
 import enum
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularG, SingularH, UnknownTag
-from .monomials import MonomialBasis, basis_index, basis_size, laplacian_terms
+from .errors import PolyVemError, SingularG, SingularH, UnknownTag
+from .monomials import MonomialBasis, basis_index, laplacian_terms
 from .quadrature import gauss_lobatto_1d, polygon_rule
 from .vemspace import build_layout
 
@@ -39,7 +50,7 @@ class MatrixTag(enum.Enum):
 
 
 class Element:
-    """One polygon at one order: layout, monomial basis, quadrature cache."""
+    """One polygon at one order: its dof layout and monomial basis."""
 
     def __init__(self, facet, k):
         if k < 1:
@@ -47,17 +58,15 @@ class Element:
         self.facet = facet
         self.k = int(k)
         self.basis = MonomialBasis(k)
-        self.layout = build_layout(facet, k)
-        self._rules = {}
+
+    @cached_property
+    def layout(self):
+        # built on first use: a group reads only its first member's
+        return build_layout(self.facet, self.k)
 
     @property
     def frame(self):
         return self.facet.frame
-
-    def rule(self, degree):
-        if degree not in self._rules:
-            self._rules[degree] = polygon_rule(self.facet, degree)
-        return self._rules[degree]
 
 
 class ElementMatrixCache:
@@ -84,30 +93,164 @@ class ElementMatrixCache:
         return list(self._store)
 
 
+class GroupMatrixCache(ElementMatrixCache):
+    """Stacked matrices of a group's members, member index first.
+
+    A stored value also goes, as one view per member, into each member
+    cache that lacks it, counting one computation there; a tag that all
+    members hold is stacked from them.
+    """
+
+    def __init__(self, members):
+        super().__init__()
+        self.members = members
+
+    def __contains__(self, tag):
+        return tag in self._store or all(tag in c for c in self.members)
+
+    def get(self, tag):
+        if tag not in self._store:
+            self._store[tag] = np.stack([c.get(tag) for c in self.members])
+        return self._store[tag]
+
+    def put(self, tag, value):
+        self._store[tag] = value
+        self.compute_count += 1
+        for cache, member_value in zip(self.members, value):
+            if tag not in cache:
+                cache.put(tag, member_value)
+                cache.compute_count += 1
+
+
+class ElementGroup:
+    """Elements of one order that share their loop lengths, triangle count
+    and dof chains (see `group_elements`).
+
+    Geometry and dof points are stacked along a leading member axis; frame
+    entries are (members, 1) columns, which broadcast against stacked
+    points.  Rules and basis values are built once per degree.
+    """
+
+    def __init__(self, elements, caches):
+        first = elements[0]
+        self.elements = elements
+        self.cache = GroupMatrixCache(caches)
+        self.k, self.basis, self.layout = first.k, first.basis, first.layout
+        self.facets = [el.facet for el in elements]
+        self.size = len(elements)
+        self.area = np.array([f.area for f in self.facets])
+        self.perimeter = np.array([f.perimeter for f in self.facets])
+        self.frame = tuple(np.array([f.frame for f in self.facets]).T[:, :, None])
+        layout = self.layout
+        # local dofs of the k+1 trace nodes of every edge, in edge order
+        self.chains = np.array(
+            [layout.edge_dof_chain(i) for i in range(len(layout.edges))]
+        )
+        self.vertices = np.stack([f.coords[f.vertex_ids()] for f in self.facets])
+        d = self.vertices[:, self.chains[:, -1]] - self.vertices
+        self.lengths = np.hypot(d[..., 0], d[..., 1])
+        tangent = d / self.lengths[..., None]
+        self.normals = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+        t, _ = gauss_lobatto_1d(self.k + 1)
+        self.edge_nodes = self.vertices[:, :, None, :] + t[:, None] * d[:, :, None, :]
+        self.dof_points = np.concatenate(
+            [self.vertices, self.edge_nodes[:, :, 1:-1].reshape(self.size, -1, 2)], axis=1
+        )
+        self._rules = {}
+        self._values = {}
+
+    def rule(self, degree):
+        """Stacked polygon rule of this degree: points (members, n, 2)."""
+        if degree not in self._rules:
+            self._rules[degree] = polygon_rule(self.facets, degree)
+        return self._rules[degree]
+
+    def values(self, degree):
+        """Basis values at the points of rule(degree): (members, n, size)."""
+        if degree not in self._values:
+            self._values[degree] = self.basis.eval(self.rule(degree).points, self.frame)
+        return self._values[degree]
+
+    def split(self):
+        """One group per member, in member order."""
+        return [ElementGroup([el], [c]) for el, c in zip(self.elements, self.cache.members)]
+
+
+def group_elements(elements):
+    """(ids, ElementGroup) pairs covering a list of (Element, cache) pairs.
+
+    Members of a group share loop lengths and triangle count, and groups
+    come in order of their lowest element id.  An element whose loops
+    repeat a vertex (its dof chains differ), or whose triangulation fails,
+    forms a group of its own; the failure then surfaces when that group's
+    rules are built, in element order like any other element error.
+    """
+    by_key = {}
+    for eid, (element, _) in enumerate(elements):
+        facet = element.facet
+        ids = facet.vertex_ids()
+        key = eid
+        if len(set(ids.tolist())) == len(ids):
+            try:
+                key = (tuple(len(l) for l in facet.loops()), len(facet.triangles))
+            except PolyVemError:
+                pass
+        by_key.setdefault(key, []).append(eid)
+    return [
+        (
+            np.array(ids),
+            ElementGroup([elements[i][0] for i in ids], [elements[i][1] for i in ids]),
+        )
+        for ids in by_key.values()
+    ]
+
+
+def sample(fn, points):
+    """fn(x, y) at stacked points, shaped like points[..., 0].
+
+    fn gets 1-d coordinate arrays, as for a single point set.
+    """
+    flat = points.reshape(-1, 2)
+    out = np.asarray(fn(flat[:, 0], flat[:, 1]), dtype=float)
+    return np.broadcast_to(out, flat.shape[:1]).reshape(points.shape[:-1])
+
+
+def _swap(M):
+    return np.swapaxes(M, -1, -2)
+
+
 MatrixRule = namedtuple("MatrixRule", ["deps", "fn"])
 
 MATRIX_REGISTRY = {}
 
 
 def register_matrix(tag, deps, fn, overwrite=False):
+    """Register fn(group, group_cache) -> stacked matrices of `tag`."""
     if tag in MATRIX_REGISTRY and not overwrite:
         raise ValueError("matrix tag already registered: %r" % (tag,))
     MATRIX_REGISTRY[tag] = MatrixRule(tuple(deps), fn)
 
 
 def find_or_compute(cache, element, tag):
-    """Matrix for `tag`, computing and caching any missing dependencies."""
+    """Matrix for `tag`, computing and caching any missing dependencies.
+
+    `element` is an ElementGroup with its GroupMatrixCache, which gives the
+    stacked matrices of all members, or a lone Element with its
+    ElementMatrixCache, computed as a group of one.
+    """
     try:
         rule = MATRIX_REGISTRY[tag]
     except KeyError:
         raise UnknownTag("no matrix computation registered for %r" % (tag,))
     if tag in cache:
         return cache.get(tag)
+    if isinstance(element, Element):
+        group = ElementGroup([element], [cache])
+        return find_or_compute(group.cache, group, tag)[0]
     for dep in rule.deps:
         find_or_compute(cache, element, dep)
     value = rule.fn(element, cache)
     cache.put(tag, value)
-    cache.compute_count += 1
     return value
 
 
@@ -124,39 +267,41 @@ def _symmetric_gram(V, W, weights):
     return M
 
 
-def _boundary_monomial_average(element):
+def _grams(V, weights):
+    return np.stack([_symmetric_gram(v, v, w) for v, w in zip(V, weights)])
+
+
+def _boundary_monomial_average(group):
     # average of each scaled monomial over the full boundary, holes
     # included, sampled with the k+1 point Lobatto rule per edge
-    k, basis, frame = element.k, element.basis, element.frame
-    t, w = gauss_lobatto_1d(k + 1)
-    total = np.zeros(basis.size)
-    for e in element.layout.edges:
-        pts = e.p0[None, :] + t[:, None] * (e.p1 - e.p0)[None, :]
-        vals = basis.eval(pts, frame)
-        total += e.length * (w @ vals)
-    return total / element.facet.perimeter
+    _, w = gauss_lobatto_1d(group.k + 1)
+    nodes = group.edge_nodes
+    vals = group.basis.eval(nodes.reshape(group.size, -1, 2), group.frame)
+    per_edge = w @ vals.reshape(nodes.shape[:-1] + (group.basis.size,))
+    total = np.zeros((group.size, group.basis.size))
+    for i in range(per_edge.shape[1]):
+        total += group.lengths[:, i, None] * per_edge[:, i]
+    return total / group.perimeter[:, None]
 
 
-def _compute_d(element, cache):
-    layout, basis = element.layout, element.basis
-    D = np.empty((layout.num_dofs, basis.size))
-    pts = np.array([d.point for d in layout.dofs[: layout.moment_offset]])
-    D[: layout.moment_offset] = basis.eval(pts, element.frame)
+def _compute_d(group, cache):
+    layout, basis = group.layout, group.basis
+    D = np.empty((group.size, layout.num_dofs, basis.size))
+    D[:, : layout.moment_offset] = basis.eval(group.dof_points, group.frame)
     if layout.num_moment_dofs:
-        rule = element.rule(2 * element.k - 2)
-        V = basis.eval(rule.points, element.frame)
-        Vm = V[:, : layout.num_moment_dofs]
-        D[layout.moment_offset :] = (
-            (Vm * rule.weights[:, None]).T @ V
-        ) / element.facet.area
+        rule = group.rule(2 * group.k - 2)
+        V = basis.eval(rule.points, group.frame)
+        Vm = V[..., : layout.num_moment_dofs]
+        D[:, layout.moment_offset :] = (
+            _swap(Vm * rule.weights[..., None]) @ V
+        ) / group.area[:, None, None]
     return D
 
 
-def _compute_h(element, cache):
-    rule = element.rule(2 * element.k)
-    V = element.basis.eval(rule.points, element.frame)
-    H = _symmetric_gram(V, V, rule.weights)
-    if np.linalg.cond(H) > COND_LIMIT:
+def _compute_h(group, cache):
+    rule = group.rule(2 * group.k)
+    H = _grams(group.basis.eval(rule.points, group.frame), rule.weights)
+    if (np.linalg.cond(H) > COND_LIMIT).any():
         raise SingularH(
             "monomial mass matrix is numerically singular; the element "
             "geometry is too degenerate for this order"
@@ -164,45 +309,45 @@ def _compute_h(element, cache):
     return H
 
 
-def _compute_g(element, cache):
-    rule = element.rule(max(2 * element.k - 2, 0))
-    gx, gy = element.basis.grad(rule.points, element.frame)
-    G = _symmetric_gram(gx, gx, rule.weights)
-    G += _symmetric_gram(gy, gy, rule.weights)
-    G[0, :] = _boundary_monomial_average(element)
+def _compute_g(group, cache):
+    rule = group.rule(max(2 * group.k - 2, 0))
+    gx, gy = group.basis.grad(rule.points, group.frame)
+    G = _grams(gx, rule.weights)
+    G += _grams(gy, rule.weights)
+    G[:, 0, :] = _boundary_monomial_average(group)
     return G
 
 
-def _compute_b(element, cache):
-    k, layout, basis = element.k, element.layout, element.basis
-    B = np.zeros((basis.size, layout.num_dofs))
-    t, w = gauss_lobatto_1d(k + 1)
-    for i_edge, e in enumerate(layout.edges):
-        pts = e.p0[None, :] + t[:, None] * (e.p1 - e.p0)[None, :]
-        gx, gy = basis.grad(pts, element.frame)
-        gn = gx * e.normal[0] + gy * e.normal[1]
-        chain = layout.edge_dof_chain(i_edge)
-        for j, dof in enumerate(chain):
-            B[:, dof] += w[j] * e.length * gn[j, :]
+def _compute_b(group, cache):
+    k, layout, basis = group.k, group.layout, group.basis
+    _, w = gauss_lobatto_1d(k + 1)
+    nodes = group.edge_nodes
+    shape = nodes.shape[:-1] + (basis.size,)
+    gx, gy = basis.grad(nodes.reshape(group.size, -1, 2), group.frame)
+    nx, ny = group.normals[..., 0, None, None], group.normals[..., 1, None, None]
+    gn = gx.reshape(shape) * nx + gy.reshape(shape) * ny
+    wl = w * group.lengths[..., None]
+    # edge by edge, in walk order, as the trace nodes of one edge carry
+    # distinct dofs: every dof adds up its edge terms in the per-edge order
+    B = np.zeros((group.size, basis.size, layout.num_dofs))
+    row0 = np.zeros((group.size, layout.num_dofs))
+    for i, dofs in enumerate(group.chains):
+        B[:, :, dofs] += _swap(wl[:, i, :, None] * gn[:, i])
+        row0[:, dofs] += wl[:, i]
     if layout.num_moment_dofs:
-        h = element.frame[2]
+        h = group.frame[2][:, 0]
         for s, m in enumerate(basis.members):
             for term in laplacian_terms(m, h):
                 col = layout.moment_offset + basis_index(term.ex, term.ey)
-                B[s, col] -= term.coeff * element.facet.area
-    B[0, :] = 0.0
-    for i_edge, e in enumerate(layout.edges):
-        chain = layout.edge_dof_chain(i_edge)
-        for j, dof in enumerate(chain):
-            B[0, dof] += w[j] * e.length
-    B[0, :] /= element.facet.perimeter
+                B[:, s, col] -= term.coeff * group.area
+    B[:, 0, :] = row0 / group.perimeter[:, None]
     return B
 
 
-def _compute_pi_grad_star(element, cache):
+def _compute_pi_grad_star(group, cache):
     G = cache.get(MatrixTag.G)
     B = cache.get(MatrixTag.B)
-    if np.linalg.cond(G) > COND_LIMIT:
+    if (np.linalg.cond(G) > COND_LIMIT).any():
         raise SingularG("projector Gram matrix is numerically singular")
     try:
         return np.linalg.solve(G, B)
@@ -210,33 +355,33 @@ def _compute_pi_grad_star(element, cache):
         raise SingularG("projector Gram matrix is singular: %s" % err)
 
 
-def _compute_pi_grad(element, cache):
+def _compute_pi_grad(group, cache):
     return cache.get(MatrixTag.D) @ cache.get(MatrixTag.PI_GRAD_STAR)
 
 
-def _compute_pi_zero_star(element, cache):
-    layout = element.layout
-    if element.k == 1:
+def _compute_pi_zero_star(group, cache):
+    layout = group.layout
+    if group.k == 1:
         # no moments are available; project onto constants through the
         # vertex average, which is all the dofs can see
         n = layout.num_dofs
-        return np.full((1, n), 1.0 / n)
+        return np.full((group.size, 1, n), 1.0 / n)
     nm = layout.num_moment_dofs
-    Hm = cache.get(MatrixTag.H)[:nm, :nm]
-    C = np.zeros((nm, layout.num_dofs))
-    for a in range(nm):
-        C[a, layout.moment_offset + a] = element.facet.area
+    Hm = cache.get(MatrixTag.H)[:, :nm, :nm]
+    C = np.zeros((group.size, nm, layout.num_dofs))
+    a = np.arange(nm)
+    C[:, a, layout.moment_offset + a] = group.area[:, None]
     return np.linalg.solve(Hm, C)
 
 
-def _compute_stiffness(element, cache):
+def _compute_stiffness(group, cache):
     PiS = cache.get(MatrixTag.PI_GRAD_STAR)
     PiN = cache.get(MatrixTag.PI_GRAD)
     G_raw = cache.get(MatrixTag.G).copy()
-    G_raw[0, :] = 0.0
-    K = PiS.T @ G_raw @ PiS
-    R = np.eye(element.layout.num_dofs) - PiN
-    return K + R.T @ R
+    G_raw[:, 0, :] = 0.0
+    K = _swap(PiS) @ G_raw @ PiS
+    R = np.eye(group.layout.num_dofs) - PiN
+    return K + _swap(R) @ R
 
 
 register_matrix(MatrixTag.D, (), _compute_d)
@@ -263,21 +408,25 @@ def load_vector(element, f, cache=None):
     load is exact whenever f has degree <= k-2 and keeps the L2 order
     k+1 for smooth sources, where the plain moment pairing stalls at
     order 2 when k = 2.
+
+    `element` is a lone Element, with its cache if any, or an ElementGroup
+    with its GroupMatrixCache; a group gets one row per member.
     """
-    layout = element.layout
-    if element.k == 1:
-        pts = np.array([d.point for d in layout.dofs])
-        favg = float(np.mean(f(pts[:, 0], pts[:, 1])))
-        return np.full(layout.num_dofs, favg * element.facet.area / layout.num_dofs)
-    if cache is None:
-        cache = ElementMatrixCache()
-    PiZ = find_or_compute(cache, element, MatrixTag.PI_ZERO_STAR)
-    PiS = find_or_compute(cache, element, MatrixTag.PI_GRAD_STAR)
-    H = find_or_compute(cache, element, MatrixTag.H)
-    rule = element.rule(2 * element.k + 2)
-    V = element.basis.eval(rule.points, element.frame)
-    fv = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    mf = (V * (rule.weights * fv)[:, None]).sum(axis=0)
+    if isinstance(element, Element):
+        group = ElementGroup([element], [ElementMatrixCache() if cache is None else cache])
+        return load_vector(group, f, group.cache)[0]
+    group, layout = element, element.layout
+    if group.k == 1:
+        favg = np.mean(sample(f, group.vertices), axis=1)
+        per_dof = favg * group.area / layout.num_dofs
+        return np.repeat(per_dof[:, None], layout.num_dofs, axis=1)
+    PiZ = find_or_compute(cache, group, MatrixTag.PI_ZERO_STAR)
+    PiS = find_or_compute(cache, group, MatrixTag.PI_GRAD_STAR)
+    H = find_or_compute(cache, group, MatrixTag.H)
+    degree = 2 * group.k + 2
+    rule = group.rule(degree)
+    fv = sample(f, rule.points)
+    mf = (group.values(degree) * (rule.weights * fv)[..., None]).sum(axis=1)[..., None]
     nm = layout.num_moment_dofs
-    low = np.linalg.solve(H[:nm, :nm], mf[:nm])
-    return PiZ.T @ mf[:nm] + PiS.T @ (mf - H[:nm, :].T @ low)
+    low = np.linalg.solve(H[:, :nm, :nm], mf[:, :nm])
+    return (_swap(PiZ) @ mf[:, :nm] + _swap(PiS) @ (mf - _swap(H[:, :nm, :]) @ low))[..., 0]

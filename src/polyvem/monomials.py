@@ -121,28 +121,28 @@ class MonomialBasis:
     def size(self):
         return len(self.members)
 
-    def index_of(self, ex, ey):
-        i = basis_index(ex, ey)
-        if i >= self.size:
-            raise ValueError("exponents exceed basis degree")
-        return i
-
     def _scaled(self, points, frame):
         xc, yc, h = frame
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts[:, 0] - xc) / h, (pts[:, 1] - yc) / h
+        return (pts[..., 0] - xc) / h, (pts[..., 1] - yc) / h
 
     def eval(self, points, frame):
-        """Values at points, as an (npoints, size) matrix."""
+        """Values at points, as an (npoints, size) matrix.
+
+        Points may be stacked, (..., npoints, 2), with frame entries that
+        broadcast against points[..., 0]; values are then (..., npoints,
+        size).
+        """
         X, Y = self._scaled(points, frame)
-        return X[:, None] ** self._ex[None, :] * Y[:, None] ** self._ey[None, :]
+        return X[..., None] ** self._ex * Y[..., None] ** self._ey
 
     def grad(self, points, frame):
-        """Physical gradients at points: a pair of (npoints, size) matrices."""
+        """Physical gradients at points: a pair of (npoints, size) matrices,
+        stacked like `eval` for stacked points."""
         X, Y = self._scaled(points, frame)
-        h = frame[2]
+        h = np.asarray(frame[2])[..., None]
         exm = np.maximum(self._ex - 1, 0)
         eym = np.maximum(self._ey - 1, 0)
-        gx = (self._ex[None, :] / h) * X[:, None] ** exm[None, :] * Y[:, None] ** self._ey[None, :]
-        gy = (self._ey[None, :] / h) * X[:, None] ** self._ex[None, :] * Y[:, None] ** eym[None, :]
+        gx = (self._ex / h) * X[..., None] ** exm * Y[..., None] ** self._ey
+        gy = (self._ey / h) * X[..., None] ** self._ex * Y[..., None] ** eym
         return gx, gy

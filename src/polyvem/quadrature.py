@@ -188,22 +188,28 @@ def polygon_rule(facet, degree):
 
     Maps the reference-triangle rule onto every triangle of the facet's
     triangulation (holes handled there); weights sum to the facet area.
+    `facet` may also be a sequence of facets with equally many triangles:
+    points and weights then carry a leading facet axis.
     """
     if degree < 0:
         raise ValueError("quadrature degree must be >= 0")
     ref_pts, ref_wts = _triangle_rule(degree)
-    tris = facet.triangles
-    a = facet.coords[tris[:, 0]]
-    e1 = facet.coords[tris[:, 1]] - a
-    e2 = facet.coords[tris[:, 2]] - a
-    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # 2 * triangle areas, positive
+    if isinstance(facet, Facet):
+        corners = facet.coords[facet.triangles]
+    else:
+        corners = np.stack([f.coords[f.triangles] for f in facet])
+    a = corners[..., 0, :]
+    e1 = corners[..., 1, :] - a
+    e2 = corners[..., 2, :] - a
+    jac = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]  # 2 * triangle areas, positive
     # (a + r0 e1) + r1 e2 on every triangle at once, in that order, so the
     # points round exactly as a per-triangle a + outer(r0, e1) + outer(r1, e2)
-    r0, r1 = ref_pts[None, :, :1], ref_pts[None, :, 1:]
-    pts = (a[:, None, :] + r0 * e1[:, None, :]) + r1 * e2[:, None, :]
+    r0, r1 = ref_pts[:, :1], ref_pts[:, 1:]
+    pts = (a[..., None, :] + r0 * e1[..., None, :]) + r1 * e2[..., None, :]
+    lead = corners.shape[:-3]
     return QuadratureRule(
-        pts.reshape(-1, 2),
-        (ref_wts[None, :] * jac[:, None]).ravel(),
+        pts.reshape(lead + (-1, 2)),
+        (ref_wts * jac[..., None]).reshape(lead + (-1,)),
         degree,
         QuadratureKind.TRIANGULATED_POLYGON,
     )

@@ -9,7 +9,6 @@ relies on.
 """
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,9 @@ from .localmat import (
     ElementMatrixCache,
     MatrixTag,
     find_or_compute,
+    group_elements,
     load_vector,
+    sample,
 )
 from .mesh import build_global_dofs
 
@@ -60,26 +61,50 @@ class SparseSystem:
         return np.flatnonzero(mask)
 
 
-@contextmanager
-def _element_errors(eid):
-    # a bad polygon in a big mesh is identifiable by its id
-    try:
-        yield
-    except PolyVemError as err:
-        raise type(err)("element %d: %s" % (eid, err))
-
-
 def discretisation(mesh, k):
-    """Dof map and per-element (Element, ElementMatrixCache) pairs at order k.
+    """Dof map, per-element (Element, ElementMatrixCache) pairs and element
+    groups at order k.
 
     Built once and kept on the mesh, so assembly, the load vector, the error
     norms, the interpolant and the CLI share every element's projectors.
+    The groups are `localmat.group_elements` (ids, ElementGroup) pairs.
     """
     if k not in mesh.discretisations:
         dofmap = build_global_dofs(mesh, k)
         elements = [(Element(f, k), ElementMatrixCache()) for f in mesh.facets]
-        mesh.discretisations[k] = (dofmap, elements)
+        mesh.discretisations[k] = (dofmap, elements, group_elements(elements))
     return mesh.discretisations[k]
+
+
+def _each_group(groups, work):
+    """[work(ids, group) for every group], or the error of the first element
+    that fails.
+
+    A failing group is run again as groups of one, in element id order, so
+    the error raised is the one an element-by-element pass meets first:
+    the lowest failing id, the first failure within that element, and the
+    element id in the message.
+    """
+    results, failed = [], []
+    for ids, group in groups:
+        try:
+            results.append(work(ids, group))
+        except (PolyVemError, np.linalg.LinAlgError) as err:
+            failed.append((ids, group, err))
+    if failed:
+        singles = [pair for ids, group, _ in failed for pair in zip(ids, group.split())]
+        for eid, one in sorted(singles, key=lambda pair: pair[0]):
+            try:
+                work(np.array([eid]), one)
+            except PolyVemError as err:
+                # a bad polygon in a big mesh is identifiable by its id
+                raise type(err)("element %d: %s" % (eid, err))
+        raise failed[0][2]
+    return results
+
+
+def _maps(dofmap, ids):
+    return np.array([dofmap.element_maps[i] for i in ids])
 
 
 def assemble(mesh, k, f=None):
@@ -87,23 +112,25 @@ def assemble(mesh, k, f=None):
 
     Element failures are re-raised with the element id prepended.
     """
-    dofmap, elements = discretisation(mesh, k)
+    dofmap, elements, groups = discretisation(mesh, k)
     n = dofmap.num_dofs
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-    for eid, (element, cache) in enumerate(elements):
-        with _element_errors(eid):
-            K = find_or_compute(cache, element, MatrixTag.STIFFNESS)
-            if f is not None:
-                be = load_vector(element, f, cache)
-        K = 0.5 * (K + K.T)
-        g = dofmap.element_maps[eid]
-        m = len(g)
-        rows.append(np.repeat(g, m))
-        cols.append(np.tile(g, m))
+
+    def work(ids, group):
+        K = find_or_compute(group.cache, group, MatrixTag.STIFFNESS)
+        be = None if f is None else load_vector(group, f, group.cache)
+        return ids, _maps(dofmap, ids), K, be
+
+    rows, cols, vals, owners, targets, loads = [], [], [], [], [], []
+    for ids, g, K, be in _each_group(groups, work):
+        K = 0.5 * (K + np.swapaxes(K, 1, 2))
+        m = g.shape[1]
+        rows.append(np.repeat(g, m, axis=1).ravel())
+        cols.append(np.tile(g, (1, m)).ravel())
         vals.append(K.ravel())
         if f is not None:
-            np.add.at(b, g, be)
+            owners.append(np.repeat(ids, m))
+            targets.append(g.ravel())
+            loads.append(be.ravel())
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
@@ -117,6 +144,11 @@ def assemble(mesh, k, f=None):
     A = sp.csr_matrix(
         (summed, (rows[starts], cols[starts])), shape=(n, n)
     )
+    b = np.zeros(n)
+    if f is not None:
+        # the load adds up element by element in id order
+        order = np.argsort(np.concatenate(owners), kind="stable")
+        np.add.at(b, np.concatenate(targets)[order], np.concatenate(loads)[order])
     return SparseSystem(A, b, dofmap, mesh, k, elements)
 
 
@@ -205,20 +237,21 @@ def interpolate_dofs(mesh, k, u):
     Point dofs sample u; moment dofs average u against the scaled
     monomials with a quadrature well beyond the space's own degree.
     """
-    dofmap, elements = discretisation(mesh, k)
+    dofmap, _, groups = discretisation(mesh, k)
     x = np.zeros(dofmap.num_dofs)
     pts = dofmap.dof_points[: dofmap.moment_offset]
     x[: dofmap.moment_offset] = u(pts[:, 0], pts[:, 1])
+
+    def work(ids, group):
+        rule = group.rule(2 * k + 2)
+        uv = sample(u, rule.points)
+        nm, mo = group.layout.num_moment_dofs, group.layout.moment_offset
+        V = group.values(2 * k + 2)[..., :nm]
+        moments = (V * (rule.weights * uv)[..., None]).sum(axis=1)
+        x[_maps(dofmap, ids)[:, mo:]] = moments / group.area[:, None]
+
     if k >= 2:
-        for eid, (element, _) in enumerate(elements):
-            with _element_errors(eid):
-                rule = element.rule(2 * k + 2)
-            V = element.basis.eval(rule.points, element.frame)
-            uv = np.asarray(u(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-            g = dofmap.element_maps[eid]
-            nm = element.layout.num_moment_dofs
-            moments = (V[:, :nm] * (rule.weights * uv)[:, None]).sum(axis=0)
-            x[g[element.layout.moment_offset :]] = moments / element.facet.area
+        _each_group(groups, work)
     return x
 
 
@@ -228,22 +261,27 @@ def error_norms(mesh, k, solution, u_exact, grad_exact):
     The discrete function is replaced element-wise by its energy
     projection onto polynomials, which is the computable representative.
     """
-    dofmap, elements = discretisation(mesh, k)
-    err_l2 = 0.0
-    err_h1 = 0.0
-    for eid, (element, cache) in enumerate(elements):
-        with _element_errors(eid):
-            PiS = find_or_compute(cache, element, MatrixTag.PI_GRAD_STAR)
-            rule = element.rule(2 * k + 2)
-        coeff = PiS @ solution[dofmap.element_maps[eid]]
-        xq, yq = rule.points[:, 0], rule.points[:, 1]
-        V = element.basis.eval(rule.points, element.frame)
-        uh = V @ coeff
+    dofmap, elements, groups = discretisation(mesh, k)
+    squares = np.empty((len(elements), 2))
+
+    def work(ids, group):
+        PiS = find_or_compute(group.cache, group, MatrixTag.PI_GRAD_STAR)
+        rule = group.rule(2 * k + 2)
+        coeff = PiS @ solution[_maps(dofmap, ids)][..., None]
+        xq, yq = rule.points.reshape(-1, 2).T
+        w = rule.weights.ravel()
+        uh = (group.values(2 * k + 2) @ coeff).ravel()
         du = uh - np.asarray(u_exact(xq, yq), dtype=float)
-        err_l2 += float(np.sum(rule.weights * du * du))
-        gx, gy = element.basis.grad(rule.points, element.frame)
+        gx, gy = group.basis.grad(rule.points, group.frame)
         gex, gey = grad_exact(xq, yq)
-        dgx = gx @ coeff - np.asarray(gex, dtype=float)
-        dgy = gy @ coeff - np.asarray(gey, dtype=float)
-        err_h1 += float(np.sum(rule.weights * (dgx * dgx + dgy * dgy)))
+        dgx = (gx @ coeff).ravel() - np.asarray(gex, dtype=float)
+        dgy = (gy @ coeff).ravel() - np.asarray(gey, dtype=float)
+        squares[ids, 0] = (w * du * du).reshape(len(ids), -1).sum(axis=1)
+        squares[ids, 1] = (w * (dgx * dgx + dgy * dgy)).reshape(len(ids), -1).sum(axis=1)
+
+    _each_group(groups, work)
+    err_l2 = err_h1 = 0.0
+    for l2, h1 in squares.tolist():  # in element order, one by one
+        err_l2 += l2
+        err_h1 += h1
     return float(np.sqrt(err_l2)), float(np.sqrt(err_h1))

@@ -13,8 +13,6 @@ from polyvem.geometry import (
     Facet,
     Loop,
     OrientationWarning,
-    Point2,
-    Point3,
     Polyhedron,
     face_frame,
     point_in_loop,
@@ -33,20 +31,6 @@ from conftest import (
 
 def tri_area(a, b, c):
     return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-
-class TestPoints:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Point2(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            Point2(0.0, float("inf"))
-        with pytest.raises(ValueError):
-            Point3(0.0, float("-inf"), 1.0)
-
-    def test_as_array(self):
-        assert np.allclose(Point2(1.0, 2.0).as_array(), [1.0, 2.0])
-        assert np.allclose(Point3(1.0, 2.0, 3.0).as_array(), [1.0, 2.0, 3.0])
 
 
 class TestFacetMeasures:

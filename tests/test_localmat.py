@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from polyvem.errors import UnknownTag
+from polyvem.errors import SingularG, SingularH, UnknownTag
 from polyvem.geometry import Facet
 from polyvem.localmat import (
+    COND_LIMIT,
     Element,
     ElementMatrixCache,
     MATRIX_REGISTRY,
@@ -14,8 +16,24 @@ from polyvem.localmat import (
     load_vector,
     register_matrix,
 )
-from polyvem.monomials import basis_size, product
-from polyvem.quadrature import monomial_integral
+from polyvem.mesh import (
+    CutLine,
+    PolyMesh,
+    build_global_dofs,
+    cut_mesh,
+    gen_structured,
+    merge_meshes,
+)
+from polyvem.monomials import (
+    MonomialBasis,
+    basis_index,
+    basis_size,
+    laplacian_terms,
+    product,
+)
+from polyvem.quadrature import gauss_lobatto_1d, monomial_integral, polygon_rule
+from polyvem.system import assemble, discretisation, error_norms, interpolate_dofs
+from polyvem.vemspace import build_layout
 
 from conftest import pentagon, random_facet, square_with_hole, unit_square
 
@@ -341,3 +359,300 @@ def test_load_vector_pairs_exactly_with_low_order_monomials():
                     )
         got = float(b @ D[:, a])
         assert got == pytest.approx(exact, rel=1e-11, abs=1e-13)
+
+
+# -- bitwise oracle: the element-by-element kernel -------------------------
+#
+# The per-element implementation the group kernel replaced, kept as the
+# reference: every matrix, load vector, assembled A and b, interpolant and
+# error norm of the group kernel must equal it to the bit.
+
+
+class OracleElement:
+    def __init__(self, facet, k):
+        self.facet = facet
+        self.k = k
+        self.basis = MonomialBasis(k)
+        self.layout = build_layout(facet, k)
+        self.frame = facet.frame
+        # the perimeter as it was summed over the boundary edges
+        self.perimeter = sum(e.length for e in facet.boundary_edges())
+        self._rules = {}
+
+    def rule(self, degree):
+        if degree not in self._rules:
+            self._rules[degree] = polygon_rule(self.facet, degree)
+        return self._rules[degree]
+
+
+def oracle_gram(V, W, weights):
+    n = V.shape[1]
+    M = np.empty((n, n))
+    Vw = V * weights[:, None]
+    for a in range(n):
+        for b in range(a, n):
+            M[a, b] = float(np.dot(Vw[:, a], W[:, b]))
+            M[b, a] = M[a, b]
+    return M
+
+
+def oracle_boundary_average(el):
+    k, basis, frame = el.k, el.basis, el.frame
+    t, w = gauss_lobatto_1d(k + 1)
+    total = np.zeros(basis.size)
+    for e in el.layout.edges:
+        pts = e.p0[None, :] + t[:, None] * (e.p1 - e.p0)[None, :]
+        vals = basis.eval(pts, frame)
+        total += e.length * (w @ vals)
+    return total / el.perimeter
+
+
+def oracle_d(el, c):
+    layout, basis = el.layout, el.basis
+    D = np.empty((layout.num_dofs, basis.size))
+    pts = np.array([d.point for d in layout.dofs[: layout.moment_offset]])
+    D[: layout.moment_offset] = basis.eval(pts, el.frame)
+    if layout.num_moment_dofs:
+        rule = el.rule(2 * el.k - 2)
+        V = basis.eval(rule.points, el.frame)
+        Vm = V[:, : layout.num_moment_dofs]
+        D[layout.moment_offset :] = ((Vm * rule.weights[:, None]).T @ V) / el.facet.area
+    return D
+
+
+def oracle_h(el, c):
+    rule = el.rule(2 * el.k)
+    V = el.basis.eval(rule.points, el.frame)
+    H = oracle_gram(V, V, rule.weights)
+    if np.linalg.cond(H) > COND_LIMIT:
+        raise SingularH("monomial mass matrix is numerically singular")
+    return H
+
+
+def oracle_g(el, c):
+    rule = el.rule(max(2 * el.k - 2, 0))
+    gx, gy = el.basis.grad(rule.points, el.frame)
+    G = oracle_gram(gx, gx, rule.weights)
+    G += oracle_gram(gy, gy, rule.weights)
+    G[0, :] = oracle_boundary_average(el)
+    return G
+
+
+def oracle_b(el, c):
+    k, layout, basis = el.k, el.layout, el.basis
+    B = np.zeros((basis.size, layout.num_dofs))
+    t, w = gauss_lobatto_1d(k + 1)
+    for i_edge, e in enumerate(layout.edges):
+        pts = e.p0[None, :] + t[:, None] * (e.p1 - e.p0)[None, :]
+        gx, gy = basis.grad(pts, el.frame)
+        gn = gx * e.normal[0] + gy * e.normal[1]
+        for j, dof in enumerate(layout.edge_dof_chain(i_edge)):
+            B[:, dof] += w[j] * e.length * gn[j, :]
+    if layout.num_moment_dofs:
+        h = el.frame[2]
+        for s, m in enumerate(basis.members):
+            for term in laplacian_terms(m, h):
+                col = layout.moment_offset + basis_index(term.ex, term.ey)
+                B[s, col] -= term.coeff * el.facet.area
+    B[0, :] = 0.0
+    for i_edge, e in enumerate(layout.edges):
+        for j, dof in enumerate(layout.edge_dof_chain(i_edge)):
+            B[0, dof] += w[j] * e.length
+    B[0, :] /= el.perimeter
+    return B
+
+
+def oracle_pi_grad_star(el, c):
+    if np.linalg.cond(c[MatrixTag.G]) > COND_LIMIT:
+        raise SingularG("projector Gram matrix is numerically singular")
+    return np.linalg.solve(c[MatrixTag.G], c[MatrixTag.B])
+
+
+def oracle_pi_zero_star(el, c):
+    layout = el.layout
+    if el.k == 1:
+        return np.full((1, layout.num_dofs), 1.0 / layout.num_dofs)
+    nm = layout.num_moment_dofs
+    C = np.zeros((nm, layout.num_dofs))
+    for a in range(nm):
+        C[a, layout.moment_offset + a] = el.facet.area
+    return np.linalg.solve(c[MatrixTag.H][:nm, :nm], C)
+
+
+def oracle_stiffness(el, c):
+    PiS = c[MatrixTag.PI_GRAD_STAR]
+    G_raw = c[MatrixTag.G].copy()
+    G_raw[0, :] = 0.0
+    R = np.eye(el.layout.num_dofs) - c[MatrixTag.PI_GRAD]
+    return PiS.T @ G_raw @ PiS + R.T @ R
+
+
+ORACLE = {
+    MatrixTag.D: ((), oracle_d),
+    MatrixTag.H: ((), oracle_h),
+    MatrixTag.G: ((), oracle_g),
+    MatrixTag.B: ((), oracle_b),
+    MatrixTag.PI_GRAD_STAR: ((MatrixTag.G, MatrixTag.B), oracle_pi_grad_star),
+    MatrixTag.PI_GRAD: (
+        (MatrixTag.D, MatrixTag.PI_GRAD_STAR),
+        lambda el, c: c[MatrixTag.D] @ c[MatrixTag.PI_GRAD_STAR],
+    ),
+    MatrixTag.PI_ZERO_STAR: ((MatrixTag.H,), oracle_pi_zero_star),
+    MatrixTag.STIFFNESS: (
+        (MatrixTag.G, MatrixTag.PI_GRAD_STAR, MatrixTag.PI_GRAD),
+        oracle_stiffness,
+    ),
+}
+
+
+def oracle_matrix(el, c, tag):
+    if tag not in c:
+        deps, fn = ORACLE[tag]
+        for dep in deps:
+            oracle_matrix(el, c, dep)
+        c[tag] = fn(el, c)
+    return c[tag]
+
+
+def oracle_load(el, f, c):
+    layout = el.layout
+    if el.k == 1:
+        pts = np.array([d.point for d in layout.dofs])
+        favg = float(np.mean(f(pts[:, 0], pts[:, 1])))
+        return np.full(layout.num_dofs, favg * el.facet.area / layout.num_dofs)
+    PiZ = oracle_matrix(el, c, MatrixTag.PI_ZERO_STAR)
+    PiS = oracle_matrix(el, c, MatrixTag.PI_GRAD_STAR)
+    H = oracle_matrix(el, c, MatrixTag.H)
+    rule = el.rule(2 * el.k + 2)
+    V = el.basis.eval(rule.points, el.frame)
+    fv = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
+    mf = (V * (rule.weights * fv)[:, None]).sum(axis=0)
+    nm = layout.num_moment_dofs
+    low = np.linalg.solve(H[:nm, :nm], mf[:nm])
+    return PiZ.T @ mf[:nm] + PiS.T @ (mf - H[:nm, :].T @ low)
+
+
+def oracle_assemble(mesh, k, f):
+    dofmap = build_global_dofs(mesh, k)
+    rows, cols, vals = [], [], []
+    b = np.zeros(dofmap.num_dofs)
+    for eid, facet in enumerate(mesh.facets):
+        el, c = OracleElement(facet, k), {}
+        K = oracle_matrix(el, c, MatrixTag.STIFFNESS)
+        K = 0.5 * (K + K.T)
+        g = dofmap.element_maps[eid]
+        rows.append(np.repeat(g, len(g)))
+        cols.append(np.tile(g, len(g)))
+        vals.append(K.ravel())
+        np.add.at(b, g, oracle_load(el, f, c))
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    order = np.lexsort((vals, cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    A = sp.csr_matrix(
+        (np.add.reduceat(vals, starts), (rows[starts], cols[starts])),
+        shape=(dofmap.num_dofs, dofmap.num_dofs),
+    )
+    return A, b
+
+
+def oracle_interpolate_and_errors(mesh, k, u, grad, x):
+    dofmap = build_global_dofs(mesh, k)
+    xi = np.zeros(dofmap.num_dofs)
+    pts = dofmap.dof_points[: dofmap.moment_offset]
+    xi[: dofmap.moment_offset] = u(pts[:, 0], pts[:, 1])
+    err_l2 = err_h1 = 0.0
+    for eid, facet in enumerate(mesh.facets):
+        el = OracleElement(facet, k)
+        rule = el.rule(2 * k + 2)
+        V = el.basis.eval(rule.points, el.frame)
+        xq, yq = rule.points[:, 0], rule.points[:, 1]
+        g = dofmap.element_maps[eid]
+        if k >= 2:
+            nm = el.layout.num_moment_dofs
+            uv = np.asarray(u(xq, yq), dtype=float)
+            moments = (V[:, :nm] * (rule.weights * uv)[:, None]).sum(axis=0)
+            xi[g[el.layout.moment_offset :]] = moments / facet.area
+        coeff = oracle_matrix(el, {}, MatrixTag.PI_GRAD_STAR) @ x[g]
+        du = V @ coeff - np.asarray(u(xq, yq), dtype=float)
+        err_l2 += float(np.sum(rule.weights * du * du))
+        gx, gy = el.basis.grad(rule.points, el.frame)
+        gex, gey = grad(xq, yq)
+        dgx = gx @ coeff - np.asarray(gex, dtype=float)
+        dgy = gy @ coeff - np.asarray(gey, dtype=float)
+        err_h1 += float(np.sum(rule.weights * (dgx * dgx + dgy * dgy)))
+    return xi, float(np.sqrt(err_l2)), float(np.sqrt(err_h1))
+
+
+def sine_source(x, y):
+    return 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def zoo_meshes():
+    holed = PolyMesh(
+        np.array([[0, 0], [3, 0], [3, 3], [0, 3], [1, 1], [2, 1], [2, 2], [1, 2]], float),
+        [([0, 1, 2, 3], [[7, 6, 5, 4]]), [4, 5, 6, 7]],
+    )
+    coarse = PolyMesh(np.array([[1, 0], [2, 0], [2, 1], [1, 1]], float), [[0, 1, 2, 3]])
+    # one loop through vertex 2 twice: its dof chains are its own
+    pinched = PolyMesh(
+        np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [0, 1]], float),
+        [[0, 1, 2, 3, 4, 5, 2, 6]],
+    )
+    return {
+        "pinched": pinched,
+        "triangles": gen_structured("triangles", 2),
+        "distortedQuads": gen_structured("distortedQuads", 3),
+        "merged": merge_meshes(gen_structured("quads", 2), coarse),
+        "cut": cut_mesh(gen_structured("distortedQuads", 3), CutLine(1.0, -0.31, 0.4)),
+        "holed": holed,
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_group_kernel_matches_element_oracle_bitwise(k):
+    for name, mesh in zoo_meshes().items():
+        _, elements, groups = discretisation(mesh, k)
+        for ids, group in groups:
+            for tag in MatrixTag:
+                find_or_compute(group.cache, group, tag)
+            loads = load_vector(group, sine_source, group.cache)
+            for eid, load in zip(ids, loads):
+                el, c = OracleElement(mesh.facets[eid], k), {}
+                for tag in MatrixTag:
+                    got = elements[eid][1].get(tag)
+                    want = oracle_matrix(el, c, tag)
+                    assert np.array_equal(got, want), (name, eid, tag)
+                assert np.array_equal(load, oracle_load(el, sine_source, c)), (name, eid)
+        # a lone element is a group of one and gives the same bits
+        facet = mesh.facets[-1]
+        lone, c = Element(facet, k), ElementMatrixCache()
+        assert np.array_equal(
+            find_or_compute(c, lone, MatrixTag.STIFFNESS),
+            oracle_matrix(OracleElement(facet, k), {}, MatrixTag.STIFFNESS),
+        )
+        assert np.array_equal(
+            load_vector(lone, sine_source, c),
+            oracle_load(OracleElement(facet, k), sine_source, {}),
+        )
+
+
+def test_multi_group_assembly_matches_element_loop_bitwise():
+    mesh = cut_mesh(gen_structured("distortedQuads", 8), CutLine(1.0, -0.31, 0.4))
+    u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    grad = lambda x, y: (
+        np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+        np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
+    )
+    for k in (1, 2, 3):
+        sys_ = assemble(mesh, k, sine_source)
+        assert len(discretisation(mesh, k)[2]) > 2
+        A, b = oracle_assemble(mesh, k, sine_source)
+        assert np.array_equal(sys_.A.indptr, A.indptr)
+        assert np.array_equal(sys_.A.indices, A.indices)
+        assert np.array_equal(sys_.A.data, A.data)
+        assert np.array_equal(sys_.b, b)
+        x = np.cos(np.arange(sys_.num_dofs))
+        xi, el2, eh1 = oracle_interpolate_and_errors(mesh, k, u, grad, x)
+        assert np.array_equal(interpolate_dofs(mesh, k, u), xi)
+        assert error_norms(mesh, k, x, u, grad) == (el2, eh1)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polyvem.errors import SingularG
+from polyvem import localmat
+from polyvem.errors import SingularG, SingularH
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
 from polyvem.mesh import PolyMesh, CutLine, build_global_dofs, cut_mesh, gen_structured
 from polyvem.system import (
@@ -103,6 +104,58 @@ def test_error_norms_name_the_failing_element():
         error_norms(mesh, 3, x, u, grad)
     with pytest.raises(SingularG, match="^element 1: "):
         assemble(mesh, 3)
+
+
+def strip_mesh(order):
+    # the unit square and, stacked on top of it, two 1-wide slivers: at
+    # k = 2 the 1e-3 one fails only its mass matrix H, the 3e-5 one fails
+    # its Gram matrix G as well; all three are one group of quads
+    ys = [0.0, 1.0, 1.0 + 1e-3, 1.0 + 1e-3 + 3e-5]
+    verts = np.array([[x, y] for y in ys for x in (0.0, 1.0)])
+    strips = [[2 * i, 2 * i + 1, 2 * i + 3, 2 * i + 2] for i in range(3)]
+    return PolyMesh(verts, [strips[i] for i in order])
+
+
+def test_batched_failure_names_lowest_element_first_failure():
+    f = lambda x, y: np.ones_like(x)
+    # element 1 fails H (needed only by the load), element 2 fails G: an
+    # element-by-element pass meets element 1's SingularH first
+    mesh = strip_mesh([0, 1, 2])
+    with pytest.raises(SingularH, match="^element 1: "):
+        assemble(mesh, 2, f)
+    # without a load H is never needed
+    with pytest.raises(SingularG, match="^element 2: "):
+        assemble(strip_mesh([0, 1, 2]), 2)
+    # element 1 fails both: G comes first within an element
+    with pytest.raises(SingularG, match="^element 1: "):
+        assemble(strip_mesh([0, 2, 1]), 2, f)
+    # a lower failing id in a later group wins too: the groups here are
+    # the quads {0, 2} (2 fails G) and the thin triangle {1} (fails H)
+    verts = np.array(
+        [[0, 0], [1, 0], [1, 1], [0, 1], [1, 1 + 3e-5], [0, 1 + 3e-5], [0.5, -1e-3]]
+    )
+    mesh = PolyMesh(verts, [[0, 1, 2, 3], [0, 6, 1], [3, 2, 4, 5]])
+    with pytest.raises(SingularH, match="^element 1: "):
+        assemble(mesh, 2, f)
+
+
+def test_batched_solve_error_traced_to_its_element(monkeypatch):
+    # with the condition test out of the way, LAPACK's own singularity
+    # report of one member fails the stacked solve of the whole group;
+    # the fake solve below reports it for numerically singular members
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        if (np.linalg.cond(a) > 1e12).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(localmat, "COND_LIMIT", np.inf)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(
+        SingularG, match="^element 2: projector Gram matrix is singular: Singular matrix$"
+    ):
+        assemble(strip_mesh([0, 1, 2]), 2)
 
 
 def test_dropped_mesh_freed_without_cycle_collector():
