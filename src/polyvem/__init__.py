@@ -1,9 +1,9 @@
 """Virtual element solver for the Poisson problem on polygonal meshes.
 
 The package is layered bottom-up: geometry (facets, triangulation,
-polyhedra), monomials (scaled basis algebra), quadrature (edge/polygon/face
-rules, compression, the analytic oracle), vemspace (degrees of freedom and
-edge traces), localmat (element matrices and projectors), mesh (storage,
+polyhedra), monomials (scaled basis algebra), quadrature (1d/polygon/face
+rules, compression, the analytic oracle), vemspace (the local dof layout),
+localmat (element matrices and projectors, cached by tag), mesh (storage,
 file format, generators, cut/merge, global dofs), system (assembly, boundary
 conditions, solver, error norms) and cli.
 """

@@ -33,14 +33,6 @@ class SingularH(PolyVemError):
     """Monomial mass matrix ill conditioned; element likely degenerate."""
 
 
-class UnknownTag(PolyVemError):
-    """Registry lookup for a tag nobody registered."""
-
-
-class OutOfRangeExponents(PolyVemError):
-    pass
-
-
 class ParseError(PolyVemError):
     """Bad mesh file, with the offending line number when known."""
 

@@ -12,7 +12,7 @@ equivalence on shape-regular polygons.
 Elements are computed in groups, in the style of Sutton's "virtual element
 method in 50 lines of MATLAB": an `ElementGroup` stacks the geometry, dof
 points and quadrature rules of like-shaped elements along a leading member
-axis, and each registered computation yields the matrices of all members at
+axis, and each matrix computation yields the matrices of all members at
 once.  There is one arithmetic path, as a lone element is a group of one;
 elementwise operations, one BLAS or LAPACK call per member and scatters in
 the per-edge order round as for a member alone, so a matrix has the same
@@ -25,12 +25,11 @@ request performs each intermediate computation once.
 """
 
 import enum
-from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import PolyVemError, SingularG, SingularH, UnknownTag
+from .errors import PolyVemError, SingularG, SingularH
 from .monomials import MonomialBasis, basis_index, laplacian_terms
 from .quadrature import gauss_lobatto_1d, polygon_rule
 from .vemspace import build_layout
@@ -49,6 +48,12 @@ class MatrixTag(enum.Enum):
     STIFFNESS = "stiffness"
 
 
+@lru_cache(maxsize=None)
+def _basis(k):
+    # frame-agnostic, so every element of order k shares one
+    return MonomialBasis(k)
+
+
 class Element:
     """One polygon at one order: its dof layout and monomial basis."""
 
@@ -57,7 +62,7 @@ class Element:
             raise ValueError("order must be >= 1")
         self.facet = facet
         self.k = int(k)
-        self.basis = MonomialBasis(k)
+        self.basis = _basis(self.k)
 
     @cached_property
     def layout(self):
@@ -141,11 +146,7 @@ class ElementGroup:
         self.area = np.array([f.area for f in self.facets])
         self.perimeter = np.array([f.perimeter for f in self.facets])
         self.frame = tuple(np.array([f.frame for f in self.facets]).T[:, :, None])
-        layout = self.layout
-        # local dofs of the k+1 trace nodes of every edge, in edge order
-        self.chains = np.array(
-            [layout.edge_dof_chain(i) for i in range(len(layout.edges))]
-        )
+        self.chains = self.layout.chains
         self.vertices = np.stack([f.coords[f.vertex_ids()] for f in self.facets])
         d = self.vertices[:, self.chains[:, -1]] - self.vertices
         self.lengths = np.hypot(d[..., 0], d[..., 1])
@@ -219,18 +220,6 @@ def _swap(M):
     return np.swapaxes(M, -1, -2)
 
 
-MatrixRule = namedtuple("MatrixRule", ["deps", "fn"])
-
-MATRIX_REGISTRY = {}
-
-
-def register_matrix(tag, deps, fn, overwrite=False):
-    """Register fn(group, group_cache) -> stacked matrices of `tag`."""
-    if tag in MATRIX_REGISTRY and not overwrite:
-        raise ValueError("matrix tag already registered: %r" % (tag,))
-    MATRIX_REGISTRY[tag] = MatrixRule(tuple(deps), fn)
-
-
 def find_or_compute(cache, element, tag):
     """Matrix for `tag`, computing and caching any missing dependencies.
 
@@ -238,18 +227,15 @@ def find_or_compute(cache, element, tag):
     stacked matrices of all members, or a lone Element with its
     ElementMatrixCache, computed as a group of one.
     """
-    try:
-        rule = MATRIX_REGISTRY[tag]
-    except KeyError:
-        raise UnknownTag("no matrix computation registered for %r" % (tag,))
     if tag in cache:
         return cache.get(tag)
     if isinstance(element, Element):
         group = ElementGroup([element], [cache])
         return find_or_compute(group.cache, group, tag)[0]
-    for dep in rule.deps:
+    deps, fn = _MATRICES[tag]
+    for dep in deps:
         find_or_compute(cache, element, dep)
-    value = rule.fn(element, cache)
+    value = fn(element, cache)
     cache.put(tag, value)
     return value
 
@@ -384,18 +370,21 @@ def _compute_stiffness(group, cache):
     return K + _swap(R) @ R
 
 
-register_matrix(MatrixTag.D, (), _compute_d)
-register_matrix(MatrixTag.H, (), _compute_h)
-register_matrix(MatrixTag.G, (), _compute_g)
-register_matrix(MatrixTag.B, (), _compute_b)
-register_matrix(MatrixTag.PI_GRAD_STAR, (MatrixTag.G, MatrixTag.B), _compute_pi_grad_star)
-register_matrix(MatrixTag.PI_GRAD, (MatrixTag.D, MatrixTag.PI_GRAD_STAR), _compute_pi_grad)
-register_matrix(MatrixTag.PI_ZERO_STAR, (MatrixTag.H,), _compute_pi_zero_star)
-register_matrix(
-    MatrixTag.STIFFNESS,
-    (MatrixTag.G, MatrixTag.PI_GRAD_STAR, MatrixTag.PI_GRAD),
-    _compute_stiffness,
-)
+# tag -> (tags it reads from the cache, fn(group, group_cache) -> stacked
+# matrices of all members)
+_MATRICES = {
+    MatrixTag.D: ((), _compute_d),
+    MatrixTag.H: ((), _compute_h),
+    MatrixTag.G: ((), _compute_g),
+    MatrixTag.B: ((), _compute_b),
+    MatrixTag.PI_GRAD_STAR: ((MatrixTag.G, MatrixTag.B), _compute_pi_grad_star),
+    MatrixTag.PI_GRAD: ((MatrixTag.D, MatrixTag.PI_GRAD_STAR), _compute_pi_grad),
+    MatrixTag.PI_ZERO_STAR: ((MatrixTag.H,), _compute_pi_zero_star),
+    MatrixTag.STIFFNESS: (
+        (MatrixTag.G, MatrixTag.PI_GRAD_STAR, MatrixTag.PI_GRAD),
+        _compute_stiffness,
+    ),
+}
 
 
 def load_vector(element, f, cache=None):

@@ -3,9 +3,9 @@
 Basis members are powers of the centered, diameter-scaled coordinates
 X = (x - xc)/h and Y = (y - yc)/h.  The ordering is graded: degree blocks
 ascending, and inside a degree the x exponent decreases, so for k = 2 the
-basis reads 1, X, Y, X^2, X*Y, Y^2.  Keeping the algebra symbolic (products,
-derivatives, laplacians) is what lets the element matrices avoid quadrature
-wherever a moment identity applies.
+basis reads 1, X, Y, X^2, X*Y, Y^2.  Laplacians are kept symbolic, which
+lets the projector right-hand side read moment dofs exactly, without
+quadrature.
 """
 
 from dataclasses import dataclass
@@ -49,40 +49,8 @@ class ScaledMonomial:
     def degree(self):
         return self.ex + self.ey
 
-    def __mul__(self, other):
-        return ScaledMonomial(
-            self.ex + other.ex, self.ey + other.ey, self.coeff * other.coeff
-        )
-
-    def derivative(self, var):
-        """Derivative in the scaled variable (no 1/h factor)."""
-        if var == "x":
-            if self.ex == 0:
-                return ScaledMonomial(0, 0, 0.0)
-            return ScaledMonomial(self.ex - 1, self.ey, self.coeff * self.ex)
-        if var == "y":
-            if self.ey == 0:
-                return ScaledMonomial(0, 0, 0.0)
-            return ScaledMonomial(self.ex, self.ey - 1, self.coeff * self.ey)
-        raise ValueError("var must be 'x' or 'y'")
-
-    def evaluate(self, points, frame):
-        """Value at physical points, frame = (xc, yc, h)."""
-        xc, yc, h = frame
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        X = (pts[:, 0] - xc) / h
-        Y = (pts[:, 1] - yc) / h
-        vals = self.coeff * X ** self.ex * Y ** self.ey
-        if np.ndim(points) == 1:
-            return float(vals[0])
-        return vals
-
     def __repr__(self):
         return "ScaledMonomial(X^%d Y^%d, coeff=%g)" % (self.ex, self.ey, self.coeff)
-
-
-def product(a, b):
-    return a * b
 
 
 def laplacian_terms(m, h):

@@ -1,4 +1,4 @@
-"""Quadrature on edges, polygons (holes included) and planar 3d faces.
+"""Quadrature: 1d Gauss rules, polygons (holes included) and planar 3d faces.
 
 Polygon rules come from triangulating the facet and mapping symmetric
 reference-triangle rules; every base rule here has positive weights, so the
@@ -21,8 +21,6 @@ from .geometry import Facet, face_frame
 
 
 class QuadratureKind(enum.Enum):
-    GAUSS_EDGE = "gauss_edge"
-    GAUSS_LOBATTO_EDGE = "gauss_lobatto_edge"
     TRIANGULATED_POLYGON = "triangulated_polygon"
     COMPRESSED_POLYGON = "compressed_polygon"
     PLANAR_FACE = "planar_face"
@@ -36,7 +34,6 @@ class QuadratureRule:
     weights: np.ndarray
     degree: int
     kind: QuadratureKind
-    compressed: bool = False
     compression_failed: bool = False
 
     @property
@@ -70,26 +67,6 @@ def gauss_lobatto_1d(npts):
     pvals = npleg.legval(x, c)
     w = 2.0 / (npts * (npts - 1) * pvals ** 2)
     return (x + 1.0) / 2.0, w / 2.0
-
-
-def gauss_edge(p0, p1, n):
-    """Gauss rule along the segment p0-p1; weights sum to its length."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t, w = gauss_1d(n)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = float(np.linalg.norm(p1 - p0))
-    return QuadratureRule(pts, w * length, 2 * n - 1, QuadratureKind.GAUSS_EDGE)
-
-
-def gauss_lobatto_edge(p0, p1, k):
-    """Lobatto rule with k+1 nodes along p0-p1, endpoints included."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t, w = gauss_lobatto_1d(k + 1)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = float(np.linalg.norm(p1 - p0))
-    return QuadratureRule(pts, w * length, 2 * k - 1, QuadratureKind.GAUSS_LOBATTO_EDGE)
 
 
 # Symmetric positive-weight rules on the unit triangle {x, y >= 0, x+y <= 1};
@@ -373,7 +350,6 @@ def compress_rule(rule, frame=None, tol=1e-10):
         x[sel] * measure,
         rule.degree,
         QuadratureKind.COMPRESSED_POLYGON,
-        compressed=True,
     )
 
 

@@ -165,7 +165,10 @@ def jacobi_cg(A, b, tol, maxiter):
     """Conjugate gradients with diagonal preconditioning.
 
     Returns (x, iterations, relative residual, converged).  A zero right
-    hand side is solved exactly in zero iterations.
+    hand side is solved exactly in zero iterations.  A breakdown, where
+    p.Ap is not positive or not finite (A is not SPD, or holds a NaN),
+    stops at once with the iterations completed before it and
+    converged=False.
     """
     n = len(b)
     x = np.zeros(n)
@@ -181,7 +184,10 @@ def jacobi_cg(A, b, tol, maxiter):
     residual = float(np.linalg.norm(r)) / bnorm
     for it in range(1, maxiter + 1):
         q = A @ p
-        alpha = rz / float(p @ q)
+        pq = float(p @ q)
+        if not 0.0 < pq < np.inf:
+            return x, it - 1, residual, False
+        alpha = rz / pq
         x += alpha * p
         r -= alpha * q
         residual = float(np.linalg.norm(r)) / bnorm

@@ -1,4 +1,4 @@
-"""Degrees of freedom and edge traces of the local virtual space.
+"""Degrees of freedom of the local virtual space.
 
 On a polygon the order-k space carries three dof families: values at the
 boundary vertices, values at the k-1 interior Gauss-Lobatto nodes of every
@@ -12,192 +12,45 @@ then holes), then edge dofs edge by edge along the same walk (nodes in edge
 direction), then moments in the graded monomial order.
 """
 
-import enum
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .errors import OutOfRangeExponents
-from .monomials import basis_exponents, basis_size
-from .quadrature import gauss_1d, gauss_lobatto_1d
-
-
-class DofKind(enum.Enum):
-    VERTEX = "vertex"
-    EDGE = "edge"
-    MOMENT = "moment"
-
-
-@dataclass
-class DofDescription:
-    """One local degree of freedom; unused fields stay None."""
-
-    kind: DofKind
-    index: int
-    point: np.ndarray = None
-    vertex: int = None
-    edge_index: int = None
-    node: int = None
-    t: float = None
-    weight: float = None
-    exponents: tuple = None
+from .monomials import basis_size
 
 
 class LocalDofLayout:
-    """Dof bookkeeping for one element at one order."""
+    """Dof counts of one element at order k, and `chains`: row i holds the
+    local dofs of the k+1 trace nodes of boundary edge i, in edge
+    direction."""
 
-    def __init__(self, facet, k, dofs, edges, vertex_index_of):
-        self.facet = facet
-        self.k = k
-        self.dofs = dofs
-        self.edges = edges
-        self.num_vertex_dofs = len(edges)
-        self.num_edge_dofs = len(edges) * (k - 1)
+    def __init__(self, k, chains):
+        self.chains = chains
+        self.num_vertex_dofs = len(chains)
+        self.num_edge_dofs = len(chains) * (k - 1)
         self.num_moment_dofs = basis_size(k - 2)
         self.moment_offset = self.num_vertex_dofs + self.num_edge_dofs
-        self._vertex_index_of = vertex_index_of
-
-    @property
-    def num_dofs(self):
-        return len(self.dofs)
-
-    def vertex_dof(self, vertex_id):
-        """Local dof index of the boundary vertex with this id."""
-        return self._vertex_index_of[vertex_id]
-
-    def edge_dof(self, edge_index, node):
-        """Local dof index of interior node `node` (1..k-1) of an edge."""
-        if not 1 <= node <= self.k - 1:
-            raise IndexError("edge node out of range")
-        return self.num_vertex_dofs + edge_index * (self.k - 1) + (node - 1)
-
-    def edge_dof_chain(self, edge_index):
-        """Local dof indices of the k+1 trace nodes along an edge, in order."""
-        e = self.edges[edge_index]
-        chain = [self.vertex_dof(e.v0)]
-        chain.extend(
-            self.edge_dof(edge_index, j) for j in range(1, self.k)
-        )
-        chain.append(self.vertex_dof(e.v1))
-        return chain
+        self.num_dofs = self.moment_offset + self.num_moment_dofs
 
 
 def build_layout(facet, k):
-    """Build the dof layout of a facet at order k (k >= 1)."""
+    """Build the dof layout of a facet at order k (k >= 1).
+
+    Edge i of the boundary walk runs from walk vertex i to the next vertex
+    of its loop.  A vertex the walk passes twice has one dof, at its last
+    walk position.
+    """
     if k < 1:
         raise ValueError("order must be >= 1")
-    edges = facet.boundary_edges()
-    t_full, w_full = gauss_lobatto_1d(k + 1)
-    dofs = []
-    vertex_index_of = {}
-    for i, e in enumerate(edges):
-        vertex_index_of[e.v0] = i
-        dofs.append(
-            DofDescription(
-                DofKind.VERTEX, i, point=e.p0.copy(), vertex=e.v0
-            )
-        )
-    for i, e in enumerate(edges):
-        for j in range(1, k):
-            t = float(t_full[j])
-            pt = e.p0 + t * (e.p1 - e.p0)
-            dofs.append(
-                DofDescription(
-                    DofKind.EDGE,
-                    len(dofs),
-                    point=pt,
-                    edge_index=i,
-                    node=j,
-                    t=t,
-                    weight=float(w_full[j]),
-                )
-            )
-    for exps in basis_exponents(k - 2):
-        dofs.append(
-            DofDescription(DofKind.MOMENT, len(dofs), exponents=exps)
-        )
-    return LocalDofLayout(facet, k, dofs, edges, vertex_index_of)
-
-
-@lru_cache(maxsize=None)
-def _barycentric_weights(k):
-    nodes, _ = gauss_lobatto_1d(k + 1)
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return nodes, 1.0 / np.prod(diff, axis=1)
-
-
-class EdgeTrace:
-    """Degree-k polynomial along one edge, stored by its Lobatto node values.
-
-    The parameter runs 0 to 1 from the edge start to its end; evaluation
-    uses barycentric Lagrange interpolation, exact at the nodes.
-    """
-
-    def __init__(self, values, k):
-        values = np.asarray(values, dtype=float)
-        if values.size != k + 1:
-            raise ValueError("trace needs k+1 nodal values")
-        self.values = values
-        self.k = k
-        self.nodes, self._bw = _barycentric_weights(k)
-
-    def __call__(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        diff = t[:, None] - self.nodes[None, :]
-        hit = np.abs(diff) < 1e-14
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self._bw[None, :] / diff
-            out = (terms @ self.values) / np.sum(terms, axis=1)
-        rows, cols = np.nonzero(hit)
-        out[rows] = self.values[cols]
-        return float(out[0]) if scalar else out
-
-
-def trace_on_edge(layout, dof_values, edge_index):
-    """Trace of the virtual function with these dof values on one edge."""
-    dof_values = np.asarray(dof_values, dtype=float)
-    chain = layout.edge_dof_chain(edge_index)
-    return EdgeTrace(dof_values[chain], layout.k)
-
-
-def edge_integral_against(trace, g, g_degree, edge):
-    """Integral over the edge of trace times a polynomial g.
-
-    g is a callable of the edge parameter; g_degree bounds its polynomial
-    degree so the Gauss order can be picked exact (k + g_degree).
-    """
-    n = (trace.k + g_degree) // 2 + 1
-    t, w = gauss_1d(n)
-    return edge.length * float(np.sum(w * trace(t) * g(t)))
-
-
-def node_quadrature_shortcut(layout, edge_index, node, g):
-    """Integral of an edge-node basis trace against g, degree of g <= k-1.
-
-    The k+1 point Lobatto rule is exact to 2k-1, and the basis trace is one
-    at its own node and zero at the others, so the integral collapses to a
-    single term: weight * g(node parameter) * length.
-    """
-    dof = layout.dofs[layout.edge_dof(edge_index, node)]
-    e = layout.edges[edge_index]
-    return dof.weight * g(dof.t) * e.length
-
-
-def moment_dof_value(layout, i, ex, ey):
-    """Moment of basis function i against the scaled monomial X^ex Y^ey.
-
-    By the dof definition this is 1 exactly when dof i is that moment, else
-    0; no quadrature is involved, which is what keeps the volume part of
-    the projector right-hand side exact.
-    """
-    if ex < 0 or ey < 0 or ex + ey > layout.k - 2:
-        raise OutOfRangeExponents(
-            "moment exponents (%d, %d) outside degree %d" % (ex, ey, layout.k - 2)
-        )
-    dof = layout.dofs[i]
-    if dof.kind is not DofKind.MOMENT:
-        return 0.0
-    return 1.0 if dof.exponents == (ex, ey) else 0.0
+    ids = facet.vertex_ids().tolist()
+    n = len(ids)
+    last = {v: i for i, v in enumerate(ids)}
+    position = np.array([last[v] for v in ids], dtype=np.intp)
+    nxt, start = [], 0
+    for loop in facet.loops():
+        size = len(loop)
+        nxt.extend(start + (np.arange(size) + 1) % size)
+        start += size
+    chains = np.empty((n, k + 1), dtype=np.intp)
+    chains[:, 0] = position
+    chains[:, 1:-1] = n + (k - 1) * np.arange(n)[:, None] + np.arange(k - 1)
+    chains[:, -1] = position[nxt]
+    return LocalDofLayout(k, chains)

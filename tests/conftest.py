@@ -3,6 +3,8 @@
 import numpy as np
 
 from polyvem.geometry import Facet
+from polyvem.monomials import ScaledMonomial
+from polyvem.quadrature import gauss_1d
 
 
 def unit_square():
@@ -78,3 +80,49 @@ def random_facet(rng, kind="plain"):
         hole_ids = list(range(n, 2 * n))[::-1]  # reversed: clockwise
         return Facet(all_pts, list(range(n)), [hole_ids])
     raise ValueError(kind)
+
+
+# -- independent oracles -------------------------------------------------
+#
+# Plain monomial algebra and a Gauss edge rule, kept apart from the library
+# so the tests can check its element matrices by another route.
+
+
+def product(a, b):
+    """a * b for scaled monomials: exponents add, coefficients multiply."""
+    return ScaledMonomial(a.ex + b.ex, a.ey + b.ey, a.coeff * b.coeff)
+
+
+def derivative(m, var):
+    """Derivative of a scaled monomial in the scaled variable (no 1/h)."""
+    if var == "x":
+        if m.ex == 0:
+            return ScaledMonomial(0, 0, 0.0)
+        return ScaledMonomial(m.ex - 1, m.ey, m.coeff * m.ex)
+    if var == "y":
+        if m.ey == 0:
+            return ScaledMonomial(0, 0, 0.0)
+        return ScaledMonomial(m.ex, m.ey - 1, m.coeff * m.ey)
+    raise ValueError("var must be 'x' or 'y'")
+
+
+def evaluate(m, points, frame):
+    """Value of a scaled monomial at physical points, frame = (xc, yc, h)."""
+    xc, yc, h = frame
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    X = (pts[:, 0] - xc) / h
+    Y = (pts[:, 1] - yc) / h
+    vals = m.coeff * X ** m.ex * Y ** m.ey
+    if np.ndim(points) == 1:
+        return float(vals[0])
+    return vals
+
+
+def gauss_edge(p0, p1, n):
+    """Points and weights of the n-point Gauss rule along the segment p0-p1;
+    the weights sum to its length."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    t, w = gauss_1d(n)
+    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+    return pts, w * float(np.linalg.norm(p1 - p0))

@@ -144,7 +144,15 @@ def test_dump_matrices(tmp_path, monkeypatch):
 
 
 # sha256 of the files these runs write, recorded before the element
-# projectors were shared between assembly, error norms and the VTK export
+# projectors were shared between assembly, error norms and the VTK export.
+#
+# Re-recording: a change that alters the arithmetic on purpose (a new
+# summation order, quadrature or solver) records new digests here and in
+# CONVERGENCE_SHA256 in the same commit.  Its CHANGES.md entry gives the old
+# and new digests, the max relative deviation of A, b, the interpolant and
+# both error norms from the tolerance oracle in tests/test_localmat.py, and
+# states that the oracle and every acceptance bound pass unedited.  Any
+# other change of a digest is a defect.
 SOLVE_SHA256 = {
     "distortedQuads": {
         "out.vtk": "88e8a61cdc03d54f6ce68d26d38eb8b9805083fa5c492c84cc19b60a142991e7",

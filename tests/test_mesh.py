@@ -16,6 +16,7 @@ from polyvem.errors import (
 )
 from polyvem import mesh as mesh_module
 from polyvem.geometry import OrientationWarning
+from polyvem.localmat import Element, ElementGroup, ElementMatrixCache
 from polyvem.mesh import (
     DUPLICATE_TOL,
     CutLine,
@@ -598,15 +599,12 @@ def test_element_maps_agree_with_layout_points():
         for k in (2, 3):
             gd = build_global_dofs(m, k)
             for eid, f in enumerate(m.facets):
-                layout = build_layout(f, k)
+                el = Element(f, k)
                 gmap = gd.element_maps[eid]
-                assert len(gmap) == layout.num_dofs
-                for local, d in enumerate(layout.dofs):
-                    if d.point is None:
-                        continue
-                    assert np.allclose(
-                        gd.dof_points[gmap[local]], d.point, atol=1e-13
-                    )
+                assert len(gmap) == el.layout.num_dofs
+                local = ElementGroup([el], [ElementMatrixCache()]).dof_points[0]
+                mo = el.layout.moment_offset
+                assert np.allclose(gd.dof_points[gmap[:mo]], local, atol=1e-13)
 
 
 def test_shared_edge_dofs_single_counted():

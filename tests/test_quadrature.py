@@ -14,9 +14,7 @@ from polyvem.quadrature import (
     compress_rule,
     compressed_polygon_rule,
     gauss_1d,
-    gauss_edge,
     gauss_lobatto_1d,
-    gauss_lobatto_edge,
     monomial_integral,
     nnls,
     planar_face_rule,
@@ -25,7 +23,7 @@ from polyvem.quadrature import (
     _triangle_rule,
 )
 
-from conftest import random_facet, square_with_hole, unit_square
+from conftest import gauss_edge, random_facet, square_with_hole, unit_square
 
 
 def ref_triangle_moment(a, b):
@@ -100,26 +98,14 @@ class TestGaussLobatto:
 
 class TestEdgeRules:
     def test_gauss_edge_weight_sum_is_length(self):
-        r = gauss_edge([0.0, 0.0], [3.0, 4.0], 3)
-        assert float(np.sum(r.weights)) == pytest.approx(5.0, abs=1e-13)
+        _, w = gauss_edge([0.0, 0.0], [3.0, 4.0], 3)
+        assert float(np.sum(w)) == pytest.approx(5.0, abs=1e-13)
 
     def test_gauss_edge_integrates_linear(self):
-        r = gauss_edge([1.0, 1.0], [2.0, 3.0], 2)
+        pts, w = gauss_edge([1.0, 1.0], [2.0, 3.0], 2)
         # integral of x along the segment = length * mean of x
         length = math.sqrt(5.0)
-        assert float(np.sum(r.weights * r.points[:, 0])) == pytest.approx(
-            1.5 * length, abs=1e-13
-        )
-
-    def test_lobatto_edge_nodes_run_start_to_end(self):
-        r = gauss_lobatto_edge([0.0, 0.0], [1.0, 0.0], 2)
-        assert np.allclose(r.points[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
-        assert float(np.sum(r.weights)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_lobatto_edge_k1(self):
-        r = gauss_lobatto_edge([0.0, 0.0], [0.0, 2.0], 1)
-        assert np.allclose(r.weights, [1.0, 1.0], atol=1e-14)
-        assert np.allclose(r.points, [[0.0, 0.0], [0.0, 2.0]], atol=1e-15)
+        assert float(np.sum(w * pts[:, 0])) == pytest.approx(1.5 * length, abs=1e-13)
 
 
 class TestTriangleTables:

@@ -246,6 +246,22 @@ def test_cg_reports_nonconvergence():
     assert not ok and it == 1 and res > 1e-16
 
 
+@pytest.mark.parametrize(
+    "A",
+    [
+        sp.csr_matrix((2, 2)),
+        sp.csr_matrix(np.diag([1.0, -1.0])),
+        sp.csr_matrix(np.array([[4.0, 1.0], [1.0, np.nan]])),
+    ],
+    ids=["zero", "indefinite", "nan"],
+)
+def test_cg_stops_on_breakdown(A):
+    # p.Ap is 0, 0 and NaN in the first iteration
+    x, it, res, ok = jacobi_cg(A, np.array([1.0, 1.0]), 1e-12, 100)
+    assert not ok and it == 0 and res == 1.0
+    assert np.all(np.isfinite(x))
+
+
 def test_solver_registry():
     def fake(A, b, tol, maxiter):
         return np.zeros_like(b), 0, 0.0, True
@@ -263,6 +279,22 @@ def test_solver_registry():
         SOLVERS.pop("fake-direct", None)
     with pytest.raises(ValueError):
         solve(assemble(gen_structured("quads", 1), 1), method="missing")
+
+
+def test_benchmark_tracer_resolves_every_name(monkeypatch):
+    # perfbench/tracing.py wraps library functions by name; one it cannot
+    # find is skipped and its per-layer metrics read absent, silently
+    from pathlib import Path
+
+    import polyvem.cli  # noqa: F401  (imports every traced module)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert tracer.missing == set()
 
 
 def test_solve_within_iteration_budget():

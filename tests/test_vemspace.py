@@ -1,23 +1,15 @@
-"""Dof layouts, edge traces and the moment dof delta."""
+"""Local dof layouts: counts, edge chains and the dof points they index."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvem.errors import OutOfRangeExponents
 from polyvem.geometry import Facet
+from polyvem.localmat import Element, ElementGroup, ElementMatrixCache
 from polyvem.monomials import basis_size
 from polyvem.quadrature import gauss_lobatto_1d
-from polyvem.vemspace import (
-    DofKind,
-    EdgeTrace,
-    build_layout,
-    edge_integral_against,
-    moment_dof_value,
-    node_quadrature_shortcut,
-    trace_on_edge,
-)
+from polyvem.vemspace import build_layout
 
 from conftest import pentagon, random_facet, square_with_hole, unit_square
 
@@ -51,32 +43,40 @@ def test_order_zero_rejected():
         build_layout(unit_square(), 0)
 
 
+def dof_points(facet, k):
+    """Point of every vertex and edge dof, as the element kernel stacks them."""
+    group = ElementGroup([Element(facet, k)], [ElementMatrixCache()])
+    return group.dof_points[0]
+
+
 def test_dof_ordering_and_fields():
-    layout = build_layout(unit_square(), 3)
-    kinds = [d.kind for d in layout.dofs]
-    assert kinds == [DofKind.VERTEX] * 4 + [DofKind.EDGE] * 8 + [DofKind.MOMENT] * 3
+    f = unit_square()
+    layout = build_layout(f, 3)
+    assert (layout.num_vertex_dofs, layout.num_edge_dofs) == (4, 8)
+    assert (layout.moment_offset, layout.num_moment_dofs, layout.num_dofs) == (12, 3, 15)
+    pts = dof_points(f, 3)
+    assert pts.shape == (12, 2)
     # vertex dofs follow the boundary walk
-    pts = np.array([d.point for d in layout.dofs[:4]])
-    assert np.allclose(pts, [[0, 0], [1, 0], [1, 1], [0, 1]])
-    # interior Lobatto parameters for k=3 are (1 -+ 1/sqrt(5))/2
+    assert np.allclose(pts[:4], [[0, 0], [1, 0], [1, 1], [0, 1]])
+    # interior Lobatto parameters for k=3 are (1 -+ 1/sqrt(5))/2, in edge
+    # direction
     lo = 0.5 - 0.5 / np.sqrt(5.0)
-    for d in layout.dofs[4:12]:
-        assert d.node in (1, 2)
-        assert min(d.t, 1.0 - d.t) == pytest.approx(lo, abs=1e-14)
-        assert d.point is not None and d.weight > 0
-    assert [d.exponents for d in layout.dofs[12:]] == [(0, 0), (1, 0), (0, 1)]
+    for chain in layout.chains:
+        p0, p1 = pts[chain[0]], pts[chain[-1]]
+        t = (pts[chain[1:-1]] - p0) @ (p1 - p0)
+        assert np.allclose(t, [lo, 1.0 - lo], atol=1e-14)
 
 
 def test_edge_dof_points_lie_on_edges():
     f = pentagon()
-    layout = build_layout(f, 4)
-    for d in layout.dofs:
-        if d.kind is not DofKind.EDGE:
-            continue
-        e = layout.edges[d.edge_index]
-        expected = e.p0 + d.t * (e.p1 - e.p0)
-        assert np.allclose(d.point, expected, atol=1e-15)
-        assert 0.0 < d.t < 1.0
+    k = 4
+    layout = build_layout(f, k)
+    pts = dof_points(f, k)
+    t, _ = gauss_lobatto_1d(k + 1)
+    for chain in layout.chains:
+        p0, p1 = pts[chain[0]], pts[chain[-1]]
+        expected = p0 + t[1:-1, None] * (p1 - p0)
+        assert np.allclose(pts[chain[1:-1]], expected, atol=1e-15)
 
 
 def test_shared_edge_nodes_coincide_under_reversal():
@@ -88,135 +88,75 @@ def test_shared_edge_nodes_coincide_under_reversal():
     left = Facet(coords, [0, 1, 2, 3])
     right = Facet(coords, [1, 4, 5, 2])
     k = 3
-    la, lb = build_layout(left, k), build_layout(right, k)
-    ea = next(i for i, e in enumerate(la.edges) if {e.v0, e.v1} == {1, 2})
-    eb = next(i for i, e in enumerate(lb.edges) if {e.v0, e.v1} == {1, 2})
-    pa = np.array([la.dofs[la.edge_dof(ea, j)].point for j in range(1, k)])
-    pb = np.array([lb.dofs[lb.edge_dof(eb, j)].point for j in range(1, k)])
+
+    def nodes_on_edge_12(facet):
+        ids = facet.vertex_ids()
+        chains = build_layout(facet, k).chains
+        chain = next(c for c in chains if {ids[c[0]], ids[c[-1]]} == {1, 2})
+        return dof_points(facet, k)[chain[1:-1]]
+
+    pa, pb = nodes_on_edge_12(left), nodes_on_edge_12(right)
     assert np.allclose(pa, pb[::-1], atol=1e-13)
 
 
 def test_edge_dof_chain_endpoints():
-    layout = build_layout(pentagon(), 2)
-    for i, e in enumerate(layout.edges):
-        chain = layout.edge_dof_chain(i)
-        assert layout.dofs[chain[0]].vertex == e.v0
-        assert layout.dofs[chain[-1]].vertex == e.v1
-        assert len(chain) == 3
-
-
-def test_trace_interpolates_polynomials():
-    k = 3
-    nodes, _ = gauss_lobatto_1d(k + 1)
-    for poly in (lambda t: np.ones_like(t), lambda t: t**2, lambda t: t**3 - 0.5 * t):
-        tr = EdgeTrace(poly(nodes), k)
-        tq = np.linspace(0.0, 1.0, 23)
-        assert np.allclose(tr(tq), poly(tq), atol=1e-13)
-
-
-def test_trace_exact_at_nodes_and_scalar_eval():
-    k = 2
-    tr = EdgeTrace([2.0, -1.0, 0.5], k)
-    nodes, _ = gauss_lobatto_1d(k + 1)
-    for v, t in zip([2.0, -1.0, 0.5], nodes):
-        assert tr(float(t)) == v
-    assert isinstance(tr(0.3), float)
-
-
-def test_basis_trace_is_delta_at_nodes():
-    f = pentagon()
-    k = 3
-    layout = build_layout(f, k)
-    nodes, _ = gauss_lobatto_1d(k + 1)
-    for i_edge in range(len(layout.edges)):
-        chain = layout.edge_dof_chain(i_edge)
-        for slot, dof_id in enumerate(chain):
-            vec = np.zeros(layout.num_dofs)
-            vec[dof_id] = 1.0
-            tr = trace_on_edge(layout, vec, i_edge)
-            expected = np.zeros(k + 1)
-            expected[slot] = 1.0
-            assert np.allclose(tr(nodes), expected, atol=1e-14)
-
-
-def test_moment_dof_has_zero_trace():
-    layout = build_layout(unit_square(), 2)
-    vec = np.zeros(layout.num_dofs)
-    vec[layout.moment_offset] = 1.0
-    for i_edge in range(4):
-        tr = trace_on_edge(layout, vec, i_edge)
-        assert np.allclose(tr(np.linspace(0, 1, 9)), 0.0)
-
-
-def test_edge_integral_constant_gives_length():
     f = pentagon()
     layout = build_layout(f, 2)
-    ones = np.ones(layout.num_dofs)
-    for i_edge, e in enumerate(layout.edges):
-        tr = trace_on_edge(layout, ones, i_edge)
-        val = edge_integral_against(tr, lambda t: np.ones_like(t), 0, e)
-        assert val == pytest.approx(e.length, rel=1e-14)
+    ids = f.vertex_ids()
+    assert layout.chains.shape == (5, 3)
+    for i, chain in enumerate(layout.chains):
+        assert ids[chain[0]] == ids[i]
+        assert ids[chain[-1]] == ids[(i + 1) % 5]
 
 
-def test_edge_integral_matches_closed_form():
-    # trace t^2 against g = t over an edge of length L: L * 1/4
-    k = 2
-    layout = build_layout(unit_square(), k)
-    nodes, _ = gauss_lobatto_1d(k + 1)
-    tr = EdgeTrace(nodes**2, k)
-    e = layout.edges[1]
-    val = edge_integral_against(tr, lambda t: t, 1, e)
-    assert val == pytest.approx(e.length / 4.0, rel=1e-14)
-
-
-def test_node_shortcut_matches_direct_integral():
-    # for g up to degree k-1 the Lobatto rule collapses the integral of an
-    # edge-node basis trace to one weighted sample
-    rng = np.random.default_rng(7)
-    f = random_facet(rng, "plain")
-    for k in (2, 3, 4):
-        layout = build_layout(f, k)
-        coeffs = rng.standard_normal(k)
-
-        def g(t, c=coeffs):
-            return sum(ci * t**p for p, ci in enumerate(c))
-
-        for i_edge, e in enumerate(layout.edges):
-            for node in range(1, k):
-                vec = np.zeros(layout.num_dofs)
-                vec[layout.edge_dof(i_edge, node)] = 1.0
-                tr = trace_on_edge(layout, vec, i_edge)
-                direct = edge_integral_against(tr, g, k - 1, e)
-                short = node_quadrature_shortcut(layout, i_edge, node, g)
-                assert short == pytest.approx(direct, rel=1e-12, abs=1e-14)
-
-
-def test_moment_dof_value_delta():
-    layout = build_layout(pentagon(), 3)
-    for i, d in enumerate(layout.dofs):
-        for ex, ey in [(0, 0), (1, 0), (0, 1)]:
-            v = moment_dof_value(layout, i, ex, ey)
-            if d.kind is DofKind.MOMENT and d.exponents == (ex, ey):
-                assert v == 1.0
-            else:
-                assert v == 0.0
-
-
-def test_moment_dof_value_range_checks():
-    layout = build_layout(pentagon(), 2)
-    with pytest.raises(OutOfRangeExponents):
-        moment_dof_value(layout, 0, 1, 0)
-    with pytest.raises(OutOfRangeExponents):
-        moment_dof_value(layout, 0, -1, 0)
-    layout1 = build_layout(pentagon(), 1)
-    with pytest.raises(OutOfRangeExponents):
-        moment_dof_value(layout1, 0, 0, 0)
+def test_pinched_walk_keeps_last_position():
+    # one loop through vertex 2 twice, at walk positions 2 and 6: both
+    # passes read the dof at position 6
+    coords = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [0, 1]], float)
+    f = Facet(coords, [0, 1, 2, 3, 4, 5, 2, 6])
+    chains = build_layout(f, 2).chains
+    assert chains[:, 0].tolist() == [0, 1, 6, 3, 4, 5, 6, 7]
+    assert chains[:, -1].tolist() == [1, 6, 3, 4, 5, 6, 7, 0]
 
 
 def test_holed_facet_walk_covers_both_loops():
     f = square_with_hole()
     layout = build_layout(f, 2)
-    seen = {d.vertex for d in layout.dofs if d.kind is DofKind.VERTEX}
-    assert seen == set(f.vertex_ids())
+    ids = f.vertex_ids()
+    assert set(ids[layout.chains[:, 0]]) == set(ids)
+    assert set(ids[layout.chains[:, -1]]) == set(ids)
     assert layout.num_vertex_dofs == 8
     assert layout.num_edge_dofs == 8
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["plain", "hanging", "hole"]),
+    st.integers(1, 5),
+)
+@settings(max_examples=40, deadline=None)
+def test_chains_follow_the_boundary_walk(seed, kind, k):
+    f = random_facet(np.random.default_rng(seed), kind)
+    layout = build_layout(f, k)
+    n = f.num_vertices
+    assert layout.chains.shape == (n, k + 1)
+    pts = dof_points(f, k)
+    start = 0
+    for loop in f.loops():
+        size = len(loop)
+        for j in range(size):
+            i = start + j
+            chain = layout.chains[i]
+            # walk position of edge i's first vertex, then of the next
+            # vertex of its loop
+            assert chain[0] == i and chain[-1] == start + (j + 1) % size
+            assert chain[1:-1].tolist() == list(n + i * (k - 1) + np.arange(k - 1))
+            # the chain's points run along edge i from its start to its end
+            p0, p1 = loop.points()[j], loop.points()[(j + 1) % size]
+            assert np.array_equal(pts[chain[0]], p0) and np.array_equal(pts[chain[-1]], p1)
+            d = p1 - p0
+            rel = pts[chain] - p0
+            cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]
+            assert np.all(np.abs(cross) <= 1e-12 * (d @ d))
+            assert np.all(np.diff(rel @ d) > 0.0)
+        start += size
