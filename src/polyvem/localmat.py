@@ -7,7 +7,12 @@ constraint to pin the constant) and a right-hand side assembled by parts:
 an edge term sampled at the Lobatto trace nodes plus a volume term that
 reads moment dofs exactly.  The stiffness adds a plain dof-difference
 penalty on the complement of the projector, which is enough for spectral
-equivalence on shape-regular polygons.
+equivalence on shape-regular polygons.  The Gram matrix G, the monomial
+mass matrix H and D's moment rows are read off the integrals of the
+monomials of degree <= 2k, which the divergence theorem turns into edge
+integrals (`_monomial_integrals`), so the stiffness uses no triangulated
+rule: `polygon_rule` serves only the load, the error norms and the
+interpolant, at degree 2k + 2.
 
 Elements are computed in groups, in the style of Sutton's "virtual element
 method in 50 lines of MATLAB": an `ElementGroup` stacks the geometry, dof
@@ -16,8 +21,7 @@ axis, and each matrix computation yields the matrices of all members at
 once.  There is one arithmetic path, as a lone element is a group of one;
 elementwise operations, one BLAS or LAPACK call per member and scatters in
 the per-edge order round as for a member alone, so a matrix has the same
-bits in any group.  Only `_symmetric_gram` runs member by member: stacked
-products and sums round differently.
+bits in any group.
 
 Matrices are requested by tag through `find_or_compute`, which walks the
 dependency graph and memoizes per group and per element, so a stiffness
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import PolyVemError, SingularG, SingularH
 from .monomials import MonomialBasis, basis_index, laplacian_terms
-from .quadrature import gauss_lobatto_1d, polygon_rule
+from .quadrature import gauss_1d, gauss_lobatto_1d, polygon_rule
 from .vemspace import build_layout
 
 COND_LIMIT = 1e12
@@ -93,9 +97,6 @@ class ElementMatrixCache:
 
     def put(self, tag, value):
         self._store[tag] = value
-
-    def tags(self):
-        return list(self._store)
 
 
 class GroupMatrixCache(ElementMatrixCache):
@@ -240,21 +241,44 @@ def find_or_compute(cache, element, tag):
     return value
 
 
-def _symmetric_gram(V, W, weights):
-    # accumulate only the upper triangle and mirror it, so the result is
-    # symmetric to the bit regardless of summation order
-    n = V.shape[1]
-    M = np.empty((n, n))
-    Vw = V * weights[:, None]
-    for a in range(n):
-        for b in range(a, n):
-            M[a, b] = float(np.dot(Vw[:, a], W[:, b]))
-            M[b, a] = M[a, b]
-    return M
+def _monomial_integrals(group, degree):
+    """Integral over each member of every scaled monomial of degree <=
+    `degree`: (members, basis_size(degree)).
+
+    X^a Y^b is homogeneous of degree d = a + b in x - c, so by the divergence
+    theorem its integral is sum_e ((v_e - c).n_e) int_e X^a Y^b / (2 + d),
+    with an exact Gauss rule on every edge, stacked over edges and members.
+    """
+    basis = _basis(degree)
+    t, w = gauss_1d(degree // 2 + 1)
+    d = group.vertices[:, group.chains[:, -1]] - group.vertices
+    points = group.vertices[:, :, None, :] + t[:, None] * d[:, :, None, :]
+    values = basis.eval(points.reshape(group.size, -1, 2), group.frame)
+    per_edge = w @ values.reshape(points.shape[:-1] + (basis.size,))
+    centre = np.stack(group.frame[:2], axis=-1)
+    flux = group.lengths * ((group.vertices - centre) * group.normals).sum(axis=-1)
+    return (flux[:, None, :] @ per_edge)[:, 0] / (2 + np.sum(basis.exponents, axis=1))
 
 
-def _grams(V, weights):
-    return np.stack([_symmetric_gram(v, v, w) for v, w in zip(V, weights)])
+@lru_cache(maxsize=None)
+def _pair_tables(k):
+    # for members a, b of the degree-k basis: the position of m_a m_b among
+    # the monomials of degree <= 2k, then per variable the factor and the
+    # position of the product of their scaled derivatives (0 if one is 0)
+    ex, ey = np.array(_basis(k).exponents).T
+    sx, sy = ex[:, None] + ex, ey[:, None] + ey
+    fx, fy = ex[:, None] * ex, ey[:, None] * ey
+
+    def index(px, py):
+        return np.where((px >= 0) & (py >= 0), (px + py) * (px + py + 1) // 2 + py, 0)
+
+    return index(sx, sy), fx, index(sx - 2, sy), fy, index(sx, sy - 2)
+
+
+def _mass(group):
+    # unchecked, as D's moment rows read it too; np.take keeps members
+    # outermost, so a group of one multiplies its matrices like a member
+    return np.take(_monomial_integrals(group, 2 * group.k), _pair_tables(group.k)[0], axis=1)
 
 
 def _boundary_monomial_average(group):
@@ -275,18 +299,13 @@ def _compute_d(group, cache):
     D = np.empty((group.size, layout.num_dofs, basis.size))
     D[:, : layout.moment_offset] = basis.eval(group.dof_points, group.frame)
     if layout.num_moment_dofs:
-        rule = group.rule(2 * group.k - 2)
-        V = basis.eval(rule.points, group.frame)
-        Vm = V[..., : layout.num_moment_dofs]
-        D[:, layout.moment_offset :] = (
-            _swap(Vm * rule.weights[..., None]) @ V
-        ) / group.area[:, None, None]
+        mass = _mass(group)[:, : layout.num_moment_dofs]
+        D[:, layout.moment_offset :] = mass / group.area[:, None, None]
     return D
 
 
 def _compute_h(group, cache):
-    rule = group.rule(2 * group.k)
-    H = _grams(group.basis.eval(rule.points, group.frame), rule.weights)
+    H = _mass(group)
     if (np.linalg.cond(H) > COND_LIMIT).any():
         raise SingularH(
             "monomial mass matrix is numerically singular; the element "
@@ -296,10 +315,9 @@ def _compute_h(group, cache):
 
 
 def _compute_g(group, cache):
-    rule = group.rule(max(2 * group.k - 2, 0))
-    gx, gy = group.basis.grad(rule.points, group.frame)
-    G = _grams(gx, rule.weights)
-    G += _grams(gy, rule.weights)
+    I = _monomial_integrals(group, max(2 * group.k - 2, 0))
+    _, fx, ix, fy, iy = _pair_tables(group.k)
+    G = (fx * np.take(I, ix, 1) + fy * np.take(I, iy, 1)) / group.frame[2][..., None] ** 2
     G[:, 0, :] = _boundary_monomial_average(group)
     return G
 

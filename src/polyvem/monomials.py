@@ -89,28 +89,34 @@ class MonomialBasis:
     def size(self):
         return len(self.members)
 
-    def _scaled(self, points, frame):
+    def _powers(self, points, frame):
+        # X^0..X^k and Y^0..Y^k by repeated multiplication, exponent last
         xc, yc, h = frame
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts[..., 0] - xc) / h, (pts[..., 1] - yc) / h
+        scaled = (pts - np.stack([xc, yc], axis=-1)) / np.asarray(h)[..., None]
+        table = np.ones(scaled.shape + (self.k + 1,))
+        for e in range(1, self.k + 1):
+            table[..., e] = table[..., e - 1] * scaled
+        return table[..., 0, :], table[..., 1, :]
 
     def eval(self, points, frame):
         """Values at points, as an (npoints, size) matrix.
 
         Points may be stacked, (..., npoints, 2), with frame entries that
         broadcast against points[..., 0]; values are then (..., npoints,
-        size).
+        size).  Powers come from per-point tables built by repeated
+        multiplication, so X^e carries up to e - 1 roundings.
         """
-        X, Y = self._scaled(points, frame)
-        return X[..., None] ** self._ex * Y[..., None] ** self._ey
+        px, py = self._powers(points, frame)
+        return np.take(px, self._ex, axis=-1) * np.take(py, self._ey, axis=-1)
 
     def grad(self, points, frame):
         """Physical gradients at points: a pair of (npoints, size) matrices,
         stacked like `eval` for stacked points."""
-        X, Y = self._scaled(points, frame)
+        px, py = self._powers(points, frame)
         h = np.asarray(frame[2])[..., None]
         exm = np.maximum(self._ex - 1, 0)
         eym = np.maximum(self._ey - 1, 0)
-        gx = (self._ex / h) * X[..., None] ** exm * Y[..., None] ** self._ey
-        gy = (self._ey / h) * X[..., None] ** self._ex * Y[..., None] ** eym
+        gx = (self._ex / h) * np.take(px, exm, axis=-1) * np.take(py, self._ey, axis=-1)
+        gy = (self._ey / h) * np.take(px, self._ex, axis=-1) * np.take(py, eym, axis=-1)
         return gx, gy

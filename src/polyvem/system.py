@@ -164,11 +164,13 @@ def apply_dirichlet(system, g):
 def jacobi_cg(A, b, tol, maxiter):
     """Conjugate gradients with diagonal preconditioning.
 
-    Returns (x, iterations, relative residual, converged).  A zero right
-    hand side is solved exactly in zero iterations.  A breakdown, where
+    Returns (x, iterations, relative residual, converged).  The test and
+    the residual are of the true ||b - A x|| / ||b||: a recurrence residual
+    under tol restarts CG from the true one unless that meets tol too.  A
+    zero right hand side is solved in zero iterations.  A breakdown, where
     p.Ap is not positive or not finite (A is not SPD, or holds a NaN),
-    stops at once with the iterations completed before it and
-    converged=False.
+    stops at once: converged=False, with the iterations and the recurrence
+    residual from before it.
     """
     n = len(b)
     x = np.zeros(n)
@@ -191,8 +193,12 @@ def jacobi_cg(A, b, tol, maxiter):
         x += alpha * p
         r -= alpha * q
         residual = float(np.linalg.norm(r)) / bnorm
-        if residual <= tol:
-            return x, it, residual, True
+        if residual <= tol or it == maxiter:
+            r = b - A @ x
+            residual = float(np.linalg.norm(r)) / bnorm
+            if residual <= tol:
+                return x, it, residual, True
+            p[:] = 0.0  # the next direction is the preconditioned r alone
         z = r / diag
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p

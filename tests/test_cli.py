@@ -143,8 +143,8 @@ def test_dump_matrices(tmp_path, monkeypatch):
         assert tag in text
 
 
-# sha256 of the files these runs write, recorded before the element
-# projectors were shared between assembly, error norms and the VTK export.
+# sha256 of the files these runs write, recorded when H, G and D's moment
+# rows moved to boundary integrals and CG began to stop on the true residual.
 #
 # Re-recording: a change that alters the arithmetic on purpose (a new
 # summation order, quadrature or solver) records new digests here and in
@@ -155,19 +155,19 @@ def test_dump_matrices(tmp_path, monkeypatch):
 # other change of a digest is a defect.
 SOLVE_SHA256 = {
     "distortedQuads": {
-        "out.vtk": "88e8a61cdc03d54f6ce68d26d38eb8b9805083fa5c492c84cc19b60a142991e7",
-        "err.csv": "3b216c46d97e7a598f0b9a07b7741c44519bfc94362cf7056feab16cc9717b60",
+        "out.vtk": "8e1c3e13f8a37c8980ca9e50c2871631548e16edfbc985092af36a1949f61c31",
+        "err.csv": "907bfeb5401acc9bbaefc846da0e4aa9313d741b68fbba7d9748f6d84eac6962",
         "matrices_element5.csv":
-            "53f78d9f02ce52f415159bd166f08ced5679f5e83dfdf1b1a68423a641f16398",
+            "a8d5063a0594ad71aacf10514faa82fee5e08985ba74435e292a1dde4f4f6042",
     },
     "holed": {
-        "out.vtk": "a726d45f25212fdcd6d1a77422f1afed0a006d81d061003936041a2ff0c602d8",
-        "err.csv": "4c742b7f2684a511c554875d43e42483b76438ae18be36a806196facc306dd65",
+        "out.vtk": "8d263f14e5c6f5075713bb6bebd9f8ead06d5cb2a537716a60e4166086235ef1",
+        "err.csv": "55a4f6d1d6fb0afdd2eabcefff832e9bb4d653467c5a7645a3a2e706b63b54b3",
         "matrices_element0.csv":
-            "d843d9cc6181b1b7c723c21de7e3bd08a361ac2d7af5e16754ecd87d0bed76a7",
+            "d85f232a6846db30ec68c7f77a3b83162ee79d6fa3fdae3180fc5be115f95252",
     },
 }
-CONVERGENCE_SHA256 = "8a8671e97d0dfb67d4f15bdf0344eb28c418f4e6f647c2aeaed874cdc1f1c5ed"
+CONVERGENCE_SHA256 = "9c1e6aebc52c64407a2f357308abb2755921bd172c851cef9148a67edcab22e1"
 
 
 def sha256(path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvem.monomials import (
@@ -161,6 +161,29 @@ class TestBasisEvaluation:
         basis = MonomialBasis(2)
         vals = basis.eval(np.array([[0.4, 0.6], [-1.0, 2.0]]), (0.0, 0.0, 1.0))
         assert np.allclose(vals[:, 0], 1.0)
+
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_power_tables_match_free_functions(self, k, seed, stacked):
+        # eval and grad read powers built by repeated multiplication; the
+        # oracle raises the scaled coordinates with pow
+        rng = np.random.default_rng(seed)
+        basis = MonomialBasis(k)
+        frames = [(*rng.uniform(-2.0, 2.0, 2), rng.uniform(0.3, 3.0)) for _ in range(3)]
+        pts = np.array([f[:2] + f[2] * rng.uniform(-0.8, 0.8, (7, 2)) for f in frames])
+        if stacked:
+            frame = tuple(np.array(frames).T[:, :, None])
+            vals, (gx, gy) = basis.eval(pts, frame), basis.grad(pts, frame)
+        else:
+            vals = np.array([basis.eval(p, f) for p, f in zip(pts, frames)])
+            gx, gy = np.array([basis.grad(p, f) for p, f in zip(pts, frames)]).swapaxes(0, 1)
+        for i, frame in enumerate(frames):
+            for j, m in enumerate(basis.members):
+                want = evaluate(m, pts[i], frame)
+                dx = evaluate(derivative(m, "x"), pts[i], frame) / frame[2]
+                dy = evaluate(derivative(m, "y"), pts[i], frame) / frame[2]
+                for got, ref in ((vals, want), (gx, dx), (gy, dy)):
+                    assert np.allclose(got[i, :, j], ref, rtol=1e-14, atol=1e-14)
 
     @given(
         st.integers(0, 3),

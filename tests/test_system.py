@@ -308,6 +308,22 @@ def test_solve_within_iteration_budget():
         assert rep.residual <= 1e-12
 
 
+def test_converged_means_true_residual_meets_tol():
+    # here the CG recurrence residual falls under tol while b - A x is
+    # still 6.3e-12 relative: a stop on the recurrence alone passes that
+    # off as converged
+    u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    sys_ = assemble(gen_structured("distortedQuads", 32), 3, lambda x, y: 2 * np.pi**2 * u(x, y))
+    apply_dirichlet(sys_, u)
+    x, rep = solve(sys_, tol=1e-12)
+    free, fixed = sys_.free_ids(), sys_.constrained_ids
+    b_f = sys_.b[free] - sys_.A[free][:, fixed] @ sys_.constrained_values
+    true = np.linalg.norm(b_f - sys_.A[free][:, free] @ x[free]) / np.linalg.norm(b_f)
+    assert rep.converged
+    assert true <= 1e-12
+    assert rep.residual == pytest.approx(true, rel=1e-9)
+
+
 # -- patch tests ---------------------------------------------------------
 
 
