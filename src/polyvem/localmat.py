@@ -134,7 +134,7 @@ class ElementGroup:
 
     Geometry and dof points are stacked along a leading member axis; frame
     entries are (members, 1) columns, which broadcast against stacked
-    points.  Rules and basis values are built once per degree.
+    points.  Rules and basis values are built once per degree, masses once.
     """
 
     def __init__(self, elements, caches):
@@ -160,6 +160,7 @@ class ElementGroup:
         )
         self._rules = {}
         self._values = {}
+        self._mass = None
 
     def rule(self, degree):
         """Stacked polygon rule of this degree: points (members, n, 2)."""
@@ -172,6 +173,15 @@ class ElementGroup:
         if degree not in self._values:
             self._values[degree] = self.basis.eval(self.rule(degree).points, self.frame)
         return self._values[degree]
+
+    def mass(self):
+        """Monomial mass matrices (members, size, size), unchecked, as D's
+        moment rows read them too.  np.take keeps members outermost, so a
+        group of one multiplies its matrices like a member."""
+        if self._mass is None:
+            I = _monomial_integrals(self, 2 * self.k)
+            self._mass = np.take(I, _pair_tables(self.k)[0], axis=1)
+        return self._mass
 
     def split(self):
         """One group per member, in member order."""
@@ -275,12 +285,6 @@ def _pair_tables(k):
     return index(sx, sy), fx, index(sx - 2, sy), fy, index(sx, sy - 2)
 
 
-def _mass(group):
-    # unchecked, as D's moment rows read it too; np.take keeps members
-    # outermost, so a group of one multiplies its matrices like a member
-    return np.take(_monomial_integrals(group, 2 * group.k), _pair_tables(group.k)[0], axis=1)
-
-
 def _boundary_monomial_average(group):
     # average of each scaled monomial over the full boundary, holes
     # included, sampled with the k+1 point Lobatto rule per edge
@@ -299,13 +303,13 @@ def _compute_d(group, cache):
     D = np.empty((group.size, layout.num_dofs, basis.size))
     D[:, : layout.moment_offset] = basis.eval(group.dof_points, group.frame)
     if layout.num_moment_dofs:
-        mass = _mass(group)[:, : layout.num_moment_dofs]
+        mass = group.mass()[:, : layout.num_moment_dofs]
         D[:, layout.moment_offset :] = mass / group.area[:, None, None]
     return D
 
 
 def _compute_h(group, cache):
-    H = _mass(group)
+    H = group.mass()
     if (np.linalg.cond(H) > COND_LIMIT).any():
         raise SingularH(
             "monomial mass matrix is numerically singular; the element "

@@ -5,7 +5,8 @@ grouped reduction, so the matrix is bit-identical no matter how elements
 are ordered or parallelized upstream.  Dirichlet conditions are applied by
 symmetric elimination: constrained columns move to the right-hand side and
 the reduced operator stays SPD, which is what the preconditioned CG
-relies on.
+relies on.  The moment dofs couple only within their element, so `solve`
+condenses them out block by block: CG runs on their Schur complement.
 """
 
 import time
@@ -25,6 +26,7 @@ from .localmat import (
     sample,
 )
 from .mesh import build_global_dofs
+from .monomials import basis_size
 
 
 @dataclass
@@ -48,6 +50,7 @@ class SparseSystem:
         self.caches = caches
         self.constrained_ids = None
         self.constrained_values = None
+        self.condensed = None  # (constrained_ids bytes, `_condensed` operators)
 
     @property
     def num_dofs(self):
@@ -215,32 +218,75 @@ def register_solver(name, fn, overwrite=False):
     SOLVERS[name] = fn
 
 
+def _condensed(system):
+    """(S, A_bm, M, A_bm M) that condense the moment dofs m out of the free
+    dofs b + m, kept on the system for its constrained set (A stays fixed).
+
+    M = A_mm^-1 is one batched inverse of the (elements, nm, nm) diagonal
+    blocks; a constrained moment's row and column are the identity's there
+    and zero in M.  A singular or non-finite block makes M NaN: CG breaks down.
+    """
+    ids = system.constrained_ids
+    key = np.asarray([] if ids is None else ids, dtype=np.intp).tobytes()
+    if system.condensed is None or system.condensed[0] != key:
+        free, mo, n = system.free_ids(), system.dofmap.moment_offset, system.num_dofs
+        nel, nm = system.mesh.num_elements, basis_size(system.k - 2)
+        moments = np.arange(n - mo).reshape(nel, nm)
+        owner, local = np.repeat(np.arange(nel), nm), np.tile(np.arange(nm), nel)
+        A_mm = system.A[mo:, mo:].tocoo()
+        blocks = np.zeros((nel, nm, nm))
+        blocks[owner[A_mm.row], local[A_mm.row], local[A_mm.col]] = A_mm.data
+        keep = np.isin(moments + mo, free)
+        both = keep[:, :, None] & keep[:, None, :]
+        try:
+            inv = np.linalg.inv(np.where(both, blocks, np.eye(nm))) * both
+        except np.linalg.LinAlgError:
+            inv = np.full(blocks.shape, np.nan)
+        rows, cols = np.repeat(moments, nm, axis=1), np.tile(moments, (1, nm))
+        M = sp.csr_matrix((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
+        inner = free[free < mo]
+        A_bm = system.A[inner][:, mo:]
+        A_bm_M = A_bm @ M
+        S = system.A[inner][:, inner] - A_bm_M @ A_bm.T
+        system.condensed = (key, S, A_bm, M, A_bm_M)
+    return system.condensed[1:]
+
+
 def solve(system, tol=1e-12, maxiter=None, method="jacobi_cg"):
     """Solve the (reduced) system; boundary values are re-inserted.
 
-    Non-convergence is reported through the flag on the returned report,
-    not as an exception.
+    The solver runs on the Schur complement S of `_condensed`, so the
+    report's iterations are on S, with tol rescaled so that its residual
+    and `converged` are of the whole reduced system after the moments are
+    recovered: ||rhs_f - A_ff x_f|| / ||rhs_f|| <= tol.  Non-convergence
+    is reported through the flag on the returned report, not as an
+    exception.
     """
     try:
         solver = SOLVERS[method]
     except KeyError:
         raise ValueError("unknown solver %r" % method)
-    free = system.free_ids()
-    rhs = system.b[free]
-    A_ff = system.A[free][:, free]
-    if system.constrained_ids is not None and len(system.constrained_ids):
-        A_fc = system.A[free][:, system.constrained_ids]
-        rhs = rhs - A_fc @ system.constrained_values
-    if maxiter is None:
-        maxiter = max(10 * len(rhs), 1)
-    start = time.perf_counter()
-    x_f, iterations, residual, converged = solver(A_ff, rhs, tol, maxiter)
-    elapsed = time.perf_counter() - start
-    x = np.zeros(system.num_dofs)
-    x[free] = x_f
+    S, A_bm, M, A_bm_M = _condensed(system)
+    free, mo = system.free_ids(), system.dofmap.moment_offset
+    inner = free[free < mo]
+    fixed = np.zeros(system.num_dofs)
     if system.constrained_ids is not None:
-        x[system.constrained_ids] = system.constrained_values
-    return x, SolveReport(iterations, residual, elapsed, converged, method)
+        fixed[system.constrained_ids] = system.constrained_values
+    # products with the full A over vectors zero on the constrained (or the
+    # free) dofs round like the A_fc and A_ff slices: rhs_f = r[free]
+    r = system.b - system.A @ fixed
+    bnorm = float(np.linalg.norm(r[free]))
+    rhs = r[inner] - A_bm_M @ r[mo:]
+    if maxiter is None:
+        maxiter = max(10 * len(free), 1)
+    scaled_tol = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
+    x = np.zeros(system.num_dofs)
+    start = time.perf_counter()
+    x[inner], iterations, _, _ = solver(S, rhs, scaled_tol, maxiter)
+    elapsed = time.perf_counter() - start
+    x[mo:] = M @ (r[mo:] - A_bm.T @ x[inner])
+    residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
+    return x + fixed, SolveReport(iterations, residual, elapsed, residual <= tol, method)
 
 
 def interpolate_dofs(mesh, k, u):

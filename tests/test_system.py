@@ -1,6 +1,7 @@
 """Assembly, boundary conditions, the CG solver and error norms."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -21,6 +22,7 @@ from polyvem.system import (
     register_solver,
     solve,
 )
+from test_acceptance import holed_mesh
 
 
 def pentagon_mesh():
@@ -322,6 +324,83 @@ def test_converged_means_true_residual_meets_tol():
     assert rep.converged
     assert true <= 1e-12
     assert rep.residual == pytest.approx(true, rel=1e-9)
+
+
+# -- static condensation of the moment dofs ------------------------------
+
+
+def sine_problem(mesh, k):
+    u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    sys_ = assemble(mesh, k, lambda x, y: 2 * np.pi**2 * u(x, y))
+    return apply_dirichlet(sys_, u)
+
+
+def uncondensed(sys_):
+    """x from jacobi_cg on the whole reduced system A_ff, moments included."""
+    free, fixed = sys_.free_ids(), sys_.constrained_ids
+    rhs = sys_.b[free] - sys_.A[free][:, fixed] @ sys_.constrained_values
+    x = np.zeros(sys_.num_dofs)
+    x[fixed] = sys_.constrained_values
+    x[free], _, _, ok = jacobi_cg(sys_.A[free][:, free], rhs, 1e-12, 10 * len(free))
+    assert ok
+    return x
+
+
+def max_rel_diff(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+CONDENSATION_MESHES = {
+    "distortedQuads": lambda: gen_structured("distortedQuads", 8),
+    "holed": holed_mesh,
+    "cut": lambda: cut_mesh(gen_structured("quads", 3), CutLine(1.0, -0.31, 0.4)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CONDENSATION_MESHES))
+def test_condensed_solve_matches_uncondensed_cg(name, k):
+    sys_ = sine_problem(CONDENSATION_MESHES[name](), k)
+    x, rep = solve(sys_)
+    assert rep.converged and rep.residual <= 1e-12
+    assert max_rel_diff(x, uncondensed(sys_)) <= 1e-10
+
+
+def test_repeated_dirichlet_solves_reuse_the_condensed_operator():
+    mesh = gen_structured("distortedQuads", 8)
+    sys_ = assemble(mesh, 3)
+    operators = []
+    for g in (lambda x, y: x * y - y**3, lambda x, y: np.exp(x) * np.cos(y)):
+        x, rep = solve(apply_dirichlet(sys_, g))
+        operators.append(sys_.condensed)
+        fresh, _ = solve(apply_dirichlet(assemble(mesh, 3), g))
+        assert rep.converged and np.array_equal(x, fresh)
+    assert operators[0] is operators[1]
+
+
+def test_constraining_a_moment_dof_rebuilds_the_condensed_operator():
+    sys_ = sine_problem(gen_structured("distortedQuads", 8), 3)
+    solve(sys_)
+    first = sys_.condensed
+    moment = sys_.dofmap.moment_offset + 3 * 5 + 1  # one of element 5's three
+    sys_.constrained_ids = np.append(sys_.constrained_ids, moment)
+    sys_.constrained_values = np.append(sys_.constrained_values, 0.3)
+    x, rep = solve(sys_)
+    assert sys_.condensed is not first
+    assert rep.converged and x[moment] == 0.3
+    assert max_rel_diff(x, uncondensed(sys_)) <= 1e-10
+
+
+def test_singular_moment_block_reports_nonconvergence():
+    sys_ = sine_problem(gen_structured("distortedQuads", 4), 3)
+    A = sys_.A.tolil()
+    block = sys_.dofmap.moment_offset + 3 * 2 + np.arange(3)  # element 2's moments
+    A[block[:, None], block] = 0.0
+    sys_.A = A.tocsr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, rep = solve(sys_)
+    assert not rep.converged
 
 
 # -- patch tests ---------------------------------------------------------
