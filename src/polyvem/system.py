@@ -6,7 +6,8 @@ are ordered or parallelized upstream.  Dirichlet conditions are applied by
 symmetric elimination: constrained columns move to the right-hand side and
 the reduced operator stays SPD, which is what the preconditioned CG
 relies on.  The moment dofs couple only within their element, so `solve`
-condenses them out block by block: CG runs on their Schur complement.
+condenses them out block by block: CG runs on their Schur complement,
+preconditioned by its diagonal plus a coarse correction on the vertices.
 """
 
 import time
@@ -27,6 +28,7 @@ from .localmat import (
 )
 from .mesh import build_global_dofs
 from .monomials import basis_size
+from .quadrature import gauss_lobatto_1d
 
 
 @dataclass
@@ -35,7 +37,6 @@ class SolveReport:
     residual: float
     elapsed: float
     converged: bool
-    method: str = "jacobi_cg"
 
 
 class SparseSystem:
@@ -164,8 +165,9 @@ def apply_dirichlet(system, g):
     return system
 
 
-def jacobi_cg(A, b, tol, maxiter):
-    """Conjugate gradients with diagonal preconditioning.
+def jacobi_cg(A, b, tol, maxiter, coarse=None):
+    """Conjugate gradients with diagonal preconditioning, plus a coarse
+    correction when `coarse` is given.
 
     Returns (x, iterations, relative residual, converged).  The test and
     the residual are of the true ||b - A x|| / ||b||: a recurrence residual
@@ -174,6 +176,11 @@ def jacobi_cg(A, b, tol, maxiter):
     p.Ap is not positive or not finite (A is not SPD, or holds a NaN),
     stops at once: converged=False, with the iterations and the recurrence
     residual from before it.
+
+    coarse = (P, Ac) adds P y to the preconditioned residual, where y is
+    an inexact solve of Ac y = P^T r (this function, to 0.1).  The
+    preconditioner then varies from step to step, so the step is flexible
+    CG's beta = z+.(r+ - r) / (z.r) (Notay 2000).
     """
     n = len(b)
     x = np.zeros(n)
@@ -182,8 +189,16 @@ def jacobi_cg(A, b, tol, maxiter):
         return x, 0, 0.0, True
     diag = A.diagonal().copy()
     diag[diag == 0.0] = 1.0
+
+    def precondition(r):
+        z = r / diag
+        if coarse is not None:
+            P, Ac = coarse
+            z += P @ jacobi_cg(Ac, P.T @ r, 0.1, maxiter)[0]
+        return z
+
     r = b.copy()
-    z = r / diag
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     residual = float(np.linalg.norm(r)) / bnorm
@@ -194,7 +209,7 @@ def jacobi_cg(A, b, tol, maxiter):
             return x, it - 1, residual, False
         alpha = rz / pq
         x += alpha * p
-        r -= alpha * q
+        r_prev, r = r, r - alpha * q
         residual = float(np.linalg.norm(r)) / bnorm
         if residual <= tol or it == maxiter:
             r = b - A @ x
@@ -202,29 +217,50 @@ def jacobi_cg(A, b, tol, maxiter):
             if residual <= tol:
                 return x, it, residual, True
             p[:] = 0.0  # the next direction is the preconditioned r alone
-        z = r / diag
+        z = precondition(r)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        beta = rz_next if coarse is None else rz_next - float(r_prev @ z)
+        p = z + (beta / rz) * p
         rz = rz_next
     return x, maxiter, residual, False
 
 
+# perfbench/tracing.py times this entry as the solve on S (`system.cg`)
 SOLVERS = {"jacobi_cg": jacobi_cg}
 
 
-def register_solver(name, fn, overwrite=False):
-    if name in SOLVERS and not overwrite:
-        raise ValueError("solver %r already registered" % name)
-    SOLVERS[name] = fn
+def _coarse_space(system, inner):
+    """P, the linear interpolation from the free vertices onto the free
+    skeleton dofs `inner` (sorted, so the free vertices lead it): the
+    identity on vertices, (1 - t) u_lo + t u_hi at the Lobatto node t of
+    edge (lo, hi).  None at k = 1, where every skeleton dof is a vertex."""
+    k, nv = system.k, system.mesh.num_vertices
+    if k == 1:
+        return None
+    t = gauss_lobatto_1d(k + 1)[0][1:k]
+    ends = np.asarray(system.mesh.edge_keys, dtype=np.intp).reshape(-1, 2)
+    on_edges = nv + np.arange(len(ends) * (k - 1))
+    rows = np.concatenate([np.arange(nv), on_edges, on_edges])
+    cols = np.concatenate([np.arange(nv), np.repeat(ends, k - 1, axis=0).T.ravel()])
+    vals = np.concatenate([np.ones(nv), np.tile(1.0 - t, len(ends)), np.tile(t, len(ends))])
+    where = np.full(system.dofmap.moment_offset, -1)
+    where[inner] = np.arange(len(inner))
+    rows, cols = where[rows], where[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    shape = (len(inner), int(np.count_nonzero(inner < nv)))
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def _condensed(system):
-    """(S, A_bm, M, A_bm M) that condense the moment dofs m out of the free
-    dofs b + m, kept on the system for its constrained set (A stays fixed).
+    """(S, A_bm, M, A_bm M, coarse) that condense the moment dofs m out of
+    the free dofs b + m, kept on the system for its constrained set (A
+    stays fixed).
 
     M = A_mm^-1 is one batched inverse of the (elements, nm, nm) diagonal
     blocks; a constrained moment's row and column are the identity's there
-    and zero in M.  A singular or non-finite block makes M NaN: CG breaks down.
+    and zero in M.  A singular or non-finite block makes M NaN: CG breaks
+    down.  coarse is (P, P^T S P) for `jacobi_cg`, with P from
+    `_coarse_space`, or None at k = 1.
     """
     ids = system.constrained_ids
     key = np.asarray([] if ids is None else ids, dtype=np.intp).tobytes()
@@ -245,28 +281,27 @@ def _condensed(system):
         rows, cols = np.repeat(moments, nm, axis=1), np.tile(moments, (1, nm))
         M = sp.csr_matrix((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
         inner = free[free < mo]
-        A_bm = system.A[inner][:, mo:]
+        A_inner = system.A[inner]
+        A_bm = A_inner[:, mo:]
         A_bm_M = A_bm @ M
-        S = system.A[inner][:, inner] - A_bm_M @ A_bm.T
-        system.condensed = (key, S, A_bm, M, A_bm_M)
+        S = A_inner[:, inner] - A_bm_M @ A_bm.T
+        P = _coarse_space(system, inner)
+        coarse = None if P is None else (P, (P.T @ (S @ P)).tocsr())
+        system.condensed = (key, S, A_bm, M, A_bm_M, coarse)
     return system.condensed[1:]
 
 
-def solve(system, tol=1e-12, maxiter=None, method="jacobi_cg"):
+def solve(system, tol=1e-12, maxiter=None):
     """Solve the (reduced) system; boundary values are re-inserted.
 
-    The solver runs on the Schur complement S of `_condensed`, so the
-    report's iterations are on S, with tol rescaled so that its residual
-    and `converged` are of the whole reduced system after the moments are
-    recovered: ||rhs_f - A_ff x_f|| / ||rhs_f|| <= tol.  Non-convergence
-    is reported through the flag on the returned report, not as an
-    exception.
+    The solver runs on the Schur complement S of `_condensed`, with its
+    coarse space, so the report's iterations are on S, with tol rescaled
+    so that its residual and `converged` are of the whole reduced system
+    after the moments are recovered: ||rhs_f - A_ff x_f|| / ||rhs_f|| <=
+    tol.  Non-convergence is reported through the flag on the returned
+    report, not as an exception.
     """
-    try:
-        solver = SOLVERS[method]
-    except KeyError:
-        raise ValueError("unknown solver %r" % method)
-    S, A_bm, M, A_bm_M = _condensed(system)
+    S, A_bm, M, A_bm_M, coarse = _condensed(system)
     free, mo = system.free_ids(), system.dofmap.moment_offset
     inner = free[free < mo]
     fixed = np.zeros(system.num_dofs)
@@ -282,11 +317,11 @@ def solve(system, tol=1e-12, maxiter=None, method="jacobi_cg"):
     scaled_tol = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
     x = np.zeros(system.num_dofs)
     start = time.perf_counter()
-    x[inner], iterations, _, _ = solver(S, rhs, scaled_tol, maxiter)
+    x[inner], iterations, _, _ = SOLVERS["jacobi_cg"](S, rhs, scaled_tol, maxiter, coarse)
     elapsed = time.perf_counter() - start
     x[mo:] = M @ (r[mo:] - A_bm.T @ x[inner])
     residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
-    return x + fixed, SolveReport(iterations, residual, elapsed, residual <= tol, method)
+    return x + fixed, SolveReport(iterations, residual, elapsed, residual <= tol)
 
 
 def interpolate_dofs(mesh, k, u):

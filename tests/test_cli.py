@@ -145,8 +145,8 @@ def test_dump_matrices(tmp_path, monkeypatch):
 
 # sha256 of the files these runs write.  The element matrices were recorded
 # when H, G and D's moment rows moved to boundary integrals; the solutions
-# (out.vtk, err.csv and the convergence table) when solve began condensing
-# the moment dofs out before CG.
+# (out.vtk, err.csv and the convergence table) when CG on the condensed
+# system gained its vertex coarse space.
 #
 # Re-recording: a change that alters the arithmetic on purpose (a new
 # summation order, quadrature or solver) records new digests here and in
@@ -157,19 +157,19 @@ def test_dump_matrices(tmp_path, monkeypatch):
 # other change of a digest is a defect.
 SOLVE_SHA256 = {
     "distortedQuads": {
-        "out.vtk": "d7cfd6f2a347bc9adcfd3ac1ac2ea8d0b0ef0ded16b84d09ef120886b19a92d6",
-        "err.csv": "26e3b85cfed6f9c247efa40655a22ddfc4c8b998c6b1e20bfbf2205d96496135",
+        "out.vtk": "abcee1645e9f0d585299c6fce0eaf03145d10d7ed9f2cc922026e83fa8a0dfb8",
+        "err.csv": "5020cfca969c4c340d4d0e7b6752f3a66580c96573ec8bb9ee3f286411d035e3",
         "matrices_element5.csv":
             "a8d5063a0594ad71aacf10514faa82fee5e08985ba74435e292a1dde4f4f6042",
     },
     "holed": {
-        "out.vtk": "4efca20e544d40211009336bb67a98774c6538c2f127600509c0c11810e14a79",
-        "err.csv": "2ada569ba5b98184cc40cca0e8ccca9ea60526620cf6c66c8e5b8fdfeb6eac67",
+        "out.vtk": "6182d37b845642e2bb7c5108be7c9cf2b2b73f41f63813a93a63e132c26874e9",
+        "err.csv": "0e761d4689aa878e36250c1e44a380259d067af14055a535777bd9f0500b8aad",
         "matrices_element0.csv":
             "d85f232a6846db30ec68c7f77a3b83162ee79d6fa3fdae3180fc5be115f95252",
     },
 }
-CONVERGENCE_SHA256 = "d7e97f363feba01331404bc4c22120e4e869318c487ce03f18da544a70cda84e"
+CONVERGENCE_SHA256 = "9f69f600477c82669ad142ff2a1c0a8e634723f3aea3b0fa402aded19955910a"
 
 
 def sha256(path):

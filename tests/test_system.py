@@ -7,19 +7,20 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyvem import localmat
-from polyvem.errors import SingularG, SingularH
+from polyvem.errors import DegenerateCut, SingularG, SingularH
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
 from polyvem.mesh import PolyMesh, CutLine, build_global_dofs, cut_mesh, gen_structured
 from polyvem.system import (
-    SOLVERS,
+    _condensed,
     apply_dirichlet,
     assemble,
     error_norms,
     interpolate_dofs,
     jacobi_cg,
-    register_solver,
     solve,
 )
 from test_acceptance import holed_mesh
@@ -264,23 +265,40 @@ def test_cg_stops_on_breakdown(A):
     assert np.all(np.isfinite(x))
 
 
-def test_solver_registry():
-    def fake(A, b, tol, maxiter):
-        return np.zeros_like(b), 0, 0.0, True
+class CountingOperator:
+    """A matrix that counts its products with a vector."""
 
-    register_solver("fake-direct", fake)
-    try:
-        with pytest.raises(ValueError):
-            register_solver("fake-direct", fake)
-        mesh = gen_structured("quads", 2)
-        sys_ = assemble(mesh, 1)
-        apply_dirichlet(sys_, lambda x, y: np.zeros_like(x))
-        x, rep = solve(sys_, method="fake-direct")
-        assert rep.method == "fake-direct"
-    finally:
-        SOLVERS.pop("fake-direct", None)
-    with pytest.raises(ValueError):
-        solve(assemble(gen_structured("quads", 1), 1), method="missing")
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+def hat_coarse_space(A, width):
+    """Linear hats centred every `width` nodes of the 1d Laplacian A."""
+    i = np.arange(A.shape[0])
+    P = sp.csr_matrix(np.maximum(0.0, 1.0 - np.abs(i[:, None] - i[width - 1 :: width]) / width))
+    return P, (P.T @ (A @ P)).tocsr()
+
+
+@pytest.mark.parametrize("two_level", [False, True], ids=["jacobi", "two-level"])
+def test_cg_restarts_from_the_true_residual(two_level):
+    # the recurrence residual meets tol once while b - A x does not: one
+    # product more checks it, CG restarts from it, and one more at the
+    # real stop
+    n = 100
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    b = np.random.default_rng(0).standard_normal(n)
+    op = CountingOperator(A)
+    coarse = hat_coarse_space(A, 4) if two_level else None
+    x, it, res, ok = jacobi_cg(op, b, 1e-13, 10 * n, coarse)
+    assert ok and op.products == it + 2 == (41 if two_level else 103)
+    assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-13
 
 
 def test_benchmark_tracer_resolves_every_name(monkeypatch):
@@ -311,9 +329,8 @@ def test_solve_within_iteration_budget():
 
 
 def test_converged_means_true_residual_meets_tol():
-    # here the CG recurrence residual falls under tol while b - A x is
-    # still 6.3e-12 relative: a stop on the recurrence alone passes that
-    # off as converged
+    # the report is of the whole reduced system, moments included, not of
+    # the condensed one CG runs on: it must match b_f - A_ff x_f formed here
     u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     sys_ = assemble(gen_structured("distortedQuads", 32), 3, lambda x, y: 2 * np.pi**2 * u(x, y))
     apply_dirichlet(sys_, u)
@@ -401,6 +418,47 @@ def test_singular_moment_block_reports_nonconvergence():
         warnings.simplefilter("error")
         x, rep = solve(sys_)
     assert not rep.converged
+
+
+@given(
+    st.integers(2, 6),
+    st.sampled_from([2, 3]),
+    st.booleans(),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.2, 0.8)),
+)
+@settings(max_examples=30, deadline=None)
+def test_coarse_space_interpolates_linears_exactly(n, k, cut, coeffs, line):
+    mesh = gen_structured("distortedQuads", n)
+    if cut:
+        assume(line[0] ** 2 + line[1] ** 2 > 1e-2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a snapping cut is still a mesh
+                mesh = cut_mesh(mesh, CutLine(*line))
+        except DegenerateCut:
+            assume(False)
+    # unconstrained, P maps every vertex onto every skeleton dof
+    sys_ = assemble(mesh, k)
+    P, _ = _condensed(sys_)[-1]
+    points = sys_.dofmap.dof_points[: sys_.dofmap.moment_offset]
+    u = coeffs[0] + coeffs[1] * points[:, 0] + coeffs[2] * points[:, 1]
+    assert np.allclose(P @ u[: mesh.num_vertices], u, rtol=0.0, atol=1e-12)
+    # with boundary values, its free rows and columns
+    apply_dirichlet(sys_, lambda x, y: np.zeros_like(x))
+    free = sys_.free_ids()
+    inner = free[free < sys_.dofmap.moment_offset]
+    P_free, _ = _condensed(sys_)[-1]
+    assert (P_free != P[inner][:, inner[inner < mesh.num_vertices]]).nnz == 0
+
+
+def test_two_level_iterations_do_not_grow_with_refinement():
+    iterations = {}
+    for n in (8, 32):
+        x, rep = solve(sine_problem(gen_structured("distortedQuads", n), 3))
+        assert rep.converged
+        iterations[n] = rep.iterations
+    assert iterations[32] <= 1.5 * iterations[8]
 
 
 # -- patch tests ---------------------------------------------------------
