@@ -227,7 +227,7 @@ def cmd_solve(args):
         )
         return 2
     el2, eh1 = error_norms(mesh, args.degree, x, u, grad)
-    h = max(fc.diameter for fc in mesh.facets)
+    h = float(mesh.shapes.diameters.max())
     print(
         "solved: nDof=%d iters=%d residual=%.3e errL2=%.6e errH1=%.6e"
         % (sys_.num_dofs, report.iterations, report.residual, el2, eh1)
@@ -263,7 +263,7 @@ def cmd_convergence(args):
             print("solver failed on level %d" % level, file=sys.stderr)
             return 2
         el2, eh1 = error_norms(mesh, args.degree, x, u, grad)
-        h = max(fc.diameter for fc in mesh.facets)
+        h = float(mesh.shapes.diameters.max())
         if rows:
             _, hp, _, l2p, h1p, _, _ = rows[-1]
             rl2 = np.log(l2p / el2) / np.log(hp / h)

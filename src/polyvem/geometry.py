@@ -7,6 +7,13 @@ region lies to the left of every boundary walk, so the outward normal of any
 boundary edge (hole edges included) is the walk tangent rotated by -90
 degrees.  Collinear vertices along an edge are legal and are how hanging
 nodes enter the element shapes.
+
+Many facets over one coordinate pool live in a `FacetTable`: flat arrays of
+loop vertex ids and per-facet measures, computed a loop-length class at a
+time by the `loop_*` functions, which round every row as the lone `Loop`
+and `Facet` constructors round it.  `fan_accepts` proves, a class at a
+time, where ear clipping would cut a hole-free loop into the fan from its
+last vertex, so only the loops it rejects are ear-clipped.
 """
 
 import warnings
@@ -57,6 +64,51 @@ def loop_moments(pts):
     return a, sx, sy
 
 
+def _next_column(a):
+    """The loop successor of every entry of a stack of loops (axis 1)."""
+    return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+
+
+def loop_measures(pts):
+    """`loop_moments` of m loops of one length, pts (m, L, 2): signed
+    areas and first moments, three (m,) arrays.
+
+    A row sum of a contiguous (m, L) array rounds as ndarray.sum of that
+    row alone; np.add.reduceat over a flat array does not.
+    """
+    nxt = _next_column(pts)
+    x, y = pts[..., 0], pts[..., 1]
+    xn, yn = nxt[..., 0], nxt[..., 1]
+    cr = x * yn - xn * y
+    a = 0.5 * cr.sum(axis=1)
+    sx = ((x + xn) * cr).sum(axis=1) / 6.0
+    sy = ((y + yn) * cr).sum(axis=1) / 6.0
+    return a, sx, sy
+
+
+def loop_defects(ids, pts, area):
+    """Which of m loops of one length the `Loop` constructor rejects: ids
+    (m, L) and their points (m, L, 2), with their signed areas."""
+    if ids.shape[1] < 3:
+        return np.ones(len(ids), dtype=bool)
+    seg = _next_column(pts) - pts
+    lens = np.hypot(seg[..., 0], seg[..., 1])
+    scale = np.maximum((pts.max(axis=1) - pts.min(axis=1)).max(axis=1), 0.0)
+    return (
+        (ids == _next_column(ids)).any(axis=1)
+        | (scale == 0.0)
+        | (lens <= (1e-14 * scale)[:, None]).any(axis=1)
+        | (np.abs(area) <= 1e-14 * scale * scale)
+    )
+
+
+def vertex_diameters(pts):
+    """Largest pairwise vertex distance of m facets with V vertices each,
+    pts (m, V, 2), as `Facet` computes its diameter."""
+    d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(axis=3)
+    return np.sqrt(d2.reshape(len(pts), -1).max(axis=1))
+
+
 class Loop:
     """Closed vertex loop over a shared coordinate array.
 
@@ -84,6 +136,13 @@ class Loop:
         self.signed_area = signed_area(pts)
         if abs(self.signed_area) <= 1e-14 * scale * scale:
             raise InvalidOrientation("loop encloses no area; winding undefined")
+
+    @classmethod
+    def _checked(cls, ids, coords, signed_area):
+        """A loop whose checks have run elsewhere (see FacetTable)."""
+        loop = cls.__new__(cls)
+        loop.ids, loop.coords, loop.signed_area = ids, coords, signed_area
+        return loop
 
     @property
     def orientation(self):
@@ -189,6 +248,15 @@ class Facet:
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         self.diameter = float(np.sqrt(d2.max()))
 
+    @classmethod
+    def _checked(cls, coords, loops, area, centroid, diameter):
+        """A facet whose checks and measures come from elsewhere (see
+        FacetTable)."""
+        facet = cls.__new__(cls)
+        facet.coords, facet.outer, facet.holes = coords, loops[0], loops[1:]
+        facet.area, facet.centroid, facet.diameter = area, centroid, diameter
+        return facet
+
     def loops(self):
         return [self.outer] + self.holes
 
@@ -254,6 +322,78 @@ class Facet:
         if not point_in_loop(p, self.outer):
             return False
         return not any(point_in_loop(p, h) for h in self.holes)
+
+
+class FacetTable:
+    """Facets over one coordinate pool, as flat arrays.
+
+    `loop_ids` holds the vertex ids of every loop, facet by facet, outer
+    loops counterclockwise and holes clockwise: loop i is
+    loop_ids[loop_starts[i]:loop_starts[i + 1]], and facet e owns loops
+    facet_loops[e] to facet_loops[e + 1] - 1, its outer loop first, so its
+    boundary walk is loop_ids[slot_starts[e]:slot_starts[e + 1]].  The
+    measures are those the lone `Loop` and `Facet` constructors compute;
+    the table trusts them, as whoever built it ran the checks.
+    """
+
+    def __init__(self, coords, loop_ids, loop_starts, facet_loops, loop_areas,
+                 areas, centroids, diameters):
+        self.coords = coords
+        self.loop_ids = loop_ids
+        self.loop_starts = loop_starts
+        self.facet_loops = facet_loops
+        self.slot_starts = loop_starts[facet_loops]
+        self.loop_areas = loop_areas
+        self.areas = areas
+        self.centroids = centroids
+        self.diameters = diameters
+
+    @classmethod
+    def from_facets(cls, facets):
+        """The table of lone facets; facets over distinct pools get their
+        pools stacked, with their ids shifted to match."""
+        pools, offsets = [], {}
+        for f in facets:
+            if id(f.coords) not in offsets:
+                offsets[id(f.coords)] = sum(len(p) for p in pools)
+                pools.append(f.coords)
+        loops = [(l, offsets[id(f.coords)], len(f.coords)) for f in facets for l in f.loops()]
+        ids = [np.where(l.ids < 0, l.ids + n, l.ids) + off for l, off, n in loops]
+        return cls(
+            np.concatenate(pools),
+            np.concatenate(ids),
+            np.cumsum([0] + [len(i) for i in ids]),
+            np.cumsum([0] + [1 + len(f.holes) for f in facets]),
+            np.array([l.signed_area for l, _, _ in loops]),
+            np.array([f.area for f in facets]),
+            np.array([f.centroid for f in facets]),
+            np.array([f.diameter for f in facets]),
+        )
+
+    def __len__(self):
+        return len(self.areas)
+
+    def walks(self, ids, size):
+        """Boundary walks of facets `ids` of `size` vertices each, (len(ids),
+        size) vertex ids."""
+        return self.loop_ids[self.slot_starts[ids, None] + np.arange(size)]
+
+    def slot_facets(self):
+        """The facet of every entry of `loop_ids`."""
+        return np.repeat(np.arange(len(self)), np.diff(self.slot_starts))
+
+    def loop_sizes(self, e):
+        return np.diff(self.loop_starts[self.facet_loops[e] : self.facet_loops[e + 1] + 1])
+
+    def facet(self, e):
+        """Facet e as a lone object, its loops viewing `loop_ids`."""
+        loops = [
+            Loop._checked(self.loop_ids[self.loop_starts[i]:self.loop_starts[i + 1]],
+                          self.coords, float(self.loop_areas[i]))
+            for i in range(self.facet_loops[e], self.facet_loops[e + 1])
+        ]
+        return Facet._checked(self.coords, loops, float(self.areas[e]),
+                              self.centroids[e].copy(), float(self.diameters[e]))
 
 
 def _cross(u, v):
@@ -466,6 +606,59 @@ def triangulate(facet):
             "triangle areas sum to %.17g, facet area is %.17g" % (cover, facet.area)
         )
     return np.asarray(tris, dtype=np.intp)
+
+
+def fan_table(n):
+    """Loop positions of the fan from the last vertex of an n-gon: (n-1,
+    j, j+1) for j < n-3, then (n-3, n-2, n-1), the order and corner
+    order in which `_ear_clip` emits them when every first ear it tries
+    is clippable."""
+    j = np.arange(n - 3)
+    fan = np.column_stack((np.full(n - 3, n - 1), j, j + 1))
+    return np.vstack((fan, [[n - 3, n - 2, n - 1]])).astype(np.intp)
+
+
+def fan_accepts(pts, area, diameter):
+    """Where `triangulate` provably returns the `fan_table` cover: m
+    hole-free ccw loops of one length, pts (m, n, 2), with their facets'
+    areas and diameters.
+
+    While the walk is v_j .. v_{n-1}, `_ear_clip` first tries the ear
+    (v_{n-1}, v_j, v_{j+1}).  The fan is its output when each such ear
+    passes `_ear_clip`'s own tests, with the same operations and slack:
+    the cross product above eps_cross, and no remaining vertex other than
+    its corners in the closed triangle, unless it coincides with a corner.
+    The last triangle must clear eps_cross too, and the triangle areas
+    must pass `triangulate`'s cover check.
+    """
+    m, n = pts.shape[:2]
+    eps = 2.0 * (1e-14 * np.maximum(area, np.finfo(float).tiny))[:, None]
+    ctol = (1e-13 * diameter)[:, None]
+    a, b, c = (pts[:, fan_table(n)[:, i]] for i in range(3))
+    cr = _cross_last(b - a, c - a)
+    ok = ~(cr[:, :-1] <= eps).any(axis=1) & (cr[:, -1] > eps[:, 0])
+
+    def coincide(p, q):
+        return (np.abs(p[..., 0] - q[..., 0]) <= ctol) & (np.abs(p[..., 1] - q[..., 1]) <= ctol)
+
+    for j in range(n - 3):
+        p = pts[:, j + 2 : n - 1]
+        ta, tb, tc = a[:, j, None], b[:, j, None], c[:, j, None]
+        inside = (
+            ~(_cross_last(tb - ta, p - ta) < -eps)
+            & ~(_cross_last(tc - tb, p - tb) < -eps)
+            & ~(_cross_last(ta - tc, p - tc) < -eps)
+        )
+        corner = coincide(p, ta) | coincide(p, tb) | coincide(p, tc)
+        ok &= ~(inside & ~corner).any(axis=1)
+    cover = np.zeros(m)
+    for t in range(n - 2):  # triangle by triangle, as triangulate adds them
+        cover += 0.5 * cr[:, t]
+    return ok & ~(np.abs(cover - area) > 1e-9 * area)
+
+
+def _cross_last(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def face_frame(coords, outer_ids, tol=1e-10):

@@ -34,9 +34,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PolyVemError, SingularG, SingularH
+from .geometry import FacetTable, fan_accepts, fan_table, triangulate
 from .monomials import MonomialBasis, basis_index, laplacian_terms
 from .quadrature import gauss_1d, gauss_lobatto_1d, polygon_rule
-from .vemspace import build_layout
+from .vemspace import build_layout, walk_layout
 
 COND_LIMIT = 1e12
 
@@ -82,18 +83,30 @@ class ElementMatrixCache:
     """Computed matrices of one element, keyed by tag.
 
     compute_count tracks how many matrix evaluations actually ran, which
-    lets callers verify that repeated requests hit the cache.
+    lets callers verify that repeated requests hit the cache.  The cache of
+    a member of a `group_facets` group (see `ElementList`) also reads, as
+    its slice, every tag its group computed, and counts it as computed
+    here.
     """
 
-    def __init__(self):
+    def __init__(self, group=None, index=None):
         self._store = {}
-        self.compute_count = 0
+        self._count = 0
+        self._group, self._index = group, index
+
+    @property
+    def compute_count(self):
+        if self._group is None:
+            return self._count
+        return self._count + sum(tag not in self._store for tag in self._group._store)
 
     def __contains__(self, tag):
-        return tag in self._store
+        return tag in self._store or (self._group is not None and tag in self._group._store)
 
     def get(self, tag):
-        return self._store[tag]
+        if tag in self._store:
+            return self._store[tag]
+        return self._group._store[tag][self._index]
 
     def put(self, tag, value):
         self._store[tag] = value
@@ -102,17 +115,20 @@ class ElementMatrixCache:
 class GroupMatrixCache(ElementMatrixCache):
     """Stacked matrices of a group's members, member index first.
 
-    A stored value also goes, as one view per member, into each member
-    cache that lacks it, counting one computation there; a tag that all
-    members hold is stacked from them.
+    With member caches, a stored value also goes, as one view per member,
+    into each member cache that lacks it, counting one computation there;
+    a tag that all members hold is stacked from them.  Without (the groups
+    of `group_facets` for a mesh), members read the stacks lazily.
     """
 
-    def __init__(self, members):
+    def __init__(self, members=None):
         super().__init__()
         self.members = members
 
     def __contains__(self, tag):
-        return tag in self._store or all(tag in c for c in self.members)
+        return tag in self._store or (
+            self.members is not None and all(tag in c for c in self.members)
+        )
 
     def get(self, tag):
         if tag not in self._store:
@@ -121,36 +137,47 @@ class GroupMatrixCache(ElementMatrixCache):
 
     def put(self, tag, value):
         self._store[tag] = value
-        self.compute_count += 1
-        for cache, member_value in zip(self.members, value):
+        self._count += 1
+        for cache, member_value in zip(self.members or (), value):
             if tag not in cache:
                 cache.put(tag, member_value)
-                cache.compute_count += 1
+                cache._count += 1
 
 
 class ElementGroup:
     """Elements of one order that share their loop lengths, triangle count
-    and dof chains (see `group_elements`).
+    and dof chains (see `group_facets`).
 
     Geometry and dof points are stacked along a leading member axis; frame
     entries are (members, 1) columns, which broadcast against stacked
     points.  Rules and basis values are built once per degree, masses once.
+    This constructor stacks lone Elements, with their caches.
     """
 
     def __init__(self, elements, caches):
-        first = elements[0]
-        self.elements = elements
-        self.cache = GroupMatrixCache(caches)
-        self.k, self.basis, self.layout = first.k, first.basis, first.layout
         self.facets = [el.facet for el in elements]
-        self.size = len(elements)
-        self.area = np.array([f.area for f in self.facets])
-        self.perimeter = np.array([f.perimeter for f in self.facets])
-        self.frame = tuple(np.array([f.frame for f in self.facets]).T[:, :, None])
-        self.chains = self.layout.chains
-        self.vertices = np.stack([f.coords[f.vertex_ids()] for f in self.facets])
+        self._setup(
+            elements[0].k,
+            elements[0].layout,
+            GroupMatrixCache(caches),
+            np.stack([f.coords[f.vertex_ids()] for f in self.facets]),
+            np.array([f.area for f in self.facets]),
+            np.array([f.frame for f in self.facets]),
+        )
+
+    def _setup(self, k, layout, cache, vertices, area, frame):
+        self.k, self.basis, self.layout, self.cache = k, _basis(k), layout, cache
+        self.size = len(vertices)
+        self.area = area
+        self.frame = tuple(frame.T[:, :, None])
+        self.chains = layout.chains
+        self.vertices = vertices
         d = self.vertices[:, self.chains[:, -1]] - self.vertices
         self.lengths = np.hypot(d[..., 0], d[..., 1])
+        # edge by edge, as Facet.perimeter's Python sum adds them
+        self.perimeter = np.zeros(self.size)
+        for i in range(self.lengths.shape[1]):
+            self.perimeter += self.lengths[:, i]
         tangent = d / self.lengths[..., None]
         self.normals = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
         t, _ = gauss_lobatto_1d(self.k + 1)
@@ -162,10 +189,14 @@ class ElementGroup:
         self._values = {}
         self._mass = None
 
+    def corners(self):
+        """Triangle corners of every member, (members, triangles, 3, 2)."""
+        return np.stack([f.coords[f.triangles] for f in self.facets])
+
     def rule(self, degree):
         """Stacked polygon rule of this degree: points (members, n, 2)."""
         if degree not in self._rules:
-            self._rules[degree] = polygon_rule(self.facets, degree)
+            self._rules[degree] = polygon_rule(self.corners(), degree)
         return self._rules[degree]
 
     def values(self, degree):
@@ -183,38 +214,123 @@ class ElementGroup:
             self._mass = np.take(I, _pair_tables(self.k)[0], axis=1)
         return self._mass
 
+
+class TableGroup(ElementGroup):
+    """A group sliced from a FacetTable: facets `ids`, with their triangles
+    (members, T, 3) as vertex ids, or None for a lone facet triangulated
+    when a rule needs it (its triangulation failed once, or its loops
+    repeat a vertex)."""
+
+    def __init__(self, table, ids, k, layout, triangles, cache):
+        self.table, self.ids, self.triangles = table, ids, triangles
+        frame = np.column_stack((table.centroids[ids], table.diameters[ids]))
+        self._setup(k, layout, cache, table.coords[table.walks(ids, len(layout.chains))],
+                    table.areas[ids], frame)
+
+    def corners(self):
+        if self.triangles is None:
+            return self.table.coords[triangulate(self.table.facet(self.ids[0]))][None]
+        return self.table.coords[self.triangles]
+
     def split(self):
         """One group per member, in member order."""
-        return [ElementGroup([el], [c]) for el, c in zip(self.elements, self.cache.members)]
+        return [
+            TableGroup(self.table, self.ids[i : i + 1], self.k, self.layout,
+                       None if self.triangles is None else self.triangles[i : i + 1],
+                       GroupMatrixCache())
+            for i in range(self.size)
+        ]
+
+
+def group_facets(table, k, caches=None):
+    """(ids, TableGroup) pairs covering the facets of a FacetTable at order
+    k, each group's cache storing into `caches`, one per facet, if given.
+
+    Members of a group share loop lengths and triangle count, and groups
+    come in order of their lowest facet id.  A hole-free facet that
+    `fan_accepts` gets the fan's triangles; only the others are
+    triangulated.  A facet whose loops repeat a vertex (its dof chains
+    differ), or whose triangulation fails, forms a group of its own; the
+    failure then surfaces when that group's rules are built, in element
+    order like any other element error.
+    """
+    nloops = np.diff(table.facet_loops)
+    nvert = np.diff(table.slot_starts)
+    shape = [(size,) for size in nvert.tolist()]  # loop lengths
+    count = np.full(len(table), -1)  # triangles, or -1 for a group of its own
+    to_clip = []
+    for size in np.unique(nvert):
+        rows = np.flatnonzero(nvert == size)
+        ids = np.sort(table.walks(rows, size), axis=1)
+        distinct = ~(ids[:, 1:] == ids[:, :-1]).any(axis=1)
+        plain = rows[distinct & (nloops[rows] == 1)]
+        fan = fan_accepts(table.coords[table.walks(plain, size)], table.areas[plain],
+                          table.diameters[plain])
+        count[plain[fan]] = size - 2
+        to_clip += plain[~fan].tolist() + rows[distinct & (nloops[rows] > 1)].tolist()
+    clipped = {}
+    for e in sorted(to_clip):
+        shape[e] = tuple(table.loop_sizes(e).tolist())
+        try:
+            clipped[e] = triangulate(table.facet(e))
+        except PolyVemError:
+            continue
+        count[e] = len(clipped[e])
+    by_key = {}
+    for e, key in enumerate(zip(shape, count.tolist())):
+        by_key.setdefault(key if key[1] >= 0 else e, []).append(e)
+
+    groups = []
+    for members in by_key.values():
+        ids = np.array(members)
+        first, size = ids[0], nvert[ids[0]]
+        walk = table.walks(ids, size)
+        layout = walk_layout(walk[0], table.loop_sizes(first), k)
+        triangles = None
+        if count[first] >= 0:
+            triangles = np.empty((len(ids), count[first], 3), dtype=np.intp)
+            fan = np.array([e not in clipped for e in members])
+            if fan.any():
+                triangles[fan] = walk[fan][:, fan_table(size)]
+            for i in np.flatnonzero(~fan).tolist():
+                triangles[i] = clipped[members[i]]
+        cache = GroupMatrixCache(None if caches is None else [caches[e] for e in members])
+        groups.append((ids, TableGroup(table, ids, k, layout, triangles, cache)))
+    return groups
 
 
 def group_elements(elements):
-    """(ids, ElementGroup) pairs covering a list of (Element, cache) pairs.
+    """`group_facets` for a list of (Element, cache) pairs of one order,
+    their facets' pools stacked; matrices go into the pairs' caches."""
+    table = FacetTable.from_facets([el.facet for el, _ in elements])
+    return group_facets(table, elements[0][0].k, [c for _, c in elements])
 
-    Members of a group share loop lengths and triangle count, and groups
-    come in order of their lowest element id.  An element whose loops
-    repeat a vertex (its dof chains differ), or whose triangulation fails,
-    forms a group of its own; the failure then surfaces when that group's
-    rules are built, in element order like any other element error.
-    """
-    by_key = {}
-    for eid, (element, _) in enumerate(elements):
-        facet = element.facet
-        ids = facet.vertex_ids()
-        key = eid
-        if len(set(ids.tolist())) == len(ids):
-            try:
-                key = (tuple(len(l) for l in facet.loops()), len(facet.triangles))
-            except PolyVemError:
-                pass
-        by_key.setdefault(key, []).append(eid)
-    return [
-        (
-            np.array(ids),
-            ElementGroup([elements[i][0] for i in ids], [elements[i][1] for i in ids]),
-        )
-        for ids in by_key.values()
-    ]
+
+class ElementList:
+    """(Element, ElementMatrixCache) of every facet of a table, made on
+    first access; a member's cache reads its slice of its group's
+    matrices."""
+
+    def __init__(self, table, k, groups):
+        self._table, self._k = table, k
+        self._group = np.empty(len(table), dtype=np.intp)
+        self._index = np.empty(len(table), dtype=np.intp)
+        for g, (ids, _) in enumerate(groups):
+            self._group[ids], self._index[ids] = g, np.arange(len(ids))
+        self._caches = [group.cache for _, group in groups]
+        self._pairs = [None] * len(table)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __getitem__(self, eid):
+        eid = range(len(self._pairs))[eid]  # negative ids and slices as a list's
+        if isinstance(eid, range):
+            return [self[i] for i in eid]
+        if self._pairs[eid] is None:
+            cache = ElementMatrixCache(self._caches[self._group[eid]], self._index[eid])
+            self._pairs[eid] = (Element(self._table.facet(eid), self._k), cache)
+        return self._pairs[eid]
 
 
 def sample(fn, points):

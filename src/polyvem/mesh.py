@@ -7,10 +7,17 @@ the segment level: every edge segment appears in exactly one element
 ordinary collinear vertices listed by both incident elements, so the
 invariant survives cutting and merging unchanged; a T-junction whose
 vertex is missing from the long side is rejected.
+
+The elements are stored as arrays, a `FacetTable`: loop vertex ids, with
+the areas, centroids and diameters of the elements.  The loops are
+oriented, checked and measured a loop-length class at a time, with the
+bits, warnings and errors of an element-by-element build; the edge table
+and the dof numbering are computed from the same boundary walks.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +28,17 @@ from .errors import (
     OverlapDetected,
     ParseError,
 )
-from .geometry import Facet, OrientationWarning, signed_area
+from .geometry import (
+    Facet,
+    FacetTable,
+    Loop,
+    OrientationWarning,
+    loop_defects,
+    loop_measures,
+    point_in_loop,
+    signed_area,
+    vertex_diameters,
+)
 from .monomials import basis_size
 from .quadrature import gauss_lobatto_1d
 
@@ -119,8 +136,48 @@ class _VertexGrid:
             start = stop
 
 
+def _flat_loops(elements):
+    """Vertex ids of every loop, flat, with the loop sizes and the loops per
+    element, and the error that normalising the next entry raised, if one
+    did: the entries before it are still checked first."""
+    if isinstance(elements, np.ndarray) and elements.ndim == 2 and elements.dtype.kind in "iu":
+        m, size = elements.shape
+        return elements.astype(np.intp).ravel(), np.full(m, size), np.ones(m, np.intp), None
+    ids, sizes, counts, error = [], [], [], None
+    try:
+        for entry in elements:
+            outer, holes = _normalize_element(entry)
+            for loop in [outer] + holes:
+                ids.extend(loop)
+                sizes.append(len(loop))
+            counts.append(1 + len(holes))
+    except Exception as err:
+        error = err
+    as_ids = lambda a: np.array(a, dtype=np.intp)
+    return as_ids(ids), as_ids(sizes), as_ids(counts), error
+
+
+def _warn_flip(eid, hole):
+    if hole:
+        warnings.warn(
+            "element %d: hole loop was counter-clockwise, reversing" % eid,
+            OrientationWarning,
+        )
+    else:
+        warnings.warn(
+            "element %d: outer loop was clockwise, reversing" % eid, OrientationWarning
+        )
+
+
 class PolyMesh:
-    """Conforming polygonal mesh over one vertex table."""
+    """Conforming polygonal mesh over one vertex table.
+
+    The elements are `shapes`, a FacetTable over `vertices`, built and
+    checked a loop-length class at a time; `elements` and `facets` are
+    made from it on request.  The edge table is `edge_ends`, the sorted
+    (lo, hi) vertex pairs, with `slot_edges`, the edge of every slot of the
+    boundary walks.
+    """
 
     def __init__(self, vertices, elements):
         vertices = np.asarray(vertices, dtype=float)
@@ -133,20 +190,13 @@ class PolyMesh:
         self.diameter = float(np.hypot(*(hi - lo)))
         self._grid = _VertexGrid(vertices)
         self._check_duplicates()
-        self.elements = []
-        self.facets = []
-        for eid, entry in enumerate(elements):
-            outer, holes = _normalize_element(entry)
-            outer, holes = self._fix_orientation(eid, outer, holes)
-            self.elements.append((outer, holes))
-            try:
-                self.facets.append(Facet(vertices, outer, holes))
-            except Exception as err:
-                raise InvariantViolation("element %d: %s" % (eid, err))
-        self._build_edge_table()
-        self._check_conformity()
-        self.area = float(sum(f.area for f in self.facets))
-        # order k -> (dof map, elements), filled by polyvem.system
+        ids, sizes, counts, error = _flat_loops(elements)
+        self.shapes = self._checked_shapes(ids, sizes, counts)
+        if error is not None:
+            raise error
+        self._build_edges()
+        self.area = float(sum(self.shapes.areas.tolist()))  # element by element
+        # order k -> (dof map, elements, groups), filled by polyvem.system
         self.discretisations = {}
 
     # -- construction helpers -------------------------------------------
@@ -173,62 +223,133 @@ class PolyMesh:
                     "vertices %d and %d coincide" % (i[first], j[first])
                 )
 
-    def _fix_orientation(self, eid, outer, holes):
-        if signed_area(self.vertices[outer]) < 0:
-            warnings.warn(
-                "element %d: outer loop was clockwise, reversing" % eid,
-                OrientationWarning,
+    def _checked_shapes(self, ids, sizes, counts):
+        """Orient, check and measure the loops, a loop-length class at a
+        time, as an element-by-element pass would: every element up to the
+        first bad one warns of its reversed loops, then that one is built
+        alone, so it warns and raises as it would on its own."""
+        v, nv = self.vertices, len(self.vertices)
+        loop_starts = np.concatenate(([0], np.cumsum(sizes)))
+        facet_loops = np.concatenate(([0], np.cumsum(counts)))
+        owner = np.repeat(np.arange(len(counts)), counts)
+        hole = np.ones(len(sizes), dtype=bool)
+        hole[facet_loops[:-1]] = False
+        oriented = ids.copy()
+        flip, bad = np.zeros(len(sizes), dtype=bool), np.zeros(len(sizes), dtype=bool)
+        a, sx, sy = np.zeros(len(sizes)), np.zeros(len(sizes)), np.zeros(len(sizes))
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            if size < 3:
+                bad[rows] = True
+                continue
+            slots = loop_starts[rows, None] + np.arange(size)
+            lids = ids[slots]
+            outside = ((lids < -nv) | (lids >= nv)).any(axis=1)
+            lids[outside] = 0
+            pts = v[lids]
+            la, lx, ly = loop_measures(pts)
+            fl = np.where(hole[rows], la > 0, la < 0)
+            lids[fl], pts[fl] = lids[fl, ::-1], pts[fl, ::-1]
+            la[fl], lx[fl], ly[fl] = loop_measures(pts[fl])
+            # a loop the lone Facet would reverse once more is built alone
+            wrong = np.where(hole[rows], la > 0, ~(la > 0))
+            bad[rows] = outside | wrong | loop_defects(lids, pts, la)
+            flip[rows], oriented[slots] = fl, lids
+            a[rows], sx[rows], sy[rows] = la, lx, ly
+
+        first = facet_loops[:-1]
+        area, mx, my = a[first], sx[first], sy[first]
+        for j in range(1, counts.max(initial=1)):  # holes add up in order
+            e = np.flatnonzero(counts > j)
+            area[e] += a[first[e] + j]
+            mx[e] += sx[first[e] + j]
+            my[e] += sy[first[e] + j]
+        special = set(owner[bad].tolist()) | set(np.flatnonzero(area <= 0.0).tolist())
+        for h in np.flatnonzero(hole & ~bad & ~bad[first[owner]]).tolist():
+            outer = oriented[loop_starts[first[owner[h]]]:loop_starts[first[owner[h]] + 1]]
+            if not point_in_loop(v[oriented[loop_starts[h]]], Loop._checked(outer, v, 0.0)):
+                special.add(int(owner[h]))
+
+        slot_starts = loop_starts[facet_loops]
+        nvert = np.diff(slot_starts)
+        diameters = np.zeros(len(counts))
+        for size in np.unique(nvert):
+            rows = np.flatnonzero(nvert == size)
+            walks = oriented[slot_starts[rows, None] + np.arange(size)]
+            diameters[rows] = vertex_diameters(v[np.where((walks >= -nv) & (walks < nv), walks, 0)])
+        with np.errstate(divide="ignore", invalid="ignore"):  # bad elements raise below
+            centroids = np.column_stack((mx / area, my / area))
+
+        flips = np.flatnonzero(flip & ~np.isin(owner, list(special)))
+        done = 0
+        for e in sorted(special):
+            stop = int(np.searchsorted(owner[flips], e))
+            for i in flips[done:stop].tolist():
+                _warn_flip(owner[i], hole[i])
+            done = stop
+            loops = [ids[loop_starts[i]:loop_starts[i + 1]].tolist()
+                     for i in range(facet_loops[e], facet_loops[e + 1])]
+            f = self._lone_element(e, loops)
+            area[e], centroids[e], diameters[e] = f.area, f.centroid, f.diameter
+        for i in flips[done:].tolist():
+            _warn_flip(owner[i], hole[i])
+        return FacetTable(v, oriented, loop_starts, facet_loops, a, area, centroids, diameters)
+
+    def _lone_element(self, eid, loops):
+        """Element eid built on its own, as an element-by-element pass
+        builds it: warnings, then the Facet, whose errors name the
+        element."""
+        for i, loop in enumerate(loops):
+            s = signed_area(self.vertices[loop])
+            if (s > 0) if i else (s < 0):
+                _warn_flip(eid, i > 0)
+                loops[i] = loop[::-1]
+        try:
+            return Facet(self.vertices, loops[0], loops[1:])
+        except Exception as err:
+            raise InvariantViolation("element %d: %s" % (eid, err))
+
+    def _build_edges(self):
+        """The edge table from the boundary walks, then its checks: a
+        segment used by more than two elements or twice in one direction,
+        then a vertex strictly inside a segment (a T-junction whose
+        hanging vertex was not inserted on the long side)."""
+        table = self.shapes
+        u = table.loop_ids
+        nxt = np.arange(1, len(u) + 1)
+        nxt[table.loop_starts[1:] - 1] = table.loop_starts[:-1]
+        w = u[nxt]
+        lo, hi = np.minimum(u, w), np.maximum(u, w)
+        base = lo.min(initial=0)
+        code = (lo - base) * (hi.max(initial=0) - base + 1) + (hi - base)
+        _, first, self.slot_edges, count = np.unique(
+            code, return_index=True, return_inverse=True, return_counts=True
+        )
+        self.slot_forward = u < w
+        self.edge_ends = np.column_stack((lo[first], hi[first]))
+        self.boundary_edge_ids = np.flatnonzero(count == 1)
+        owner = table.slot_facets()
+
+        balance = np.bincount(self.slot_edges, np.where(self.slot_forward, 1.0, -1.0),
+                              len(first))
+        bad = np.flatnonzero((count > 2) | ((count == 2) & (balance != 0)))
+        if bad.size:
+            i = bad[0]
+            key = tuple(self.edge_ends[i].tolist())
+            eids = owner[self.slot_edges == i].tolist()
+            if count[i] > 2:
+                raise InvariantViolation(
+                    "segment %s used by elements %s" % (key, sorted(eids))
+                )
+            raise InvariantViolation(
+                "segment %s traversed twice in the same direction "
+                "(elements %d and %d)" % (key, eids[0], eids[1])
             )
-            outer = outer[::-1]
-        fixed_holes = []
-        for h in holes:
-            if signed_area(self.vertices[h]) > 0:
-                warnings.warn(
-                    "element %d: hole loop was counter-clockwise, reversing" % eid,
-                    OrientationWarning,
-                )
-                h = h[::-1]
-            fixed_holes.append(h)
-        return outer, fixed_holes
-
-    def _element_segments(self, eid):
-        outer, holes = self.elements[eid]
-        for loop in [outer] + holes:
-            n = len(loop)
-            for i in range(n):
-                yield loop[i], loop[(i + 1) % n]
-
-    def _build_edge_table(self):
-        incidence = {}
-        for eid in range(len(self.elements)):
-            for u, v in self._element_segments(eid):
-                key = (u, v) if u < v else (v, u)
-                incidence.setdefault(key, []).append((eid, 1 if u < v else -1))
-        self.edge_keys = sorted(incidence)
-        self.edge_index = {key: i for i, key in enumerate(self.edge_keys)}
-        self.edge_elements = [incidence[key] for key in self.edge_keys]
-        self.boundary_edge_ids = [
-            i for i, inc in enumerate(self.edge_elements) if len(inc) == 1
-        ]
-
-    def _check_conformity(self):
-        for key, inc in zip(self.edge_keys, self.edge_elements):
-            if len(inc) > 2:
-                raise InvariantViolation(
-                    "segment %s used by elements %s"
-                    % (key, sorted(e for e, _ in inc))
-                )
-            if len(inc) == 2 and inc[0][1] + inc[1][1] != 0:
-                raise InvariantViolation(
-                    "segment %s traversed twice in the same direction "
-                    "(elements %d and %d)" % (key, inc[0][0], inc[1][0])
-                )
-        # a vertex strictly inside any segment means a T-junction whose
-        # hanging vertex was not inserted on the long side; segments are
-        # visited in edge-table order and the lowest vertex id is reported
+        # segments are visited in edge-table order and the lowest vertex
+        # id is reported
         tol = DUPLICATE_TOL * (self.diameter or 1.0)
         v = self.vertices
-        keys = np.array(self.edge_keys, dtype=np.intp).reshape(-1, 2)
+        keys = self.edge_ends
         a, b = v[keys[:, 0]], v[keys[:, 1]]
         boxes = np.minimum(a, b) - 2.0 * tol, np.maximum(a, b) + 2.0 * tol
         for s, j in self._grid.candidates(*boxes):
@@ -241,11 +362,10 @@ class PolyMesh:
             inside &= (j != keys[s, 0]) & (j != keys[s, 1])
             bad = np.nonzero(inside)[0]
             if bad.size:
-                first = bad[np.lexsort((j[bad], s[bad]))[0]]
-                key = self.edge_keys[s[first]]
+                i = bad[np.lexsort((j[bad], s[bad]))[0]]
                 raise InvariantViolation(
                     "vertex %d lies inside segment %s of element %d"
-                    % (j[first], key, self.edge_elements[s[first]][0][0])
+                    % (j[i], tuple(keys[s[i]].tolist()), owner[first[s[i]]])
                 )
 
     # -- queries ---------------------------------------------------------
@@ -256,17 +376,43 @@ class PolyMesh:
 
     @property
     def num_elements(self):
-        return len(self.elements)
+        return len(self.shapes)
 
     @property
     def num_edges(self):
-        return len(self.edge_keys)
+        return len(self.edge_ends)
+
+    @property
+    def elements(self):
+        """(outer, holes) vertex id lists of every element, oriented, made
+        afresh on each access."""
+        t = self.shapes
+        loops = np.split(t.loop_ids, t.loop_starts[1:-1])
+        loops = [l.tolist() for l in loops]
+        return [(loops[a], loops[a + 1:b])
+                for a, b in zip(t.facet_loops[:-1].tolist(), t.facet_loops[1:].tolist())]
+
+    @cached_property
+    def facets(self):
+        """Every element as a lone Facet, made on first access."""
+        return [self.shapes.facet(e) for e in range(self.num_elements)]
+
+    @cached_property
+    def edge_keys(self):
+        return list(map(tuple, self.edge_ends.tolist()))
+
+    @cached_property
+    def edge_elements(self):
+        """(element, +1 or -1 for the walk direction lo -> hi or back) of
+        every use of each edge, in element and walk order."""
+        order = np.argsort(self.slot_edges, kind="stable")
+        owner = self.shapes.slot_facets()
+        uses = list(zip(owner[order].tolist(), np.where(self.slot_forward, 1, -1)[order].tolist()))
+        bounds = np.cumsum(np.bincount(self.slot_edges, minlength=self.num_edges)).tolist()
+        return [uses[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
 
     def boundary_vertex_ids(self):
-        ids = set()
-        for i in self.boundary_edge_ids:
-            ids.update(self.edge_keys[i])
-        return sorted(ids)
+        return np.unique(self.edge_ends[self.boundary_edge_ids]).tolist()
 
 
 @dataclass
@@ -386,10 +532,6 @@ def gen_structured(kind, n):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
     if kind == "distortedQuads":
         # smooth fixed perturbation; the sine factors vanish on the
         # boundary so only interior vertices move
@@ -397,18 +539,14 @@ def gen_structured(kind, n):
         bump = 0.1 * h * np.sin(2 * np.pi * verts[:, 0]) * np.sin(2 * np.pi * verts[:, 1])
         verts = verts + bump[:, None]
 
-    elements = []
-    for iy in range(n):
-        for ix in range(n):
-            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
-            v11, v01 = vid(ix + 1, iy + 1), vid(ix, iy + 1)
-            if kind == "triangles":
-                elements.append([v00, v10, v11])
-                elements.append([v00, v11, v01])
-            elif kind in ("quads", "distortedQuads"):
-                elements.append([v00, v10, v11, v01])
-            else:
-                raise ValueError("unknown mesh kind %r" % kind)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()  # row by row
+    v10, v11, v01 = v00 + 1, v00 + n + 2, v00 + n + 1
+    if kind == "triangles":
+        elements = np.column_stack((v00, v10, v11, v00, v11, v01)).reshape(-1, 3)
+    elif kind in ("quads", "distortedQuads"):
+        elements = np.column_stack((v00, v10, v11, v01))
+    else:
+        raise ValueError("unknown mesh kind %r" % kind)
     return PolyMesh(verts, elements)
 
 
@@ -501,25 +639,29 @@ def cut_mesh(mesh, line, snap_tol=None):
             new_vertices.append(p)
         return registry[key]
 
-    new_elements = []
-    changed = False
-    for eid, (outer, holes) in enumerate(mesh.elements):
-        outer_sides = side[outer]
-        touched = not (np.all(outer_sides >= 0) or np.all(outer_sides <= 0))
-        if holes and touched:
+    # an element meets the line when its outer loop has vertices on both
+    # sides; only those are split, in element order
+    table = mesh.shapes
+    outer, starts = table.facet_loops[:-1], table.loop_starts[:-1]
+    touched = np.zeros(len(outer), dtype=bool)
+    if len(starts):
+        sides = side[table.loop_ids]
+        touched = (np.minimum.reduceat(sides, starts)[outer] < 0) & (
+            np.maximum.reduceat(sides, starts)[outer] > 0
+        )
+    elements = mesh.elements
+    pieces = {}
+    for eid in np.flatnonzero(touched).tolist():
+        outer, holes = elements[eid]
+        if holes:
             raise DegenerateCut("element %d has holes and meets the cut line" % eid)
-        if holes or not touched:
-            new_elements.append((list(outer), [list(h) for h in holes]))
-            continue
-        result = _split_loop(list(outer), side, crossing)
-        if result is None:
-            new_elements.append((list(outer), []))
-            continue
-        changed = True
-        new_elements.append((result[0], []))
-        new_elements.append((result[1], []))
-    if not changed:
+        first, second = _split_loop(outer, side, crossing)
+        pieces[eid] = ((first, []), (second, []))
+    if not pieces:
         return mesh
+    new_elements = []
+    for eid, entry in enumerate(elements):
+        new_elements.extend(pieces.get(eid, (entry,)))
     out = PolyMesh(np.array(new_vertices), new_elements)
     if abs(out.area - mesh.area) > 1e-12 * mesh.area:
         raise InvariantViolation(
@@ -541,11 +683,14 @@ def _point_segment_distance(p, a, b):
 def _facet_box_pairs(mesh, other):
     """(facet of mesh, vertex of other) pairs with the vertex inside the
     facet's closed bounding box, the only pairs Facet.contains accepts."""
-    if not mesh.facets:
+    table = mesh.shapes
+    if not len(table):
         return
-    ids = [f.outer.ids for f in mesh.facets]
-    starts = np.cumsum([0] + [len(i) for i in ids[:-1]])
-    pts = mesh.vertices[np.concatenate(ids)]
+    outer = table.facet_loops[:-1]
+    ids = np.concatenate([table.loop_ids[table.loop_starts[i]:table.loop_starts[i + 1]]
+                          for i in outer.tolist()])
+    starts = np.cumsum(np.diff(table.loop_starts)[outer]) - np.diff(table.loop_starts)[outer]
+    pts = mesh.vertices[ids]
     lo = np.minimum.reduceat(pts, starts)
     hi = np.maximum.reduceat(pts, starts)
     for f, v in other._grid.candidates(lo, hi):
@@ -625,8 +770,11 @@ def merge_meshes(a, b, tol=None):
         (a, b, "vertex of the second mesh is inside the first"),
         (b, a, "vertex of the first mesh is inside the second"),
     ):
+        facets = {}
         for fid, vid in _facet_box_pairs(mesh, other):
-            if strictly_inside(mesh.facets[fid], other.vertices[vid]):
+            if fid not in facets:
+                facets[fid] = mesh.shapes.facet(fid)
+            if strictly_inside(facets[fid], other.vertices[vid]):
                 raise OverlapDetected(message)
 
     # hanging-node insertion: other-side vertices strictly inside a
@@ -695,12 +843,12 @@ def merge_meshes(a, b, tol=None):
     # the glue must produce at least one interior segment joining the two
     # sides, otherwise the meshes only touch at isolated points
     na = len(a_elements)
-    shared = 0
-    for inc in merged.edge_elements:
-        if len(inc) == 2:
-            eids = sorted(e for e, _ in inc)
-            if eids[0] < na <= eids[1]:
-                shared += 1
+    owner = merged.shapes.slot_facets()
+    first = np.full(merged.num_edges, merged.num_elements)
+    last = np.full(merged.num_edges, -1)
+    np.minimum.at(first, merged.slot_edges, owner)
+    np.maximum.at(last, merged.slot_edges, owner)
+    shared = np.count_nonzero((first < na) & (na <= last))
     if shared == 0:
         raise NoCommonBoundary("the meshes touch only at isolated vertices")
     expected = a.area + b.area
@@ -714,7 +862,12 @@ def merge_meshes(a, b, tol=None):
 
 class GlobalDofMap:
     """Numbering shared by all elements: vertices, then canonical-edge
-    interior nodes, then per-element moments."""
+    interior nodes, then per-element moments.
+
+    Element e's dofs are map_ids[map_starts[e]:map_starts[e + 1]]: its
+    vertices in walk order, the k-1 nodes of each walk edge in walk
+    direction, then its moments.
+    """
 
     def __init__(self, mesh, k):
         # keeps no reference to the mesh, which holds its dof maps: no cycle
@@ -731,38 +884,43 @@ class GlobalDofMap:
         t_full, _ = gauss_lobatto_1d(k + 1)
         points = np.full((self.num_dofs, 2), np.nan)
         points[:nv] = mesh.vertices
-        for ei, (lo, hi) in enumerate(mesh.edge_keys):
-            plo, phi = mesh.vertices[lo], mesh.vertices[hi]
-            for m in range(1, k):
-                points[nv + ei * npe + (m - 1)] = plo + t_full[m] * (phi - plo)
+        plo, phi = (mesh.vertices[mesh.edge_ends[:, i], None] for i in (0, 1))
+        nodes = plo + t_full[1:k, None] * (phi - plo)
+        points[nv : self.moment_offset] = nodes.reshape(-1, 2)
         self.dof_points = points
 
-        self.element_maps = []
-        for eid in range(nel):
-            gmap = []
-            outer, holes = mesh.elements[eid]
-            walk = []
-            for loop in [outer] + holes:
-                n = len(loop)
-                walk.extend((loop[i], loop[(i + 1) % n]) for i in range(n))
-            for u, _ in walk:
-                gmap.append(u)
-            for u, v in walk:
-                key = (u, v) if u < v else (v, u)
-                base = nv + mesh.edge_index[key] * npe
-                if u < v:
-                    gmap.extend(base + (j - 1) for j in range(1, k))
-                else:
-                    gmap.extend(base + (k - 1 - j) for j in range(1, k))
-            gmap.extend(self.moment_offset + eid * nm + a for a in range(nm))
-            self.element_maps.append(np.array(gmap, dtype=np.intp))
+        table = mesh.shapes
+        nvert = np.diff(table.slot_starts)
+        self.map_starts = np.concatenate(([0], np.cumsum(nvert * k + nm)))
+        owner = table.slot_facets()
+        local = np.arange(len(owner)) - table.slot_starts[owner]  # walk position
+        ids = np.empty(self.map_starts[-1], dtype=np.intp)
+        ids[self.map_starts[owner] + local] = table.loop_ids
+        j = np.arange(npe)
+        at = self.map_starts[owner] + nvert[owner] + npe * local
+        ids[at[:, None] + j] = (
+            nv + npe * mesh.slot_edges[:, None]
+            + np.where(mesh.slot_forward[:, None], j, npe - 1 - j)
+        )
+        ids[(self.map_starts[1:] - nm)[:, None] + np.arange(nm)] = (
+            self.moment_offset + nm * np.arange(nel)[:, None] + np.arange(nm)
+        )
+        self.map_ids = ids
 
-        bset = set(mesh.boundary_vertex_ids())
-        bdofs = sorted(bset)
-        for ei in mesh.boundary_edge_ids:
-            base = nv + ei * npe
-            bdofs.extend(base + j for j in range(npe))
-        self.boundary_dof_ids = np.array(sorted(bdofs), dtype=np.intp)
+        edges = mesh.boundary_edge_ids
+        self.boundary_dof_ids = np.unique(np.concatenate((
+            mesh.edge_ends[edges].ravel(), (nv + npe * edges[:, None] + j).ravel()
+        ))).astype(np.intp)
+
+    @cached_property
+    def element_maps(self):
+        """Each element's dofs, as views of map_ids."""
+        return np.split(self.map_ids, self.map_starts[1:-1])
+
+    def maps(self, ids):
+        """The dofs of elements with equally many, one row each."""
+        size = self.map_starts[ids[0] + 1] - self.map_starts[ids[0]]
+        return self.map_ids[self.map_starts[ids, None] + np.arange(size)]
 
 
 def build_global_dofs(mesh, k):

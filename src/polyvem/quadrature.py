@@ -165,16 +165,14 @@ def polygon_rule(facet, degree):
 
     Maps the reference-triangle rule onto every triangle of the facet's
     triangulation (holes handled there); weights sum to the facet area.
-    `facet` may also be a sequence of facets with equally many triangles:
-    points and weights then carry a leading facet axis.
+    `facet` may also be the triangle corners of several facets, an array
+    (facets, triangles, 3, 2): points and weights then carry a leading
+    facet axis.
     """
     if degree < 0:
         raise ValueError("quadrature degree must be >= 0")
     ref_pts, ref_wts = _triangle_rule(degree)
-    if isinstance(facet, Facet):
-        corners = facet.coords[facet.triangles]
-    else:
-        corners = np.stack([f.coords[f.triangles] for f in facet])
+    corners = facet.coords[facet.triangles] if isinstance(facet, Facet) else facet
     a = corners[..., 0, :]
     e1 = corners[..., 1, :] - a
     e2 = corners[..., 2, :] - a

@@ -18,11 +18,10 @@ import scipy.sparse as sp
 
 from .errors import PolyVemError
 from .localmat import (
-    Element,
-    ElementMatrixCache,
+    ElementList,
     MatrixTag,
     find_or_compute,
-    group_elements,
+    group_facets,
     load_vector,
     sample,
 )
@@ -71,12 +70,14 @@ def discretisation(mesh, k):
 
     Built once and kept on the mesh, so assembly, the load vector, the error
     norms, the interpolant and the CLI share every element's projectors.
-    The groups are `localmat.group_elements` (ids, ElementGroup) pairs.
+    The groups are `localmat.group_facets` (ids, ElementGroup) pairs of the
+    mesh's FacetTable; the pairs, an `ElementList`, are made on first use
+    and read the groups' matrices.
     """
     if k not in mesh.discretisations:
         dofmap = build_global_dofs(mesh, k)
-        elements = [(Element(f, k), ElementMatrixCache()) for f in mesh.facets]
-        mesh.discretisations[k] = (dofmap, elements, group_elements(elements))
+        groups = group_facets(mesh.shapes, k)
+        mesh.discretisations[k] = (dofmap, ElementList(mesh.shapes, k, groups), groups)
     return mesh.discretisations[k]
 
 
@@ -107,10 +108,6 @@ def _each_group(groups, work):
     return results
 
 
-def _maps(dofmap, ids):
-    return np.array([dofmap.element_maps[i] for i in ids])
-
-
 def assemble(mesh, k, f=None):
     """Assemble the global stiffness matrix and load vector.
 
@@ -122,7 +119,7 @@ def assemble(mesh, k, f=None):
     def work(ids, group):
         K = find_or_compute(group.cache, group, MatrixTag.STIFFNESS)
         be = None if f is None else load_vector(group, f, group.cache)
-        return ids, _maps(dofmap, ids), K, be
+        return ids, dofmap.maps(ids), K, be
 
     rows, cols, vals, owners, targets, loads = [], [], [], [], [], []
     for ids, g, K, be in _each_group(groups, work):
@@ -165,7 +162,7 @@ def apply_dirichlet(system, g):
     return system
 
 
-def jacobi_cg(A, b, tol, maxiter, coarse=None):
+def jacobi_cg(A, b, tol, maxiter, coarse=None, diag=None):
     """Conjugate gradients with diagonal preconditioning, plus a coarse
     correction when `coarse` is given.
 
@@ -178,23 +175,27 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None):
     residual from before it.
 
     coarse = (P, Ac) adds P y to the preconditioned residual, where y is
-    an inexact solve of Ac y = P^T r (this function, to 0.1).  The
-    preconditioner then varies from step to step, so the step is flexible
-    CG's beta = z+.(r+ - r) / (z.r) (Notay 2000).
+    an inexact solve of Ac y = P^T r (this function, to 0.1, with P^T as
+    CSR and Ac's diagonal formed once per call).  The preconditioner then
+    varies from step to step, so the step is flexible CG's beta =
+    z+.(r+ - r) / (z.r) (Notay 2000).  diag is `_jacobi_diagonal(A)`, if
+    the caller has it.
     """
     n = len(b)
     x = np.zeros(n)
     bnorm = float(np.linalg.norm(b))
     if n == 0 or bnorm == 0.0:
         return x, 0, 0.0, True
-    diag = A.diagonal().copy()
-    diag[diag == 0.0] = 1.0
+    if diag is None:
+        diag = _jacobi_diagonal(A)
+    if coarse is not None:
+        P, Ac = coarse
+        Pt, Ac_diag = P.T.tocsr(), _jacobi_diagonal(Ac)
 
     def precondition(r):
         z = r / diag
         if coarse is not None:
-            P, Ac = coarse
-            z += P @ jacobi_cg(Ac, P.T @ r, 0.1, maxiter)[0]
+            z += P @ jacobi_cg(Ac, Pt @ r, 0.1, maxiter, diag=Ac_diag)[0]
         return z
 
     r = b.copy()
@@ -223,6 +224,13 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None):
         p = z + (beta / rz) * p
         rz = rz_next
     return x, maxiter, residual, False
+
+
+def _jacobi_diagonal(A):
+    """A's diagonal, zeros replaced by ones: what jacobi_cg divides by."""
+    diag = A.diagonal().copy()
+    diag[diag == 0.0] = 1.0
+    return diag
 
 
 # perfbench/tracing.py times this entry as the solve on S (`system.cg`)
@@ -341,7 +349,7 @@ def interpolate_dofs(mesh, k, u):
         nm, mo = group.layout.num_moment_dofs, group.layout.moment_offset
         V = group.values(2 * k + 2)[..., :nm]
         moments = (V * (rule.weights * uv)[..., None]).sum(axis=1)
-        x[_maps(dofmap, ids)[:, mo:]] = moments / group.area[:, None]
+        x[dofmap.maps(ids)[:, mo:]] = moments / group.area[:, None]
 
     if k >= 2:
         _each_group(groups, work)
@@ -354,13 +362,13 @@ def error_norms(mesh, k, solution, u_exact, grad_exact):
     The discrete function is replaced element-wise by its energy
     projection onto polynomials, which is the computable representative.
     """
-    dofmap, elements, groups = discretisation(mesh, k)
-    squares = np.empty((len(elements), 2))
+    dofmap, _, groups = discretisation(mesh, k)
+    squares = np.empty((mesh.num_elements, 2))
 
     def work(ids, group):
         PiS = find_or_compute(group.cache, group, MatrixTag.PI_GRAD_STAR)
         rule = group.rule(2 * k + 2)
-        coeff = PiS @ solution[_maps(dofmap, ids)][..., None]
+        coeff = PiS @ solution[dofmap.maps(ids)][..., None]
         xq, yq = rule.points.reshape(-1, 2).T
         w = rule.weights.ravel()
         uh = (group.values(2 * k + 2) @ coeff).ravel()

@@ -32,21 +32,26 @@ class LocalDofLayout:
 
 
 def build_layout(facet, k):
-    """Build the dof layout of a facet at order k (k >= 1).
-
-    Edge i of the boundary walk runs from walk vertex i to the next vertex
-    of its loop.  A vertex the walk passes twice has one dof, at its last
-    walk position.
-    """
+    """Build the dof layout of a facet at order k (k >= 1)."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    ids = facet.vertex_ids().tolist()
+    return walk_layout(facet.vertex_ids(), [len(loop) for loop in facet.loops()], k)
+
+
+def walk_layout(ids, sizes, k):
+    """The dof layout at order k of a boundary walk: vertex ids `ids`, loop
+    after loop, of the given loop sizes.
+
+    Edge i of the walk runs from walk vertex i to the next vertex of its
+    loop.  A vertex the walk passes twice has one dof, at its last walk
+    position.
+    """
+    ids = ids.tolist()
     n = len(ids)
     last = {v: i for i, v in enumerate(ids)}
     position = np.array([last[v] for v in ids], dtype=np.intp)
     nxt, start = [], 0
-    for loop in facet.loops():
-        size = len(loop)
+    for size in sizes:
         nxt.extend(start + (np.arange(size) + 1) % size)
         start += size
     chains = np.empty((n, k + 1), dtype=np.intp)
