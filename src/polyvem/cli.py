@@ -7,6 +7,7 @@ byte-identical and the CSVs round-trip through float parsing.
 """
 
 import argparse
+import functools
 import runpy
 import sys
 
@@ -372,6 +373,7 @@ def _add_mesh_source(p):
     p.add_argument("--gen", help="structured mesh family:n, e.g. quads:8")
 
 
+@functools.cache  # parsing keeps no state in the parser: build it once
 def build_parser():
     parser = _Parser(prog="polyvem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,12 +12,20 @@ The elements are stored as arrays, a `FacetTable`: loop vertex ids, with
 the areas, centroids and diameters of the elements.  The loops are
 oriented, checked and measured a loop-length class at a time, with the
 bits, warnings and errors of an element-by-element build; the edge table
-and the dof numbering are computed from the same boundary walks.
+and the dof numbering are computed from the same boundary walks.  The
+poly2d reader, the writer and the cut work on the same flat loop arrays:
+the reader checks the lines in bulk and hands its ids, loop sizes and
+loops per element to the build, the writer formats them in one pass, and
+a cut splits only the loops the line crosses and copies the rest as
+slices.  `PolyMesh.elements`, one list pair per element, is made only on
+request.
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 
 import numpy as np
 
@@ -136,10 +144,27 @@ class _VertexGrid:
             start = stop
 
 
+# elements as flat arrays: the vertex ids of every loop, the loop sizes
+# and the loops of each element
+_Loops = namedtuple("_Loops", "ids sizes counts")
+
+
 def _flat_loops(elements):
     """Vertex ids of every loop, flat, with the loop sizes and the loops per
     element, and the error that normalising the next entry raised, if one
     did: the entries before it are still checked first."""
+    if isinstance(elements, _Loops):
+        ids, sizes, counts = elements
+        empty = np.flatnonzero(sizes[np.cumsum(counts) - counts] == 0)
+        if not empty.size:
+            return ids, sizes, counts, None
+        # an empty outer loop fails as its list entry ([], holes) does
+        counts = counts[:empty[0]]
+        sizes = sizes[:counts.sum()]
+        try:
+            _normalize_element(([], []))
+        except TypeError as err:
+            return ids[:sizes.sum()], sizes, counts, err
     if isinstance(elements, np.ndarray) and elements.ndim == 2 and elements.dtype.kind in "iu":
         m, size = elements.shape
         return elements.astype(np.intp).ravel(), np.full(m, size), np.ones(m, np.intp), None
@@ -438,88 +463,169 @@ class CutLine:
 
 
 def write_mesh(mesh, path):
-    """Write a mesh in the poly2d text format (round-trips exactly)."""
+    """Write a mesh in the poly2d text format (round-trips exactly).
+
+    The text is formatted from the loop arrays in one pass: a line per
+    element with its loop count, then a line per loop with its size and
+    vertex ids, each line of a loop size sharing one format."""
+    t = mesh.shapes
+    sizes = np.diff(t.loop_starts)
+    counts = np.diff(t.facet_loops)
+    nel, nloops = len(counts), len(sizes)
+    # the lines and numbers in file order: an element's loop count, then a
+    # line per loop, its size and ids
+    loop_line = np.arange(nloops) + np.repeat(np.arange(1, nel + 1), counts)
+    loop_at = loop_line + t.loop_starts[:-1]
+    count_at = np.arange(nel) + t.facet_loops[:-1] + t.loop_starts[t.facet_loops[:-1]]
+    numbers = np.empty(nel + nloops + len(t.loop_ids), dtype=np.intp)
+    is_id = np.ones(len(numbers), dtype=bool)
+    is_id[loop_at] = is_id[count_at] = False
+    numbers[loop_at], numbers[count_at], numbers[is_id] = sizes, counts, t.loop_ids
+    line_sizes = np.full(nel + nloops, -1)
+    line_sizes[loop_line] = sizes
+    formats = {s: "%d" + " %d" * s + "\n" for s in np.unique(line_sizes).tolist()}  # -1: "%d\n"
     with open(path, "w") as fh:
-        fh.write("poly2d 1\n")
-        fh.write("%d\n" % mesh.num_vertices)
-        for x, y in mesh.vertices:
-            fh.write("%.17g %.17g\n" % (x, y))
+        fh.write("poly2d 1\n%d\n" % mesh.num_vertices)
+        fh.write(("%.17g %.17g\n" * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist()))
         fh.write("%d\n" % mesh.num_elements)
-        for outer, holes in mesh.elements:
-            fh.write("%d\n" % (1 + len(holes)))
-            for loop in [outer] + holes:
-                fh.write(" ".join([str(len(loop))] + [str(i) for i in loop]) + "\n")
+        fh.write("".join(map(formats.__getitem__, line_sizes.tolist()))
+                 % tuple(numbers.tolist()))
 
 
-class _LineReader:
-    def __init__(self, path):
-        with open(path) as fh:
-            raw = fh.readlines()
-        self.lines = []
-        for n, text in enumerate(raw, start=1):
-            text = text.split("#", 1)[0].strip()
-            if text:
-                self.lines.append((n, text))
-        self.pos = 0
-
-    def next(self, what):
-        if self.pos >= len(self.lines):
-            last = self.lines[-1][0] if self.lines else 0
-            raise ParseError("unexpected end of file, expected %s" % what, last)
-        n, text = self.lines[self.pos]
-        self.pos += 1
-        return n, text
-
-    def next_int(self, what):
-        n, text = self.next(what)
-        try:
-            return int(text)
-        except ValueError:
-            raise ParseError("expected %s, got %r" % (what, text), n)
+def _convert(kind, tokens):
+    """The tokens converted by kind up to the first one it rejects, and
+    that one's index, or None when it takes them all."""
+    try:
+        return list(map(kind, tokens)), None
+    except ValueError:
+        values = []
+        for token in tokens:
+            try:
+                values.append(kind(token))
+            except ValueError:
+                return values, len(values)
 
 
 def read_mesh(path):
-    """Read a poly2d file; parse errors carry the offending line number."""
-    r = _LineReader(path)
-    n, header = r.next("header")
-    if header.split() != ["poly2d", "1"]:
-        raise ParseError("not a poly2d version 1 file", n)
-    nv = r.next_int("vertex count")
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        n, text = r.next("vertex %d" % i)
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError("expected two coordinates", n)
+    """Read a poly2d file; parse errors carry the offending line number.
+
+    The file is read once.  The loop count lines alone fix which line is
+    what, so they are walked first; then the vertex lines and the loop
+    lines are split and converted in bulk with Python's own float and int,
+    and checked vectorized.  The error raised is that of the first bad
+    line, with the checks of one line in the order of a line-by-line
+    reader (token count, tokens, announced count, id range), and the end
+    of the file last.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    raw = text.split("\n")
+    if "#" in text:
+        raw = [line.split("#", 1)[0] for line in raw]
+    stripped = list(map(str.strip, raw))
+    lines = list(filter(None, stripped))  # blank lines and comments go
+    end = len(lines)
+
+    def fail(message, pos):
+        # the content line at pos, or the last one for the end of the file
+        numbered = [n for n, line in enumerate(stripped, start=1) if line]
+        return ParseError(message, numbered[min(pos, end - 1)] if end else 0)
+
+    def eof(what):
+        return fail("unexpected end of file, expected %s" % what, end)
+
+    def count(pos, what):
+        if pos >= end:
+            raise eof(what)
         try:
-            verts[i] = [float(parts[0]), float(parts[1])]
+            return int(lines[pos])
         except ValueError:
-            raise ParseError("bad coordinate %r" % text, n)
-    ne = r.next_int("element count")
-    elements = []
+            raise fail("expected %s, got %r" % (what, lines[pos]), pos)
+
+    if not end:
+        raise eof("header")
+    if lines[0].split() != ["poly2d", "1"]:
+        raise fail("not a poly2d version 1 file", 0)
+    nv = count(1, "vertex count")
+    verts = np.empty((nv, 2))
+    parts = list(map(str.split, lines[2:2 + nv]))
+    ntok = np.fromiter(map(len, parts), np.intp, len(parts))
+    short = np.flatnonzero(ntok != 2)
+    two = int(short[0]) if short.size else len(parts)  # lines before have two tokens
+    coords, bad = _convert(float, list(chain.from_iterable(parts[:two])))
+    if bad is not None:
+        raise fail("bad coordinate %r" % lines[2 + bad // 2], 2 + bad // 2)
+    if two < len(parts):
+        raise fail("expected two coordinates", 2 + two)
+    if 2 + nv > end:
+        raise eof("vertex %d" % (end - 2))
+    verts[:] = np.reshape(coords, (nv, 2))
+
+    # the loop count lines, element by element, up to the first bad one
+    first = 3 + nv
+    ne = count(first - 1, "element count")
+    heads, nloops, stop = [], [], None
+    pos = first
     for e in range(ne):
-        nloops = r.next_int("loop count of element %d" % e)
-        if nloops < 1:
-            raise ParseError("element %d has no loops" % e, r.lines[r.pos - 1][0])
-        loops = []
-        for li in range(nloops):
-            n, text = r.next("loop %d of element %d" % (li, e))
-            parts = text.split()
-            try:
-                count, ids = int(parts[0]), [int(p) for p in parts[1:]]
-            except (ValueError, IndexError):
-                raise ParseError("bad loop line %r" % text, n)
-            if len(ids) != count:
-                raise ParseError(
-                    "loop announces %d ids but has %d" % (count, len(ids)), n
-                )
-            if any(i < 0 or i >= nv for i in ids):
-                raise ParseError("vertex id out of range", n)
-            loops.append(ids)
-        elements.append((loops[0], loops[1:]))
-    if r.pos != len(r.lines):
-        raise ParseError("trailing content", r.lines[r.pos][0])
-    return PolyMesh(verts, elements)
+        if pos >= end:
+            stop = "unexpected end of file, expected loop count of element %d" % e
+            break
+        try:
+            k = int(lines[pos])
+        except ValueError:
+            stop = "expected loop count of element %d, got %r" % (e, lines[pos])
+            break
+        if k < 1:
+            stop = "element %d has no loops" % e
+            break
+        heads.append(pos)
+        nloops.append(k)
+        pos += 1 + k
+        if pos > end:
+            stop = "unexpected end of file, expected loop %d of element %d" % (
+                end - heads[-1] - 1, e)
+            break
+    limit = min(pos, end)
+
+    # the loop lines before it, in bulk
+    is_loop = np.ones(limit - first, dtype=bool)
+    is_loop[np.array(heads, dtype=np.intp) - first] = False
+    at = np.flatnonzero(is_loop) + first
+    texts = list(compress(lines[first:limit], is_loop.tolist()))
+    parts = list(map(str.split, texts))
+    ntok = np.fromiter(map(len, parts), np.intp, len(parts))
+    starts = np.cumsum(ntok) - ntok
+    values, bad = _convert(int, list(chain.from_iterable(parts)))
+    # lines before `parsed` hold ints only
+    parsed = len(parts)
+    if bad is not None:
+        parsed = int(np.searchsorted(starts, bad, "right")) - 1
+        values = values[:starts[parsed]]
+    try:
+        numbers = np.array(values, dtype=np.intp)
+    except OverflowError:  # beyond any id range, and any token count
+        big = max(nv, len(values)) + 1
+        numbers = np.array([min(max(v, -1), big) for v in values], dtype=np.intp)
+    token_line = np.repeat(np.arange(parsed), ntok[:parsed])
+    is_id = np.ones(len(numbers), dtype=bool)
+    is_id[starts[:parsed]] = False
+    wrong = numbers[starts[:parsed]] != ntok[:parsed] - 1
+    outside = np.zeros(parsed, dtype=bool)
+    outside[token_line[is_id & ((numbers < 0) | (numbers >= nv))]] = True
+    flagged = np.flatnonzero(wrong | outside)
+    j = int(flagged[0]) if flagged.size else parsed
+    if j < len(parts):
+        if j == parsed:
+            raise fail("bad loop line %r" % texts[j], at[j])
+        if wrong[j]:
+            raise fail("loop announces %d ids but has %d"
+                       % (values[starts[j]], ntok[j] - 1), at[j])
+        raise fail("vertex id out of range", at[j])
+    if stop is not None:
+        raise fail(stop, pos)
+    if pos != end:
+        raise fail("trailing content", pos)
+    return PolyMesh(verts, _Loops(numbers[is_id], ntok - 1, np.array(nloops, dtype=np.intp)))
 
 
 # -- generators ----------------------------------------------------------
@@ -626,43 +732,49 @@ def cut_mesh(mesh, line, snap_tol=None):
     d = np.where(snapped, 0.0, d)
     side = np.sign(d).astype(int)
 
-    new_vertices = [v for v in mesh.vertices]
-    registry = {}
+    registry = {}  # segment -> id of its crossing vertex
 
     def crossing(u, v):
         key = (u, v) if u < v else (v, u)
         if key not in registry:
-            lo, hi = key
-            t = d[lo] / (d[lo] - d[hi])
-            p = mesh.vertices[lo] + t * (mesh.vertices[hi] - mesh.vertices[lo])
-            registry[key] = len(new_vertices)
-            new_vertices.append(p)
+            registry[key] = mesh.num_vertices + len(registry)
         return registry[key]
 
     # an element meets the line when its outer loop has vertices on both
-    # sides; only those are split, in element order
+    # sides; only those are split, in element order, and the runs of
+    # elements between them are copied as slices of the loop arrays
     table = mesh.shapes
-    outer, starts = table.facet_loops[:-1], table.loop_starts[:-1]
-    touched = np.zeros(len(outer), dtype=bool)
-    if len(starts):
+    ls, fl = table.loop_starts, table.facet_loops
+    touched = np.zeros(len(table), dtype=bool)
+    if len(ls) > 1:
         sides = side[table.loop_ids]
-        touched = (np.minimum.reduceat(sides, starts)[outer] < 0) & (
-            np.maximum.reduceat(sides, starts)[outer] > 0
+        touched = (np.minimum.reduceat(sides, ls[:-1])[fl[:-1]] < 0) & (
+            np.maximum.reduceat(sides, ls[:-1])[fl[:-1]] > 0
         )
-    elements = mesh.elements
-    pieces = {}
+    sizes, counts = np.diff(ls), np.diff(fl)
+    side = side.tolist()  # _split_loop reads it a vertex at a time
+    ids, loop_sizes, loop_counts = [], [], []
+    done = 0  # elements copied or split so far
     for eid in np.flatnonzero(touched).tolist():
-        outer, holes = elements[eid]
-        if holes:
+        if counts[eid] > 1:
             raise DegenerateCut("element %d has holes and meets the cut line" % eid)
-        first, second = _split_loop(outer, side, crossing)
-        pieces[eid] = ((first, []), (second, []))
-    if not pieces:
+        i = fl[eid]
+        pieces = _split_loop(table.loop_ids[ls[i]:ls[i + 1]].tolist(), side, crossing)
+        ids += [table.loop_ids[ls[fl[done]]:ls[i]], *pieces]
+        loop_sizes += [sizes[fl[done]:i], list(map(len, pieces))]
+        loop_counts += [counts[done:eid], [1, 1]]
+        done = eid + 1
+    if not done:
         return mesh
-    new_elements = []
-    for eid, entry in enumerate(elements):
-        new_elements.extend(pieces.get(eid, (entry,)))
-    out = PolyMesh(np.array(new_vertices), new_elements)
+    ids.append(table.loop_ids[ls[fl[done]]:])
+    loop_sizes.append(sizes[fl[done]:])
+    loop_counts.append(counts[done:])
+    lo, hi = np.array(list(registry), dtype=np.intp).reshape(-1, 2).T  # in id order
+    t = d[lo] / (d[lo] - d[hi])
+    a, b = mesh.vertices[lo], mesh.vertices[hi]
+    flat = lambda parts: np.concatenate(parts).astype(np.intp)
+    out = PolyMesh(np.concatenate((mesh.vertices, a + t[:, None] * (b - a))),
+                   _Loops(flat(ids), flat(loop_sizes), flat(loop_counts)))
     if abs(out.area - mesh.area) > 1e-12 * mesh.area:
         raise InvariantViolation(
             "cut changed the total area by %g" % abs(out.area - mesh.area)

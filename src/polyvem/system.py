@@ -108,6 +108,21 @@ def _each_group(groups, work):
     return results
 
 
+def _reduce_triplets(keys, vals):
+    """The distinct keys in order, each with the sum of its values taken
+    in ascending order (ties in input order), so the order of the triplets
+    cannot change a bit of the result.  One stable sort groups the keys;
+    only the keys with two or more values have them sorted."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    fresh = np.r_[True, keys[1:] != keys[:-1]]
+    starts = np.flatnonzero(fresh)
+    segment = np.cumsum(fresh) - 1
+    shared = np.flatnonzero(np.diff(np.r_[starts, len(keys)])[segment] > 1)
+    vals[shared] = vals[shared[np.lexsort((vals[shared], segment[shared]))]]
+    return keys[starts], np.add.reduceat(vals, starts)
+
+
 def assemble(mesh, k, f=None):
     """Assemble the global stiffness matrix and load vector.
 
@@ -121,30 +136,19 @@ def assemble(mesh, k, f=None):
         be = None if f is None else load_vector(group, f, group.cache)
         return ids, dofmap.maps(ids), K, be
 
-    rows, cols, vals, owners, targets, loads = [], [], [], [], [], []
+    keys, vals, owners, targets, loads = [], [], [], [], []
     for ids, g, K, be in _each_group(groups, work):
         K = 0.5 * (K + np.swapaxes(K, 1, 2))
-        m = g.shape[1]
-        rows.append(np.repeat(g, m, axis=1).ravel())
-        cols.append(np.tile(g, (1, m)).ravel())
+        keys.append((g[:, :, None] * n + g[:, None, :]).ravel())  # row * n + col
         vals.append(K.ravel())
         if f is not None:
-            owners.append(np.repeat(ids, m))
+            owners.append(np.repeat(ids, g.shape[1]))
             targets.append(g.ravel())
             loads.append(be.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    keys = np.concatenate(keys)
     vals = np.concatenate(vals)
-    # deterministic accumulation: sort triplets completely, then reduce
-    # each (row, col) group; element order cannot change the result
-    order = np.lexsort((vals, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    fresh = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
-    starts = np.flatnonzero(fresh)
-    summed = np.add.reduceat(vals, starts)
-    A = sp.csr_matrix(
-        (summed, (rows[starts], cols[starts])), shape=(n, n)
-    )
+    keys, summed = _reduce_triplets(keys, vals)
+    A = sp.csr_matrix((summed, (keys // n, keys % n)), shape=(n, n))
     b = np.zeros(n)
     if f is not None:
         # the load adds up element by element in id order

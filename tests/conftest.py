@@ -1,8 +1,11 @@
-"""Shared shape builders and randomized element generators for the tests."""
+"""Shared shape builders, randomized element generators and independent
+oracles for the tests."""
 
 import numpy as np
 
+from polyvem.errors import ParseError
 from polyvem.geometry import Facet
+from polyvem.mesh import PolyMesh
 from polyvem.monomials import ScaledMonomial
 from polyvem.quadrature import gauss_1d
 
@@ -126,3 +129,81 @@ def gauss_edge(p0, p1, n):
     t, w = gauss_1d(n)
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     return pts, w * float(np.linalg.norm(p1 - p0))
+
+
+# -- the line-by-line poly2d reader --------------------------------------
+#
+# The reader `polyvem.mesh.read_mesh` replaced: one line at a time, with a
+# list of ids per loop.  The array reader must raise what this one raises
+# and build the same mesh.
+
+
+class _LineReader:
+    def __init__(self, path):
+        with open(path) as fh:
+            raw = fh.readlines()
+        self.lines = []
+        for n, text in enumerate(raw, start=1):
+            text = text.split("#", 1)[0].strip()
+            if text:
+                self.lines.append((n, text))
+        self.pos = 0
+
+    def next(self, what):
+        if self.pos >= len(self.lines):
+            last = self.lines[-1][0] if self.lines else 0
+            raise ParseError("unexpected end of file, expected %s" % what, last)
+        n, text = self.lines[self.pos]
+        self.pos += 1
+        return n, text
+
+    def next_int(self, what):
+        n, text = self.next(what)
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError("expected %s, got %r" % (what, text), n)
+
+
+def read_mesh_by_lines(path):
+    """Read a poly2d file a line at a time."""
+    r = _LineReader(path)
+    n, header = r.next("header")
+    if header.split() != ["poly2d", "1"]:
+        raise ParseError("not a poly2d version 1 file", n)
+    nv = r.next_int("vertex count")
+    verts = np.empty((nv, 2))
+    for i in range(nv):
+        n, text = r.next("vertex %d" % i)
+        parts = text.split()
+        if len(parts) != 2:
+            raise ParseError("expected two coordinates", n)
+        try:
+            verts[i] = [float(parts[0]), float(parts[1])]
+        except ValueError:
+            raise ParseError("bad coordinate %r" % text, n)
+    ne = r.next_int("element count")
+    elements = []
+    for e in range(ne):
+        nloops = r.next_int("loop count of element %d" % e)
+        if nloops < 1:
+            raise ParseError("element %d has no loops" % e, r.lines[r.pos - 1][0])
+        loops = []
+        for li in range(nloops):
+            n, text = r.next("loop %d of element %d" % (li, e))
+            parts = text.split()
+            try:
+                count, ids = int(parts[0]), [int(p) for p in parts[1:]]
+            except (ValueError, IndexError):
+                raise ParseError("bad loop line %r" % text, n)
+            if len(ids) != count:
+                raise ParseError(
+                    "loop announces %d ids but has %d" % (count, len(ids)), n
+                )
+            if any(i < 0 or i >= nv for i in ids):
+                raise ParseError("vertex id out of range", n)
+            loops.append(ids)
+        elements.append((loops[0], loops[1:]))
+    if r.pos != len(r.lines):
+        raise ParseError("trailing content", r.lines[r.pos][0])
+    return PolyMesh(verts, elements)

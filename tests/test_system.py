@@ -16,6 +16,7 @@ from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_com
 from polyvem.mesh import PolyMesh, CutLine, build_global_dofs, cut_mesh, gen_structured
 from polyvem.system import (
     _condensed,
+    _reduce_triplets,
     apply_dirichlet,
     assemble,
     error_norms,
@@ -85,6 +86,36 @@ def test_assembly_element_order_is_bitwise_irrelevant():
     assert np.array_equal(A1.indptr, A2.indptr)
     assert np.array_equal(A1.indices, A2.indices)
     assert np.array_equal(A1.data, A2.data)
+
+
+def reduce_by_full_sort(rows, cols, vals):
+    """The triplet reduction `_reduce_triplets` replaced: one lexsort on
+    (row, col, value), then a sum per (row, col) pair."""
+    order = np.lexsort((vals, cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    fresh = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]
+    starts = np.flatnonzero(fresh)
+    return rows[starts], cols[starts], np.add.reduceat(vals, starts)
+
+
+@given(n=st.integers(1, 7), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_triplet_reduction_equals_full_sort(n, data):
+    # few pairs, so most are shared; values with ties, signed zeros,
+    # infinities and NaNs of any payload
+    size = data.draw(st.integers(1, 80))
+    index = st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000]).view(float)
+    values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e300, np.inf, -np.inf, *nans])
+                      | st.floats(allow_nan=True, allow_infinity=True),
+                      min_size=size, max_size=size)
+    rows, cols = np.array(data.draw(index)), np.array(data.draw(index))
+    vals = np.array(data.draw(values), dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        keys, sums = _reduce_triplets(rows * n + cols, vals)
+        want_rows, want_cols, want_sums = reduce_by_full_sort(rows, cols, vals)
+    assert np.array_equal(keys // n, want_rows) and np.array_equal(keys % n, want_cols)
+    assert sums.view(np.int64).tolist() == want_sums.view(np.int64).tolist()
 
 
 def test_element_errors_carry_element_id():
