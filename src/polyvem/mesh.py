@@ -60,7 +60,6 @@ def _normalize_element(entry):
     if (
         len(entry) == 2
         and hasattr(entry[0], "__len__")
-        and len(entry[0]) > 0
         and hasattr(entry[1], "__len__")
         and (len(entry[1]) == 0 or hasattr(entry[1][0], "__len__"))
     ):
@@ -154,17 +153,7 @@ def _flat_loops(elements):
     element, and the error that normalising the next entry raised, if one
     did: the entries before it are still checked first."""
     if isinstance(elements, _Loops):
-        ids, sizes, counts = elements
-        empty = np.flatnonzero(sizes[np.cumsum(counts) - counts] == 0)
-        if not empty.size:
-            return ids, sizes, counts, None
-        # an empty outer loop fails as its list entry ([], holes) does
-        counts = counts[:empty[0]]
-        sizes = sizes[:counts.sum()]
-        try:
-            _normalize_element(([], []))
-        except TypeError as err:
-            return ids[:sizes.sum()], sizes, counts, err
+        return (*elements, None)
     if isinstance(elements, np.ndarray) and elements.ndim == 2 and elements.dtype.kind in "iu":
         m, size = elements.shape
         return elements.astype(np.intp).ravel(), np.full(m, size), np.ones(m, np.intp), None
@@ -269,7 +258,7 @@ class PolyMesh:
                 continue
             slots = loop_starts[rows, None] + np.arange(size)
             lids = ids[slots]
-            outside = ((lids < -nv) | (lids >= nv)).any(axis=1)
+            outside = ((lids < 0) | (lids >= nv)).any(axis=1)
             lids[outside] = 0
             pts = v[lids]
             la, lx, ly = loop_measures(pts)
@@ -298,10 +287,10 @@ class PolyMesh:
         slot_starts = loop_starts[facet_loops]
         nvert = np.diff(slot_starts)
         diameters = np.zeros(len(counts))
-        for size in np.unique(nvert):
+        for size in np.unique(nvert[nvert > 0]):  # no loop, no diameter
             rows = np.flatnonzero(nvert == size)
             walks = oriented[slot_starts[rows, None] + np.arange(size)]
-            diameters[rows] = vertex_diameters(v[np.where((walks >= -nv) & (walks < nv), walks, 0)])
+            diameters[rows] = vertex_diameters(v[np.where((walks >= 0) & (walks < nv), walks, 0)])
         with np.errstate(divide="ignore", invalid="ignore"):  # bad elements raise below
             centroids = np.column_stack((mx / area, my / area))
 
@@ -322,8 +311,17 @@ class PolyMesh:
 
     def _lone_element(self, eid, loops):
         """Element eid built on its own, as an element-by-element pass
-        builds it: warnings, then the Facet, whose errors name the
-        element."""
+        builds it: its vertex ids checked, warnings, then the Facet, whose
+        errors name the element."""
+        nv = len(self.vertices)
+        for loop in loops:
+            if not loop:
+                raise InvariantViolation("element %d: empty loop" % eid)
+            outside = [i for i in loop if not 0 <= i < nv]
+            if outside:
+                raise InvariantViolation(
+                    "element %d: vertex id %d out of range [0, %d)" % (eid, outside[0], nv)
+                )
         for i, loop in enumerate(loops):
             s = signed_area(self.vertices[loop])
             if (s > 0) if i else (s < 0):

@@ -8,6 +8,8 @@ the reduced operator stays SPD, which is what the preconditioned CG
 relies on.  The moment dofs couple only within their element, so `solve`
 condenses them out block by block: CG runs on their Schur complement,
 preconditioned by its diagonal plus a coarse correction on the vertices.
+The coarse problem is solved exactly, by a block LDL^T factor of it in
+level-set order, made once per constrained set.
 """
 
 import time
@@ -166,7 +168,7 @@ def apply_dirichlet(system, g):
     return system
 
 
-def jacobi_cg(A, b, tol, maxiter, coarse=None, diag=None):
+def jacobi_cg(A, b, tol, maxiter, coarse=None):
     """Conjugate gradients with diagonal preconditioning, plus a coarse
     correction when `coarse` is given.
 
@@ -178,28 +180,27 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None, diag=None):
     stops at once: converged=False, with the iterations and the recurrence
     residual from before it.
 
-    coarse = (P, Ac) adds P y to the preconditioned residual, where y is
-    an inexact solve of Ac y = P^T r (this function, to 0.1, with P^T as
-    CSR and Ac's diagonal formed once per call).  The preconditioner then
-    varies from step to step, so the step is flexible CG's beta =
-    z+.(r+ - r) / (z.r) (Notay 2000).  diag is `_jacobi_diagonal(A)`, if
-    the caller has it.
+    coarse = (P, Ac) adds P Ac^-1 P^T r to the preconditioned residual,
+    with Ac = P^T A P given as its `LevelFactor` (or as a matrix, which is
+    factored here).  The coarse solve is exact, so the preconditioner is
+    one fixed SPD operator and CG keeps its finite termination.
     """
     n = len(b)
     x = np.zeros(n)
     bnorm = float(np.linalg.norm(b))
     if n == 0 or bnorm == 0.0:
         return x, 0, 0.0, True
-    if diag is None:
-        diag = _jacobi_diagonal(A)
+    diag = A.diagonal().copy()
+    diag[diag == 0.0] = 1.0
     if coarse is not None:
         P, Ac = coarse
-        Pt, Ac_diag = P.T.tocsr(), _jacobi_diagonal(Ac)
+        Pt = P.T
+        factor = Ac if isinstance(Ac, LevelFactor) else LevelFactor(Ac)
 
     def precondition(r):
         z = r / diag
         if coarse is not None:
-            z += P @ jacobi_cg(Ac, Pt @ r, 0.1, maxiter, diag=Ac_diag)[0]
+            z += P @ factor.solve(Pt @ r)
         return z
 
     r = b.copy()
@@ -214,7 +215,7 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None, diag=None):
             return x, it - 1, residual, False
         alpha = rz / pq
         x += alpha * p
-        r_prev, r = r, r - alpha * q
+        r = r - alpha * q
         residual = float(np.linalg.norm(r)) / bnorm
         if residual <= tol or it == maxiter:
             r = b - A @ x
@@ -224,17 +225,101 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None, diag=None):
             p[:] = 0.0  # the next direction is the preconditioned r alone
         z = precondition(r)
         rz_next = float(r @ z)
-        beta = rz_next if coarse is None else rz_next - float(r_prev @ z)
-        p = z + (beta / rz) * p
+        p = z + (rz_next / rz) * p
         rz = rz_next
     return x, maxiter, residual, False
 
 
-def _jacobi_diagonal(A):
-    """A's diagonal, zeros replaced by ones: what jacobi_cg divides by."""
-    diag = A.diagonal().copy()
-    diag[diag == 0.0] = 1.0
-    return diag
+def _level_sets(indptr, indices):
+    """(order, bounds): the unknowns of a CSR graph level by level.
+
+    A breadth-first search seeded at the lowest unnumbered unknown of each
+    connected component; each level is the ascending unnumbered
+    neighbours of the one before, and level i is order[bounds[i]:
+    bounds[i + 1]].  An edge then joins only the same or adjacent levels
+    (George and Liu 1981, ch. 4).
+    """
+    n = len(indptr) - 1
+    seen = np.zeros(n, dtype=bool)
+    order, bounds = [np.empty(0, dtype=np.intp)], [0]
+    frontier = order[0]
+    while bounds[-1] < n:
+        if not len(frontier):  # the next connected component
+            frontier = np.flatnonzero(~seen)[:1]
+        seen[frontier] = True
+        order.append(frontier)
+        bounds.append(bounds[-1] + len(frontier))
+        starts, counts = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        near = indices[np.arange(len(shift)) + shift]
+        frontier = np.unique(near[~seen[near]])
+    return np.concatenate(order), np.asarray(bounds)
+
+
+class LevelFactor:
+    """Exact block LDL^T factor of a sparse SPD matrix A in level-set order.
+
+    Ordered by `_level_sets` of its own graph, A is block tridiagonal:
+    diagonal blocks A_i and, below them, C_i coupling level i to level
+    i - 1.  The factor keeps Dinv_i = (A_i - E_i C_i^T)^-1 and E_i =
+    C_i Dinv_{i-1}, built from blocks gathered out of the CSR entries, so
+    A is never dense.  `solve` is one forward and one backward sweep, two
+    small dense products per level.  A singular or non-finite level block
+    makes the factor NaN.
+    """
+
+    def __init__(self, A):
+        A = sp.csr_matrix(A)
+        self.order, bounds = _level_sets(A.indptr, A.indices)
+        widths = np.diff(bounds)
+        position = np.empty(len(self.order), dtype=np.intp)
+        position[self.order] = np.arange(len(self.order))
+        rows = position[np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
+        cols = position[A.indices]
+        level = np.repeat(np.arange(len(widths)), widths)  # of each position
+        local = np.arange(len(level)) - bounds[level]  # within its level
+        lr, lc = level[rows], level[cols]
+
+        def gather(pick, sizes):
+            """The blocks (lr, lc) that `pick` selects, one per row level,
+            sizes[i] entries each, flat and row-major."""
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            flat = np.zeros(offsets[-1])
+            at = offsets[lr[pick]] + local[rows[pick]] * widths[lc[pick]] + local[cols[pick]]
+            np.add.at(flat, at, A.data[pick])
+            return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+        diagonal = gather(lc == lr, widths**2)
+        below = gather(lc == lr - 1, widths * np.r_[0, widths[:-1]])
+        Dinv, E = [], []
+        for i, w in enumerate(widths):
+            D = diagonal[i].reshape(w, w)
+            if i:
+                C = below[i].reshape(w, widths[i - 1])
+                E.append(C @ Dinv[-1])
+                D = D - E[-1] @ C.T
+            try:
+                Dinv.append(np.linalg.inv(D))
+            except np.linalg.LinAlgError:  # singular or not finite
+                Dinv.append(np.full(D.shape, np.nan))
+        self.levels = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[2:])] + self.levels[-1:]
+        # the backward sweep's row of level i, [Dinv_i, -E_{i+1}^T], and
+        # -E_i as a view of the row above it
+        self.backward = [np.hstack([d, -e.T]) for d, e in zip(Dinv, E)] + Dinv[-1:]
+        self.forward = [row[:, len(row) :].T for row in self.backward[:-1]]
+
+    def solve(self, b):
+        """A^-1 b."""
+        y = b[self.order]
+        s = self.levels
+        for i, L in enumerate(self.forward):  # y_i -= E_i y_{i-1}
+            y[s[i + 1]] += L @ y[s[i]]
+        for i in range(len(s) - 1, -1, -1):  # x_i = Dinv_i y_i - E_{i+1}^T x_{i+1}
+            y[s[i]] = self.backward[i] @ y[self.spans[i]]
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
 
 
 # perfbench/tracing.py times this entry as the solve on S (`system.cg`)
@@ -271,8 +356,8 @@ def _condensed(system):
     M = A_mm^-1 is one batched inverse of the (elements, nm, nm) diagonal
     blocks; a constrained moment's row and column are the identity's there
     and zero in M.  A singular or non-finite block makes M NaN: CG breaks
-    down.  coarse is (P, P^T S P) for `jacobi_cg`, with P from
-    `_coarse_space`, or None at k = 1.
+    down.  coarse is (P, the `LevelFactor` of P^T S P) for `jacobi_cg`,
+    with P from `_coarse_space`, or None at k = 1.
     """
     ids = system.constrained_ids
     key = np.asarray([] if ids is None else ids, dtype=np.intp).tobytes()
@@ -298,7 +383,7 @@ def _condensed(system):
         A_bm_M = A_bm @ M
         S = A_inner[:, inner] - A_bm_M @ A_bm.T
         P = _coarse_space(system, inner)
-        coarse = None if P is None else (P, (P.T @ (S @ P)).tocsr())
+        coarse = None if P is None else (P, LevelFactor(P.T @ (S @ P)))
         system.condensed = (key, S, A_bm, M, A_bm_M, coarse)
     return system.condensed[1:]
 

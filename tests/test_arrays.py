@@ -52,6 +52,13 @@ def reference_build(vertices, elements):
     out, facets = [], []
     for eid, entry in enumerate(elements):
         outer, holes = _normalize_element(entry)
+        for loop in [outer] + holes:
+            if not loop:
+                raise InvariantViolation("element %d: empty loop" % eid)
+            for i in loop:
+                if not 0 <= i < len(vertices):
+                    raise InvariantViolation("element %d: vertex id %d out of range [0, %d)"
+                                             % (eid, i, len(vertices)))
         if signed_area(vertices[outer]) < 0:
             warnings.warn("element %d: outer loop was clockwise, reversing" % eid,
                           OrientationWarning)
@@ -249,7 +256,7 @@ def inject(kind, verts, elements, eid, rng):
     if kind == "repeated vertex":
         loop.insert(i, loop[i])
     elif kind == "zero-length edge":
-        loop.insert(i + 1, loop[i] - n)  # another id of the same vertex
+        loop.insert(i + 1, loop[i] - n)  # numpy's other index of the vertex: out of range
     elif kind == "collinear loop":
         loop = [loop[i], loop[(i + 1) % len(loop)], n]
         extra = [2.0 * b - a]
@@ -309,7 +316,7 @@ def test_out_of_range_id_raises_after_earlier_warnings():
     elements = [[0, 3, 2, 1], [1, 4, 5, 2], ([1, 4, 9, 2], []), [5, 4, 1, 2]]
     _, error, caught = outcome(PolyMesh, verts, elements)
     _, ref_error, ref_caught = outcome(reference_build, verts, elements)
-    assert error == ref_error and error[0] is IndexError
+    assert error == ref_error and error[0] is InvariantViolation
     assert caught == ref_caught and len(caught) == 1
 
 

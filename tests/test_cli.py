@@ -145,8 +145,8 @@ def test_dump_matrices(tmp_path, monkeypatch):
 
 # sha256 of the files these runs write.  The element matrices were recorded
 # when H, G and D's moment rows moved to boundary integrals; the solutions
-# (out.vtk, err.csv and the convergence table) when CG on the condensed
-# system gained its vertex coarse space.
+# (out.vtk, err.csv and the convergence table) when the vertex coarse
+# space of CG on the condensed system came to be solved exactly.
 #
 # Re-recording: a change that alters the arithmetic on purpose (a new
 # summation order, quadrature or solver) records new digests here and in
@@ -157,19 +157,19 @@ def test_dump_matrices(tmp_path, monkeypatch):
 # other change of a digest is a defect.
 SOLVE_SHA256 = {
     "distortedQuads": {
-        "out.vtk": "abcee1645e9f0d585299c6fce0eaf03145d10d7ed9f2cc922026e83fa8a0dfb8",
-        "err.csv": "5020cfca969c4c340d4d0e7b6752f3a66580c96573ec8bb9ee3f286411d035e3",
+        "out.vtk": "cba764d06c20b0cdd4b5945350d0ab1ac07cb8116dc3bab66b0ba1bb7797a4bd",
+        "err.csv": "f714041dbab26fd2c024176a0304fc6fc21e5a67922f4cf76c8da60168ab5ae4",
         "matrices_element5.csv":
             "a8d5063a0594ad71aacf10514faa82fee5e08985ba74435e292a1dde4f4f6042",
     },
     "holed": {
-        "out.vtk": "6182d37b845642e2bb7c5108be7c9cf2b2b73f41f63813a93a63e132c26874e9",
-        "err.csv": "0e761d4689aa878e36250c1e44a380259d067af14055a535777bd9f0500b8aad",
+        "out.vtk": "3e997f03776c4f02f36057e569aa3376911873de8c11861bbbb19923d5b61ab1",
+        "err.csv": "2ada569ba5b98184cc40cca0e8ccca9ea60526620cf6c66c8e5b8fdfeb6eac67",
         "matrices_element0.csv":
             "d85f232a6846db30ec68c7f77a3b83162ee79d6fa3fdae3180fc5be115f95252",
     },
 }
-CONVERGENCE_SHA256 = "9f69f600477c82669ad142ff2a1c0a8e634723f3aea3b0fa402aded19955910a"
+CONVERGENCE_SHA256 = "b6d4032b532c623b969768e355d4c582723a2ab3b1db5d919a6065fee990e797"
 
 
 def sha256(path):

@@ -14,11 +14,13 @@ from polyvem.errors import (
     OverlapDetected,
     ParseError,
 )
+from polyvem import cli
 from polyvem import mesh as mesh_module
 from polyvem.geometry import OrientationWarning
 from polyvem.localmat import Element, ElementGroup, ElementMatrixCache
 from polyvem.mesh import (
     DUPLICATE_TOL,
+    _Loops,
     CutLine,
     PolyMesh,
     build_global_dofs,
@@ -117,6 +119,46 @@ def test_same_direction_sharing_rejected():
     verts = np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1]])
     with pytest.raises(InvariantViolation):
         PolyMesh(verts, [[0, 1, 2, 3], [0, 1, 2, 3]])
+
+
+def loops_of(elements):
+    """The flat loop arrays that read_mesh and cut_mesh hand to PolyMesh."""
+    loops = [loop for outer, holes in elements for loop in [outer] + holes]
+    return _Loops(
+        np.array([i for loop in loops for i in loop], dtype=np.intp),
+        np.array([len(loop) for loop in loops], dtype=np.intp),
+        np.array([1 + len(holes) for _, holes in elements], dtype=np.intp),
+    )
+
+
+@pytest.mark.parametrize("path", ["list", "array"])
+@pytest.mark.parametrize(
+    "loops, message",
+    [
+        (([4, 5, 6], []), "element 1: vertex id 4 out of range \\[0, 4\\)$"),
+        (([-4, -3, -2, -1], []), "element 1: vertex id -4 out of range \\[0, 4\\)$"),
+        (([0, 1, 2], [[3, 2, -1]]), "element 1: vertex id -1 out of range"),
+        (([], []), "element 1: empty loop$"),
+        (([0, 1, 2], [[]]), "element 1: empty loop$"),
+    ],
+    ids=["too-high", "negative", "negative-in-hole", "empty-outer", "empty-hole"],
+)
+def test_bad_vertex_ids_and_empty_loops_rejected(path, loops, message):
+    # element 0 is fine; element 1 names what is wrong with it, where numpy
+    # indexing would wrap a negative id and fail on a high one
+    verts = np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1]])
+    elements = [([0, 1, 2], []), loops]
+    with pytest.raises(InvariantViolation, match=message):
+        PolyMesh(verts, elements if path == "list" else loops_of(elements))
+
+
+def test_empty_loop_in_file_exits_1(tmp_path, capsys):
+    p = tmp_path / "empty.poly2d"
+    p.write_text("poly2d 1\n3\n0 0\n1 0\n0 1\n1\n1\n0\n")
+    with pytest.raises(InvariantViolation, match="element 0: empty loop"):
+        read_mesh(p)
+    assert cli.main(["mesh", "info", str(p)]) == 1
+    assert capsys.readouterr().err == "error: element 0: empty loop\n"
 
 
 def test_holed_mesh_is_conforming():

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from polyvem import localmat
 from polyvem.errors import DegenerateCut, SingularG, SingularH
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
-from polyvem.mesh import PolyMesh, CutLine, build_global_dofs, cut_mesh, gen_structured
+from polyvem.mesh import (
+    PolyMesh,
+    CutLine,
+    build_global_dofs,
+    cut_mesh,
+    gen_structured,
+    merge_meshes,
+)
 from polyvem.system import (
     _condensed,
     _reduce_triplets,
@@ -25,6 +32,7 @@ from polyvem.system import (
     solve,
 )
 from test_acceptance import holed_mesh
+from test_arrays import quads_on
 
 
 def pentagon_mesh():
@@ -317,19 +325,24 @@ def hat_coarse_space(A, width):
     return P, (P.T @ (A @ P)).tocsr()
 
 
-@pytest.mark.parametrize("two_level", [False, True], ids=["jacobi", "two-level"])
-def test_cg_restarts_from_the_true_residual(two_level):
+@pytest.mark.parametrize(
+    "two_level, tol, products",
+    [(False, 1e-13, 103), (True, 5e-14, 38)],
+    ids=["jacobi", "two-level"],
+)
+def test_cg_restarts_from_the_true_residual(two_level, tol, products):
     # the recurrence residual meets tol once while b - A x does not: one
     # product more checks it, CG restarts from it, and one more at the
-    # real stop
+    # real stop.  With the exact coarse solve b - A x levels off at about
+    # 9e-14, so that case needs a tol below it.
     n = 100
     A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     b = np.random.default_rng(0).standard_normal(n)
     op = CountingOperator(A)
     coarse = hat_coarse_space(A, 4) if two_level else None
-    x, it, res, ok = jacobi_cg(op, b, 1e-13, 10 * n, coarse)
-    assert ok and op.products == it + 2 == (41 if two_level else 103)
-    assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= 1e-13
+    x, it, res, ok = jacobi_cg(op, b, tol, 10 * n, coarse)
+    assert ok and op.products == it + 2 == products
+    assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= tol
 
 
 def test_benchmark_tracer_resolves_every_name(monkeypatch):
@@ -481,6 +494,63 @@ def test_coarse_space_interpolates_linears_exactly(n, k, cut, coeffs, line):
     inner = free[free < sys_.dofmap.moment_offset]
     P_free, _ = _condensed(sys_)[-1]
     assert (P_free != P[inner][:, inner[inner < mesh.num_vertices]]).nnz == 0
+
+
+def components(A):
+    """The number of connected components of A's graph."""
+    reach = (A.toarray() != 0) | np.eye(A.shape[0], dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            return len({row.tobytes() for row in reach})
+        reach = wider
+
+
+@pytest.mark.parametrize("kind", ["cut", "merged", "two components", "no free vertex"])
+@given(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    mesh = gen_structured("distortedQuads", n)
+    if kind == "cut":
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a snapping cut is still a mesh
+                mesh = cut_mesh(mesh, CutLine(*rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 0.8)))
+        except DegenerateCut:
+            assume(False)
+    elif kind == "merged":  # hanging nodes along x = 1
+        mesh = merge_meshes(mesh, quads_on(1.0, 1.5, 0.0, 1.0, n + 1, rng))
+    sys_ = assemble(mesh, k, lambda x, y: np.ones_like(x))
+    apply_dirichlet(sys_, lambda x, y: np.zeros_like(x))
+    if kind == "two components":  # the middle column of vertices held too
+        assume(n >= 4)
+        middle = n // 2 + (n + 1) * np.arange(n + 1)
+        sys_.constrained_ids = np.union1d(sys_.constrained_ids, middle)
+        sys_.constrained_values = np.zeros(len(sys_.constrained_ids))
+    elif kind == "no free vertex":
+        sys_.constrained_ids = np.union1d(sys_.constrained_ids, np.arange(mesh.num_vertices))
+        sys_.constrained_values = np.zeros(len(sys_.constrained_ids))
+    S, *_, (P, factor) = _condensed(sys_)
+    Ac = (P.T @ (S @ P)).tocsr()
+    if kind in ("two components", "no free vertex"):
+        assert components(Ac) == (2 if kind == "two components" else 0)
+    b = rng.standard_normal(Ac.shape[0])
+    y = factor.solve(b)
+    assert y.shape == b.shape
+    assert np.linalg.norm(Ac @ y - b) <= 1e-12 * np.linalg.norm(b)
+    x, rep = solve(sys_)
+    assert rep.converged
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_two_level_cg_terminates_within_the_unknowns(k):
+    # with an exact coarse solve the preconditioner is one SPD operator,
+    # so CG on S ends within as many iterations as S has unknowns
+    sys_ = sine_problem(holed_mesh(), k)
+    S = _condensed(sys_)[0]
+    x, rep = solve(sys_)
+    assert rep.converged and rep.iterations <= S.shape[0]
 
 
 def test_two_level_iterations_do_not_grow_with_refinement():
