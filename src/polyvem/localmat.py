@@ -23,6 +23,11 @@ elementwise operations, one BLAS or LAPACK call per member and scatters in
 the per-edge order round as for a member alone, so a matrix has the same
 bits in any group.
 
+H and G are checked against COND_LIMIT before use (`_ill_conditioned`):
+a bound from one batched inverse clears the well-conditioned members, and
+only the others take an SVD, so each `SingularH`/`SingularG` decision is
+the one `np.linalg.cond` makes.
+
 Matrices are requested by tag through `find_or_compute`, which walks the
 dependency graph and memoizes per group and per element, so a stiffness
 request performs each intermediate computation once.
@@ -424,9 +429,35 @@ def _compute_d(group, cache):
     return D
 
 
+def _ill_conditioned(M):
+    """np.linalg.cond(M) > COND_LIMIT for each of the stacked matrices M,
+    with an SVD only where a cheaper bound cannot decide.
+
+    cond_2(M) <= |M|_F |M^-1|_F, from one batched inverse, clears a member
+    whose bound is at most COND_LIMIT / 100: the margin covers the rounding
+    of the inverse and of the SVD's own figure, which at a condition of
+    1e10 are about 1e-6 relative.  The other members (a NaN or overflowed
+    bound among them) get the exact test, and all of them do if the
+    inverse raises.  A Cholesky test would not serve: G is not symmetric,
+    and any other test moves the line between the elements that raise and
+    those that do not.
+    """
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # exactly singular somewhere
+        return np.linalg.cond(M) > COND_LIMIT
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.sqrt(np.einsum("mij,mij->m", M, M) * np.einsum("mij,mij->m", inv, inv))
+    unclear = ~(bound <= COND_LIMIT / 100)
+    out = np.zeros(len(M), dtype=bool)
+    if unclear.any():
+        out[unclear] = np.linalg.cond(M[unclear]) > COND_LIMIT
+    return out
+
+
 def _compute_h(group, cache):
     H = group.mass()
-    if (np.linalg.cond(H) > COND_LIMIT).any():
+    if _ill_conditioned(H).any():
         raise SingularH(
             "monomial mass matrix is numerically singular; the element "
             "geometry is too degenerate for this order"
@@ -471,7 +502,7 @@ def _compute_b(group, cache):
 def _compute_pi_grad_star(group, cache):
     G = cache.get(MatrixTag.G)
     B = cache.get(MatrixTag.B)
-    if (np.linalg.cond(G) > COND_LIMIT).any():
+    if _ill_conditioned(G).any():
         raise SingularG("projector Gram matrix is numerically singular")
     try:
         return np.linalg.solve(G, B)

@@ -9,6 +9,7 @@ quadrature.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,21 @@ def basis_exponents(k):
         for ey in range(d + 1):
             out.append((d - ey, ey))
     return out
+
+
+@lru_cache(maxsize=None)
+def derivative_tables(k):
+    """(Dx, Dy), each (basis_size(k - 1), basis_size(k)): column a holds
+    the coefficients of h d/dx and h d/dy of member a of the degree-k
+    basis in the degree k - 1 basis, as d/dx X^ex Y^ey = (ex / h)
+    X^(ex-1) Y^ey.  The entries are exponents, so the tables are exact."""
+    tables = np.zeros((2, basis_size(k - 1), basis_size(k)))
+    for col, (ex, ey) in enumerate(basis_exponents(k)):
+        if ex:
+            tables[0, basis_index(ex - 1, ey), col] = ex
+        if ey:
+            tables[1, basis_index(ex, ey - 1), col] = ey
+    return tables[0], tables[1]
 
 
 @dataclass(frozen=True)

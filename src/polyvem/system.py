@@ -1,15 +1,20 @@
 """Global assembly, Dirichlet elimination, iterative solve, error norms.
 
-Assembly accumulates element triplets through one lexicographic sort and a
+Assembly accumulates element triplets through one stable sort of their
+keys row * n + col, a sort of the values of every key with more than one
+(the keys of one run length at once, as the rows of an array) and a
 grouped reduction, so the matrix is bit-identical no matter how elements
-are ordered or parallelized upstream.  Dirichlet conditions are applied by
-symmetric elimination: constrained columns move to the right-hand side and
-the reduced operator stays SPD, which is what the preconditioned CG
-relies on.  The moment dofs couple only within their element, so `solve`
+are ordered or parallelized upstream; the sorted keys are already in CSR
+order, so the matrix is built from them directly.  Dirichlet conditions
+are applied by symmetric elimination: constrained columns move to the
+right-hand side and the reduced operator stays SPD, which is what the
+preconditioned CG relies on.  The moment dofs couple only within their element, so `solve`
 condenses them out block by block: CG runs on their Schur complement,
 preconditioned by its diagonal plus a coarse correction on the vertices.
 The coarse problem is solved exactly, by a block LDL^T factor of it in
-level-set order, made once per constrained set.
+level-set order, made once per constrained set.  The error norms read
+the gradient of each element's projection off the basis value table that
+its value uses, through a constant table of monomial derivatives.
 """
 
 import time
@@ -28,7 +33,7 @@ from .localmat import (
     sample,
 )
 from .mesh import build_global_dofs
-from .monomials import basis_size
+from .monomials import basis_size, derivative_tables
 from .quadrature import gauss_lobatto_1d
 
 
@@ -114,14 +119,15 @@ def _reduce_triplets(keys, vals):
     """The distinct keys in order, each with the sum of its values taken
     in ascending order (ties in input order), so the order of the triplets
     cannot change a bit of the result.  One stable sort groups the keys;
-    only the keys with two or more values have them sorted."""
+    then the runs of each length L >= 2 have their values sorted as the
+    rows of one (runs, L) array."""
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
-    fresh = np.r_[True, keys[1:] != keys[:-1]]
-    starts = np.flatnonzero(fresh)
-    segment = np.cumsum(fresh) - 1
-    shared = np.flatnonzero(np.diff(np.r_[starts, len(keys)])[segment] > 1)
-    vals[shared] = vals[shared[np.lexsort((vals[shared], segment[shared]))]]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    lengths = np.diff(np.r_[starts, len(keys)])
+    for length in (np.flatnonzero(np.bincount(lengths)[2:]) + 2).tolist():
+        rows = starts[lengths == length][:, None] + np.arange(length)
+        vals[rows] = np.sort(vals[rows], axis=1, kind="stable")
     return keys[starts], np.add.reduceat(vals, starts)
 
 
@@ -147,10 +153,11 @@ def assemble(mesh, k, f=None):
             owners.append(np.repeat(ids, g.shape[1]))
             targets.append(g.ravel())
             loads.append(be.ravel())
-    keys = np.concatenate(keys)
-    vals = np.concatenate(vals)
-    keys, summed = _reduce_triplets(keys, vals)
-    A = sp.csr_matrix((summed, (keys // n, keys % n)), shape=(n, n))
+    keys, summed = _reduce_triplets(np.concatenate(keys), np.concatenate(vals))
+    # the keys are the sorted distinct row * n + col: CSR order already
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    A = sp.csr_matrix((summed, keys % n, indptr), shape=(n, n))
+    A.has_canonical_format = True
     b = np.zeros(n)
     if f is not None:
         # the load adds up element by element in id order
@@ -450,9 +457,15 @@ def error_norms(mesh, k, solution, u_exact, grad_exact):
 
     The discrete function is replaced element-wise by its energy
     projection onto polynomials, which is the computable representative.
+    Its gradient is a polynomial of degree k - 1, whose coefficients come
+    from a constant derivative table, so the values of the first
+    basis_size(k - 1) monomials (the graded order puts them first) serve
+    both norms.
     """
     dofmap, _, groups = discretisation(mesh, k)
     squares = np.empty((mesh.num_elements, 2))
+    Dx, Dy = derivative_tables(k)
+    low = basis_size(k - 1)
 
     def work(ids, group):
         PiS = find_or_compute(group.cache, group, MatrixTag.PI_GRAD_STAR)
@@ -460,12 +473,13 @@ def error_norms(mesh, k, solution, u_exact, grad_exact):
         coeff = PiS @ solution[dofmap.maps(ids)][..., None]
         xq, yq = rule.points.reshape(-1, 2).T
         w = rule.weights.ravel()
-        uh = (group.values(2 * k + 2) @ coeff).ravel()
+        V = group.values(2 * k + 2)
+        uh = (V @ coeff).ravel()
         du = uh - np.asarray(u_exact(xq, yq), dtype=float)
-        gx, gy = group.basis.grad(rule.points, group.frame)
+        h = group.frame[2][..., None]
         gex, gey = grad_exact(xq, yq)
-        dgx = (gx @ coeff).ravel() - np.asarray(gex, dtype=float)
-        dgy = (gy @ coeff).ravel() - np.asarray(gey, dtype=float)
+        dgx = (V[..., :low] @ (Dx @ coeff / h)).ravel() - np.asarray(gex, dtype=float)
+        dgy = (V[..., :low] @ (Dy @ coeff / h)).ravel() - np.asarray(gey, dtype=float)
         squares[ids, 0] = (w * du * du).reshape(len(ids), -1).sum(axis=1)
         squares[ids, 1] = (w * (dgx * dgx + dgy * dgy)).reshape(len(ids), -1).sum(axis=1)
 

@@ -144,9 +144,10 @@ def test_dump_matrices(tmp_path, monkeypatch):
 
 
 # sha256 of the files these runs write.  The element matrices were recorded
-# when H, G and D's moment rows moved to boundary integrals; the solutions
-# (out.vtk, err.csv and the convergence table) when the vertex coarse
-# space of CG on the condensed system came to be solved exactly.
+# when H, G and D's moment rows moved to boundary integrals; out.vtk when
+# the vertex coarse space of CG on the condensed system came to be solved
+# exactly; err.csv and the convergence table when the error norms came to
+# take the gradient of the projection from the basis value table.
 #
 # Re-recording: a change that alters the arithmetic on purpose (a new
 # summation order, quadrature or solver) records new digests here and in
@@ -158,18 +159,18 @@ def test_dump_matrices(tmp_path, monkeypatch):
 SOLVE_SHA256 = {
     "distortedQuads": {
         "out.vtk": "cba764d06c20b0cdd4b5945350d0ab1ac07cb8116dc3bab66b0ba1bb7797a4bd",
-        "err.csv": "f714041dbab26fd2c024176a0304fc6fc21e5a67922f4cf76c8da60168ab5ae4",
+        "err.csv": "bad93c5b83baa8b83df441bfc39b73e29f1cab4e3bc766e02158de5ae486ac2b",
         "matrices_element5.csv":
             "a8d5063a0594ad71aacf10514faa82fee5e08985ba74435e292a1dde4f4f6042",
     },
     "holed": {
         "out.vtk": "3e997f03776c4f02f36057e569aa3376911873de8c11861bbbb19923d5b61ab1",
-        "err.csv": "2ada569ba5b98184cc40cca0e8ccca9ea60526620cf6c66c8e5b8fdfeb6eac67",
+        "err.csv": "0dcc5e6e5c50887cf55e69acadc16de05a70499475af83971312a9da43c6286e",
         "matrices_element0.csv":
             "d85f232a6846db30ec68c7f77a3b83162ee79d6fa3fdae3180fc5be115f95252",
     },
 }
-CONVERGENCE_SHA256 = "b6d4032b532c623b969768e355d4c582723a2ab3b1db5d919a6065fee990e797"
+CONVERGENCE_SHA256 = "2646e47a1e07b16941635ba6b272e56db91c9f5436aa169f6e8148ac9e32493e"
 
 
 def sha256(path):

@@ -1,11 +1,14 @@
 """Element matrices: dual-route checks against boundary-integral oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyvem import localmat
 from polyvem.errors import SingularG, SingularH
 from polyvem.geometry import Facet
 from polyvem.localmat import (
@@ -371,6 +374,75 @@ def test_load_vector_pairs_exactly_with_low_order_monomials():
         assert got == pytest.approx(exact, rel=1e-11, abs=1e-13)
 
 
+# -- conditioning gate -----------------------------------------------------
+
+
+def gate_member(size, kind, exponent, scale, seed):
+    """A (size, size) matrix: of condition about 10**exponent ("graded"),
+    exactly singular, or holding a NaN or an inf; times 10**scale."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    q2, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    M = (q1 * np.logspace(0.0, -exponent, size)) @ q2
+    if kind == "repeated row":
+        M[-1] = M[0]
+    elif kind == "zero row":
+        M[rng.integers(size)] = 0.0
+    elif kind in ("nan", "inf"):
+        M[tuple(rng.integers(size, size=2))] = np.nan if kind == "nan" else np.inf
+    return M * 10.0**scale
+
+
+def gate_outcome(test, M):
+    try:
+        return test(M).tolist()
+    except np.linalg.LinAlgError as err:
+        return "LinAlgError: %s" % err
+
+
+@given(
+    st.sampled_from([3, 6, 10, 15]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["graded"] * 4 + ["repeated row", "zero row", "nan", "inf"]),
+            st.one_of(st.floats(0.0, 8.0), st.floats(9.0, 15.0)),
+            st.sampled_from([0, 0, -8, 8, -150, 150, -170, 170]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([COND_LIMIT, np.inf]),
+)
+@settings(max_examples=300, deadline=None)
+def test_conditioning_gate_decides_as_the_svd(size, members, limit):
+    # the bound clears members with cond <= COND_LIMIT / 100; the rest,
+    # and every member if the inverse fails, take np.linalg.cond itself
+    M = np.stack([gate_member(size, *member) for member in members])
+    with mock.patch.object(localmat, "COND_LIMIT", limit):
+        got = gate_outcome(localmat._ill_conditioned, M)
+    assert got == gate_outcome(lambda M: np.linalg.cond(M) > limit, M)
+
+
+def test_benchmarked_path_takes_no_svd(monkeypatch):
+    # distortedQuads elements are well inside COND_LIMIT: the bound clears
+    # every member of H and G, so no exact condition number is needed
+    calls = []
+    for name in ("cond", "svd"):
+        def counted(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    mesh = gen_structured("distortedQuads", 8)
+    sys_ = assemble(mesh, 3, sine_source)
+    u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+    error_norms(mesh, 3, np.cos(np.arange(sys_.num_dofs)), u, grad)
+    assert calls == []
+
+
 # -- oracle: the element-by-element kernel ---------------------------------
 #
 # The per-element implementation the group kernel replaced, on triangulated
@@ -676,7 +748,9 @@ def test_group_kernel_matches_element_oracle_within_tolerance(k):
             assert dev <= 1e-13, (eid, tag, dev)
 
 
-@pytest.mark.parametrize("case", ["distortedQuads", "holed"])
+@pytest.mark.parametrize(
+    "case", ["distortedQuads", "holed", "pinched", "triangles", "merged", "cut"]
+)
 def test_assembly_matches_element_loop_within_tolerance(case):
     mesh = gen_structured("distortedQuads", 8) if case == "distortedQuads" else zoo_meshes()[case]
     u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)

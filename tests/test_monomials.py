@@ -9,6 +9,7 @@ from polyvem.monomials import (
     basis_exponents,
     basis_index,
     basis_size,
+    derivative_tables,
     laplacian_terms,
 )
 
@@ -156,6 +157,21 @@ class TestBasisEvaluation:
         vym = basis.eval(pts - [0.0, eps], frame)
         assert np.allclose(gx, (vxp - vxm) / (2 * eps), rtol=1e-6, atol=1e-7)
         assert np.allclose(gy, (vyp - vym) / (2 * eps), rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_derivative_tables_give_the_gradient(self, k):
+        # the low basis_size(k - 1) columns of the degree-k values, times
+        # the derivative coefficients over h, are the gradient
+        rng = np.random.default_rng(k)
+        basis = MonomialBasis(k)
+        frame = (0.3, -0.2, 1.7)
+        pts = rng.uniform(-1.0, 1.0, (12, 2))
+        c = rng.standard_normal(basis.size)
+        Dx, Dy = derivative_tables(k)
+        low = basis.eval(pts, frame)[:, : basis_size(k - 1)]
+        gx, gy = basis.grad(pts, frame)
+        assert np.allclose(low @ (Dx @ c) / frame[2], gx @ c, rtol=0.0, atol=1e-13)
+        assert np.allclose(low @ (Dy @ c) / frame[2], gy @ c, rtol=0.0, atol=1e-13)
 
     def test_constant_column(self):
         basis = MonomialBasis(2)

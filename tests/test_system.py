@@ -1,17 +1,18 @@
 """Assembly, boundary conditions, the CG solver and error norms."""
 
 import gc
+import re
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyvem import localmat
-from polyvem.errors import DegenerateCut, SingularG, SingularH
+from polyvem.errors import DegenerateCut, PolyVemError, SingularG, SingularH
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
 from polyvem.mesh import (
     PolyMesh,
@@ -464,6 +465,35 @@ def test_singular_moment_block_reports_nonconvergence():
     assert not rep.converged
 
 
+def assemble_cut(mesh, k, f=None):
+    """assemble(mesh, k, f) of a cut mesh, or the draw rejected: a cut may
+    leave a sliver that no space of order k can use, and assembly then
+    raises an error that names it."""
+    try:
+        return assemble(mesh, k, f)
+    except PolyVemError as err:
+        assert re.match(r"element \d+: ", str(err)), err
+        assume(False)
+
+
+# a*x + b*y = c 1e-7 from the middle vertex (0.5, 0.5) of distortedQuads:2
+SLIVER_LINE = (1.0, 0.3, 0.65 + 1e-7)
+
+
+def test_sliver_cuts_fail_naming_their_element():
+    # the cut of `test_coarse_factor_solves_the_coarse_problem` at n = 3,
+    # seed = 8601: cond(H) of element 6 is about 4e12
+    rng = np.random.default_rng(8601)
+    line = CutLine(*rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 0.8))
+    mesh = cut_mesh(gen_structured("distortedQuads", 3), line)
+    with pytest.raises(SingularH, match="^element 6: "):
+        assemble(mesh, 3, lambda x, y: np.ones_like(x))
+    # without a load only G is tested, and fails
+    mesh = cut_mesh(gen_structured("distortedQuads", 2), CutLine(*SLIVER_LINE))
+    with pytest.raises(SingularG, match="^element 6: "):
+        assemble(mesh, 2)
+
+
 @given(
     st.integers(2, 6),
     st.sampled_from([2, 3]),
@@ -471,6 +501,7 @@ def test_singular_moment_block_reports_nonconvergence():
     st.tuples(*[st.floats(-2.0, 2.0)] * 3),
     st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.2, 0.8)),
 )
+@example(2, 2, True, (0.0, 1.0, 1.0), SLIVER_LINE)
 @settings(max_examples=30, deadline=None)
 def test_coarse_space_interpolates_linears_exactly(n, k, cut, coeffs, line):
     mesh = gen_structured("distortedQuads", n)
@@ -483,7 +514,7 @@ def test_coarse_space_interpolates_linears_exactly(n, k, cut, coeffs, line):
         except DegenerateCut:
             assume(False)
     # unconstrained, P maps every vertex onto every skeleton dof
-    sys_ = assemble(mesh, k)
+    sys_ = assemble_cut(mesh, k) if cut else assemble(mesh, k)
     P, _ = _condensed(sys_)[-1]
     points = sys_.dofmap.dof_points[: sys_.dofmap.moment_offset]
     u = coeffs[0] + coeffs[1] * points[:, 0] + coeffs[2] * points[:, 1]
@@ -508,6 +539,7 @@ def components(A):
 
 @pytest.mark.parametrize("kind", ["cut", "merged", "two components", "no free vertex"])
 @given(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+@example(3, 3, 8601)  # the cut leaves a sliver: its H is singular
 @settings(max_examples=10, deadline=None)
 def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
     rng = np.random.default_rng(seed)
@@ -521,7 +553,8 @@ def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
             assume(False)
     elif kind == "merged":  # hanging nodes along x = 1
         mesh = merge_meshes(mesh, quads_on(1.0, 1.5, 0.0, 1.0, n + 1, rng))
-    sys_ = assemble(mesh, k, lambda x, y: np.ones_like(x))
+    f = lambda x, y: np.ones_like(x)
+    sys_ = assemble_cut(mesh, k, f) if kind == "cut" else assemble(mesh, k, f)
     apply_dirichlet(sys_, lambda x, y: np.zeros_like(x))
     if kind == "two components":  # the middle column of vertices held too
         assume(n >= 4)
