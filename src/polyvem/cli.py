@@ -200,6 +200,11 @@ def _write_errors_csv(path, h, ndof, el2, eh1):
         fh.write((FMT + ",%d," + FMT + "," + FMT + "\n") % (h, ndof, el2, eh1))
 
 
+def _failure(report):
+    return "%d iterations, residual %.3e, floor %.3e (%s)" % (
+        report.iterations, report.residual, report.floor, report.reason)
+
+
 def _dump_matrices(prefix, eid, element, cache):
     path = "%s_element%d.csv" % (prefix, eid)
     with open(path, "w") as fh:
@@ -221,11 +226,7 @@ def cmd_solve(args):
     apply_dirichlet(sys_, u)
     x, report = solve(sys_, tol=args.tol, maxiter=args.maxiter)
     if not report.converged:
-        print(
-            "solver failed: %d iterations, residual %.3e"
-            % (report.iterations, report.residual),
-            file=sys.stderr,
-        )
+        print("solver failed: %s" % _failure(report), file=sys.stderr)
         return 2
     el2, eh1 = error_norms(mesh, args.degree, x, u, grad)
     h = float(mesh.shapes.diameters.max())
@@ -261,7 +262,7 @@ def cmd_convergence(args):
         apply_dirichlet(sys_, u)
         x, report = solve(sys_, tol=args.tol)
         if not report.converged:
-            print("solver failed on level %d" % level, file=sys.stderr)
+            print("solver failed on level %d: %s" % (level, _failure(report)), file=sys.stderr)
             return 2
         el2, eh1 = error_norms(mesh, args.degree, x, u, grad)
         h = float(mesh.shapes.diameters.max())

@@ -12,11 +12,17 @@ preconditioned CG relies on.  The moment dofs couple only within their element, 
 condenses them out block by block: CG runs on their Schur complement,
 preconditioned by its diagonal plus a coarse correction on the vertices.
 The coarse problem is solved exactly, by a block LDL^T factor of it in
-level-set order, made once per constrained set.  The error norms read
+level-set order, made once per constrained set: consecutive level sets
+are merged into blocks no wider than the widest one, W, so the factor
+keeps at most 2 W N entries for N coarse unknowns, and it solves over
+views of a work vector of its own, so one factor serves one solve at a
+time.  A solve that misses the tolerance reports the rounding floor and
+the reason it stopped.  The error norms read
 the gradient of each element's projection off the basis value table that
 its value uses, through a constant table of monomial derivatives.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,10 +45,28 @@ from .quadrature import gauss_lobatto_1d
 
 @dataclass
 class SolveReport:
+    """What `solve` did.  converged means residual <= tol; reason says why
+    the solve stopped:
+
+    - "met": residual <= tol;
+    - "at the floor": it missed tol but is within twice the rounding
+      floor eps ||A_ff| |x_f| + |rhs_f|| / ||rhs_f||, below which no
+      x rounded to double can take the residual;
+    - "breakdown": CG stopped on a p.Ap that is not positive and finite;
+    - "maxiter": CG ran out of iterations;
+    - "recovery": CG met tol on the condensed system, but the residual of
+      the whole system, moments recovered, misses it by more.
+
+    floor is computed only when the residual misses tol, and None when it
+    meets it.
+    """
+
     iterations: int
     residual: float
     elapsed: float
     converged: bool
+    floor: float | None = None
+    reason: str = "met"
 
 
 class SparseSystem:
@@ -194,7 +218,7 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None):
     """
     n = len(b)
     x = np.zeros(n)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(b @ b)
     if n == 0 or bnorm == 0.0:
         return x, 0, 0.0, True
     diag = A.diagonal().copy()
@@ -203,18 +227,18 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None):
         P, Ac = coarse
         Pt = P.T
         factor = Ac if isinstance(Ac, LevelFactor) else LevelFactor(Ac)
+    z = np.empty(n)
 
     def precondition(r):
-        z = r / diag
+        np.divide(r, diag, out=z)
         if coarse is not None:
-            z += P @ factor.solve(Pt @ r)
-        return z
+            np.add(z, P @ factor.solve(Pt @ r), out=z)
 
     r = b.copy()
-    z = precondition(r)
+    precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    residual = float(np.linalg.norm(r)) / bnorm
+    residual = math.sqrt(r @ r) / bnorm
     for it in range(1, maxiter + 1):
         q = A @ p
         pq = float(p @ q)
@@ -222,17 +246,18 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None):
             return x, it - 1, residual, False
         alpha = rz / pq
         x += alpha * p
-        r = r - alpha * q
-        residual = float(np.linalg.norm(r)) / bnorm
+        r -= alpha * q
+        residual = math.sqrt(r @ r) / bnorm
         if residual <= tol or it == maxiter:
             r = b - A @ x
-            residual = float(np.linalg.norm(r)) / bnorm
+            residual = math.sqrt(r @ r) / bnorm
             if residual <= tol:
                 return x, it, residual, True
             p[:] = 0.0  # the next direction is the preconditioned r alone
-        z = precondition(r)
+        precondition(r)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     return x, maxiter, residual, False
 
@@ -258,75 +283,109 @@ def _level_sets(indptr, indices):
         bounds.append(bounds[-1] + len(frontier))
         starts, counts = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
         shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        near = indices[np.arange(len(shift)) + shift]
-        frontier = np.unique(near[~seen[near]])
+        near = np.zeros(n, dtype=bool)
+        near[indices[np.arange(len(shift)) + shift]] = True
+        frontier = np.flatnonzero(near & ~seen)
     return np.concatenate(order), np.asarray(bounds)
 
 
 class LevelFactor:
     """Exact block LDL^T factor of a sparse SPD matrix A in level-set order.
 
-    Ordered by `_level_sets` of its own graph, A is block tridiagonal:
-    diagonal blocks A_i and, below them, C_i coupling level i to level
-    i - 1.  The factor keeps Dinv_i = (A_i - E_i C_i^T)^-1 and E_i =
-    C_i Dinv_{i-1}, built from blocks gathered out of the CSR entries, so
-    A is never dense.  `solve` is one forward and one backward sweep, two
-    small dense products per level.  A singular or non-finite level block
-    makes the factor NaN.
+    Ordered by `_level_sets` of its own graph, A is block tridiagonal in
+    its level sets.  Consecutive level sets are merged into blocks, each
+    taking the next level while it stays at most as wide as the widest
+    level set W: a coarser partition of the same order, still block
+    tridiagonal, because a level set couples only its neighbours.  With
+    diagonal blocks A_i and, below them, C_i coupling block i to block
+    i - 1, the factor keeps Dinv_i = (A_i - E_i C_i^T)^-1 and E_i =
+    C_i Dinv_{i-1}, built from blocks assigned out of the CSR entries, so
+    A is never dense.  Only the head of block i, its first level set,
+    meets block i - 1, so C_i and E_i are kept as their head rows.  For
+    blocks of widths w_i <= W that is at most sum w_i^2 + w_i w_{i-1}
+    <= 2 W N entries for N unknowns, the bound the unmerged level sets
+    have too.  A singular or non-finite block makes the factor NaN.
+
+    `solve` is one forward and one backward sweep, one small dense product
+    per block each, over (block, view, view) triples bound at build time
+    to a work vector the factor owns.  One factor therefore serves one
+    solve at a time; each solve returns a new array.
+
+    `blocks` holds the slices of the blocks in level-set order, `widest`
+    is W and `nbytes` the bytes of the blocks kept.
     """
 
     def __init__(self, A):
         A = sp.csr_matrix(A)
-        self.order, bounds = _level_sets(A.indptr, A.indices)
+        if not A.has_canonical_format:  # one entry per (row, col)
+            A = A.copy()
+            A.sum_duplicates()
+        self.order, levels = _level_sets(A.indptr, A.indices)
+        self.widest = int(np.diff(levels).max(initial=0))
+        bounds = [0]
+        for start, end in zip(levels[:-1].tolist(), levels[1:].tolist()):
+            if end - bounds[-1] > self.widest:  # level start:end opens a block
+                bounds.append(start)
+        bounds = np.asarray(bounds + levels[-1:].tolist() if len(levels) > 1 else levels)
         widths = np.diff(bounds)
+        heads = levels[np.searchsorted(levels, bounds[:-1]) + 1] - bounds[:-1]
         position = np.empty(len(self.order), dtype=np.intp)
         position[self.order] = np.arange(len(self.order))
         rows = position[np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
         cols = position[A.indices]
-        level = np.repeat(np.arange(len(widths)), widths)  # of each position
-        local = np.arange(len(level)) - bounds[level]  # within its level
-        lr, lc = level[rows], level[cols]
+        block = np.repeat(np.arange(len(widths)), widths)  # of each position
+        local = np.arange(len(block)) - bounds[block]  # within its block
+        br, bc = block[rows], block[cols]
 
         def gather(pick, sizes):
-            """The blocks (lr, lc) that `pick` selects, one per row level,
+            """The blocks (br, bc) that `pick` selects, one per row block,
             sizes[i] entries each, flat and row-major."""
             offsets = np.concatenate([[0], np.cumsum(sizes)])
             flat = np.zeros(offsets[-1])
-            at = offsets[lr[pick]] + local[rows[pick]] * widths[lc[pick]] + local[cols[pick]]
-            np.add.at(flat, at, A.data[pick])
+            at = offsets[br[pick]] + local[rows[pick]] * widths[bc[pick]] + local[cols[pick]]
+            flat[at] = A.data[pick]
             return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
-        diagonal = gather(lc == lr, widths**2)
-        below = gather(lc == lr - 1, widths * np.r_[0, widths[:-1]])
+        diagonal = gather(bc == br, widths**2)
+        below = gather(bc == br - 1, heads * np.r_[0, widths[:-1]])  # head rows
         Dinv, E = [], []
-        for i, w in enumerate(widths):
+        for i, (w, h) in enumerate(zip(widths.tolist(), heads.tolist())):
             D = diagonal[i].reshape(w, w)
             if i:
-                C = below[i].reshape(w, widths[i - 1])
+                C = below[i].reshape(h, widths[i - 1])
                 E.append(C @ Dinv[-1])
-                D = D - E[-1] @ C.T
+                D[:h, :h] -= E[-1] @ C.T
             try:
                 Dinv.append(np.linalg.inv(D))
             except np.linalg.LinAlgError:  # singular or not finite
                 Dinv.append(np.full(D.shape, np.nan))
-        self.levels = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[2:])] + self.levels[-1:]
-        # the backward sweep's row of level i, [Dinv_i, -E_{i+1}^T], and
+        # the backward sweep's row of block i, [Dinv_i, -E_{i+1}^T], and
         # -E_i as a view of the row above it
-        self.backward = [np.hstack([d, -e.T]) for d, e in zip(Dinv, E)] + Dinv[-1:]
-        self.forward = [row[:, len(row) :].T for row in self.backward[:-1]]
+        backward = [np.hstack([d, -e.T]) for d, e in zip(Dinv, E)] + Dinv[-1:]
+        self.nbytes = sum(row.nbytes for row in backward)
+        self.blocks = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        self.position = position
+        self.work = np.empty(len(self.order))
+        views = [self.work[s] for s in self.blocks]
+        ends = (bounds[1:-1] + heads[1:]).tolist()
+        self.forward = [  # y_i -= E_i y_{i-1}, on the head of y_i
+            (row[:, len(row) :].T, self.work[s.start : end], y_prev)
+            for row, s, end, y_prev in zip(backward, self.blocks[1:], ends, views)
+        ]
+        spans = [self.work[s.start : end] for s, end in zip(self.blocks, ends)]
+        self.backward = [  # x_i = Dinv_i y_i - E_{i+1}^T x_{i+1}
+            (row, y, span) for row, y, span in zip(backward, views, spans + views[-1:])
+        ][::-1]
 
     def solve(self, b):
-        """A^-1 b."""
-        y = b[self.order]
-        s = self.levels
-        for i, L in enumerate(self.forward):  # y_i -= E_i y_{i-1}
-            y[s[i + 1]] += L @ y[s[i]]
-        for i in range(len(s) - 1, -1, -1):  # x_i = Dinv_i y_i - E_{i+1}^T x_{i+1}
-            y[s[i]] = self.backward[i] @ y[self.spans[i]]
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
+        """A^-1 b, as a new array."""
+        y = self.work
+        np.take(b, self.order, out=y)
+        for L, head, y_prev in self.forward:
+            head += L @ y_prev
+        for row, y_i, span in self.backward:
+            y_i[:] = row @ span
+        return y[self.position]
 
 
 # perfbench/tracing.py times this entry as the solve on S (`system.cg`)
@@ -403,7 +462,7 @@ def solve(system, tol=1e-12, maxiter=None):
     so that its residual and `converged` are of the whole reduced system
     after the moments are recovered: ||rhs_f - A_ff x_f|| / ||rhs_f|| <=
     tol.  Non-convergence is reported through the flag on the returned
-    report, not as an exception.
+    report, with the rounding floor and the reason, not as an exception.
     """
     S, A_bm, M, A_bm_M, coarse = _condensed(system)
     free, mo = system.free_ids(), system.dofmap.moment_offset
@@ -421,11 +480,21 @@ def solve(system, tol=1e-12, maxiter=None):
     scaled_tol = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
     x = np.zeros(system.num_dofs)
     start = time.perf_counter()
-    x[inner], iterations, _, _ = SOLVERS["jacobi_cg"](S, rhs, scaled_tol, maxiter, coarse)
+    x[inner], iterations, _, met = SOLVERS["jacobi_cg"](S, rhs, scaled_tol, maxiter, coarse)
     elapsed = time.perf_counter() - start
     x[mo:] = M @ (r[mo:] - A_bm.T @ x[inner])
     residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
-    return x + fixed, SolveReport(iterations, residual, elapsed, residual <= tol)
+    report = SolveReport(iterations, residual, elapsed, residual <= tol)
+    if not report.converged:
+        spread = (abs(system.A) @ np.abs(x))[free] + np.abs(r[free])
+        report.floor = float(np.finfo(float).eps * np.linalg.norm(spread)) / (bnorm or 1.0)
+        if residual <= 2.0 * report.floor:
+            report.reason = "at the floor"
+        elif not met:
+            report.reason = "breakdown" if iterations < maxiter else "maxiter"
+        else:
+            report.reason = "recovery"
+    return x + fixed, report
 
 
 def interpolate_dofs(mesh, k, u):
