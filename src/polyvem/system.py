@@ -17,9 +17,11 @@ are merged into blocks no wider than the widest one, W, so the factor
 keeps at most 2 W N entries for N coarse unknowns, and it solves over
 views of a work vector of its own, so one factor serves one solve at a
 time.  A solve that misses the tolerance reports the rounding floor and
-the reason it stopped.  The error norms read
-the gradient of each element's projection off the basis value table that
-its value uses, through a constant table of monomial derivatives.
+the reason it stopped.  scipy.sparse is imported at the first matrix
+built (`_csr`), not with the module, so mesh tooling never loads it.
+The error norms read the gradient of each element's projection off the
+basis value table that its value uses, through a constant table of
+monomial derivatives.
 """
 
 import math
@@ -27,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PolyVemError
 from .localmat import (
@@ -41,6 +42,19 @@ from .localmat import (
 from .mesh import build_global_dofs
 from .monomials import basis_size, derivative_tables
 from .quadrature import gauss_lobatto_1d
+
+
+def _csr(*args, **kwargs):
+    """scipy.sparse.csr_matrix(*args, **kwargs), importing scipy.sparse at
+    the first call.  The import costs about 0.15 s and 22 MB of RSS over
+    numpy alone, most of it scipy's array-API shim
+    (scipy._lib.array_api_compat.numpy), which walks dir(numpy) and so
+    loads numpy.f2py and numpy.testing; deferring it keeps that off every
+    process that never builds a matrix, such as the mesh and quad
+    commands."""
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix(*args, **kwargs)
 
 
 @dataclass
@@ -180,7 +194,7 @@ def assemble(mesh, k, f=None):
     keys, summed = _reduce_triplets(np.concatenate(keys), np.concatenate(vals))
     # the keys are the sorted distinct row * n + col: CSR order already
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    A = sp.csr_matrix((summed, keys % n, indptr), shape=(n, n))
+    A = _csr((summed, keys % n, indptr), shape=(n, n))
     A.has_canonical_format = True
     b = np.zeros(n)
     if f is not None:
@@ -316,7 +330,7 @@ class LevelFactor:
     """
 
     def __init__(self, A):
-        A = sp.csr_matrix(A)
+        A = _csr(A)
         if not A.has_canonical_format:  # one entry per (row, col)
             A = A.copy()
             A.sum_duplicates()
@@ -411,7 +425,7 @@ def _coarse_space(system, inner):
     rows, cols = where[rows], where[cols]
     keep = (rows >= 0) & (cols >= 0)
     shape = (len(inner), int(np.count_nonzero(inner < nv)))
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    return _csr((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def _condensed(system):
@@ -442,7 +456,7 @@ def _condensed(system):
         except np.linalg.LinAlgError:
             inv = np.full(blocks.shape, np.nan)
         rows, cols = np.repeat(moments, nm, axis=1), np.tile(moments, (1, nm))
-        M = sp.csr_matrix((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
+        M = _csr((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
         inner = free[free < mo]
         A_inner = system.A[inner]
         A_bm = A_inner[:, mo:]
