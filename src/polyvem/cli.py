@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .errors import PolyVemError
+from .geometry import triangulate
 from .localmat import MatrixTag, find_or_compute
 from .mesh import (
     CutLine,
@@ -144,54 +145,57 @@ def _parse_gen(spec):
 def write_vtk(path, mesh, solution, coeffs):
     """Legacy ASCII VTK export of the solution and projection.
 
-    Hole-free elements map to VTK_POLYGON cells; elements with holes are
-    triangulated into VTK_TRIANGLE cells because the legacy format has no
-    hole-capable planar cell.  Every cell carries its parent element id
-    and that element's projection coefficients, padded with zeros up to
-    the largest element.
+    Hole-free elements map to VTK_POLYGON cells, their outer loops read off
+    the loop arrays; elements with holes are triangulated into VTK_TRIANGLE
+    cells because the legacy format has no hole-capable planar cell.  Every
+    cell carries its parent element id and that element's projection
+    coefficients, padded with zeros up to the largest element.  The text is
+    formatted in bulk, as `write_mesh` formats the poly2d file.
     """
-    cells = []
-    parents = []
-    for eid, (f, (outer, holes)) in enumerate(zip(mesh.facets, mesh.elements)):
-        if holes:
-            # facet coords are the mesh vertex pool, so triangle ids
-            # are already global
-            for tri in f.triangles:
-                cells.append((5, [int(t) for t in tri]))
-                parents.append(eid)
-        else:
-            cells.append((7, list(outer)))
-            parents.append(eid)
+    t = mesh.shapes
+    ls, fl = t.loop_starts, t.facet_loops
+    loop_sizes = np.diff(ls)
+    # (vertex ids, sizes, VTK types, parents) of the cells: the runs of
+    # hole-free elements between holed ones, one loop each, as slices
+    cells, done = [], 0
+    for e in np.flatnonzero(np.diff(fl) > 1).tolist() + [len(t)]:
+        run = (t.loop_ids[ls[fl[done]]:ls[fl[e]]], loop_sizes[fl[done]:fl[e]])
+        cells.append(run + (np.full(e - done, 7), np.arange(done, e)))
+        if e < len(t):
+            tris = triangulate(t.facet(e))  # ids of the mesh vertex pool
+            cells.append((tris.ravel(), np.full(len(tris), 3), np.full(len(tris), 5),
+                          np.full(len(tris), e)))
+        done = e + 1
+    ids, sizes, types, parents = map(np.concatenate, zip(*cells))
+    ncells = len(sizes)
+    numbers = np.insert(ids, np.cumsum(sizes) - sizes, sizes)  # a line per cell: size, ids
+    formats = {s: "%d" + " %d" * s + "\n" for s in np.unique(sizes).tolist()}
     ncomp = max(len(c) for c in coeffs)
+    padded = np.zeros((len(coeffs), ncomp))
+    for e, c in enumerate(coeffs):
+        padded[e, : len(c)] = c
+    nv = mesh.num_vertices
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("polyvem solution\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write("POINTS %d double\n" % mesh.num_vertices)
-        for x, y in mesh.vertices:
-            fh.write((FMT + " " + FMT + " 0\n") % (x, y))
-        total = sum(1 + len(ids) for _, ids in cells)
-        fh.write("CELLS %d %d\n" % (len(cells), total))
-        for _, ids in cells:
-            fh.write(" ".join([str(len(ids))] + [str(i) for i in ids]) + "\n")
-        fh.write("CELL_TYPES %d\n" % len(cells))
-        for ctype, _ in cells:
-            fh.write("%d\n" % ctype)
-        fh.write("POINT_DATA %d\n" % mesh.num_vertices)
+        fh.write("POINTS %d double\n" % nv)
+        fh.write(((FMT + " " + FMT + " 0\n") * nv) % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("CELLS %d %d\n" % (ncells, len(numbers)))
+        fh.write("".join(map(formats.__getitem__, sizes.tolist())) % tuple(numbers.tolist()))
+        fh.write("CELL_TYPES %d\n" % ncells)
+        fh.write(("%d\n" * ncells) % tuple(types.tolist()))
+        fh.write("POINT_DATA %d\n" % nv)
         fh.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        for v in solution[: mesh.num_vertices]:
-            fh.write((FMT + "\n") % v)
-        fh.write("CELL_DATA %d\n" % len(cells))
+        fh.write(((FMT + "\n") * nv) % tuple(solution[:nv].tolist()))
+        fh.write("CELL_DATA %d\n" % ncells)
         fh.write("SCALARS element_id int 1\nLOOKUP_TABLE default\n")
-        for p in parents:
-            fh.write("%d\n" % p)
+        fh.write(("%d\n" * ncells) % tuple(parents.tolist()))
         fh.write("FIELD projection 1\n")
-        fh.write("proj_coeffs %d %d double\n" % (ncomp, len(cells)))
-        for p in parents:
-            row = np.zeros(ncomp)
-            row[: len(coeffs[p])] = coeffs[p]
-            fh.write(" ".join(FMT % v for v in row) + "\n")
+        fh.write("proj_coeffs %d %d double\n" % (ncomp, ncells))
+        row = " ".join([FMT] * ncomp) + "\n"
+        fh.write((row * ncells) % tuple(padded[parents].ravel().tolist()))
 
 
 def _write_errors_csv(path, h, ndof, el2, eh1):
@@ -310,7 +314,10 @@ def cmd_mesh(args):
     if args.mesh_cmd == "merge":
         a = _read(args.first)
         b = _read(args.second)
-        merged = merge_meshes(a, b, tol=args.merge_tol)
+        try:
+            merged = merge_meshes(a, b, tol=args.merge_tol)
+        except ValueError as err:  # a tolerance that is not finite or below 0
+            raise CliInputError(str(err))
         dest = args.out or args.first
         write_mesh(merged, dest)
         print("wrote %s: %d elements, area " % (dest, merged.num_elements)

@@ -382,6 +382,12 @@ class FacetTable:
         """The facet of every entry of `loop_ids`."""
         return np.repeat(np.arange(len(self)), np.diff(self.slot_starts))
 
+    def next_slots(self):
+        """The entry of `loop_ids` that follows each one in its loop."""
+        nxt = np.arange(1, len(self.loop_ids) + 1)
+        nxt[self.loop_starts[1:] - 1] = self.loop_starts[:-1]
+        return nxt
+
     def loop_sizes(self, e):
         return np.diff(self.loop_starts[self.facet_loops[e] : self.facet_loops[e + 1] + 1])
 

@@ -15,13 +15,13 @@ rule: `polygon_rule` serves only the load, the error norms and the
 interpolant, at degree 2k + 2.
 
 Elements are computed in groups, in the style of Sutton's "virtual element
-method in 50 lines of MATLAB": an `ElementGroup` stacks the geometry, dof
-points and quadrature rules of like-shaped elements along a leading member
-axis, and each matrix computation yields the matrices of all members at
-once.  There is one arithmetic path, as a lone element is a group of one;
-elementwise operations, one BLAS or LAPACK call per member and scatters in
-the per-edge order round as for a member alone, so a matrix has the same
-bits in any group.
+method in 50 lines of MATLAB": an `ElementGroup` slices like-shaped
+elements out of a `FacetTable` and stacks their geometry, dof points and
+quadrature rules along a leading member axis, and each matrix computation
+yields the matrices of all members at once.  There is one arithmetic path,
+as a lone element is the group of a one-row table; elementwise operations,
+one BLAS or LAPACK call per member and scatters in the per-edge order
+round as for a member alone, so a matrix has the same bits in any group.
 
 H and G are checked against COND_LIMIT before use (`_ill_conditioned`):
 a bound from one batched inverse clears the well-conditioned members, and
@@ -76,7 +76,6 @@ class Element:
 
     @cached_property
     def layout(self):
-        # built on first use: a group reads only its first member's
         return build_layout(self.facet, self.k)
 
     @property
@@ -150,33 +149,26 @@ class GroupMatrixCache(ElementMatrixCache):
 
 
 class ElementGroup:
-    """Elements of one order that share their loop lengths, triangle count
-    and dof chains (see `group_facets`).
+    """Elements of one order sliced from a FacetTable: facets `ids`, which
+    share their loop lengths, triangle count and dof chains (see
+    `group_facets`), with their triangles (members, T, 3) as vertex ids, or
+    None for a lone facet triangulated when a rule needs it (its
+    triangulation failed once, or its loops repeat a vertex).
 
     Geometry and dof points are stacked along a leading member axis; frame
     entries are (members, 1) columns, which broadcast against stacked
     points.  Rules and basis values are built once per degree, masses once.
-    This constructor stacks lone Elements, with their caches.
     """
 
-    def __init__(self, elements, caches):
-        self.facets = [el.facet for el in elements]
-        self._setup(
-            elements[0].k,
-            elements[0].layout,
-            GroupMatrixCache(caches),
-            np.stack([f.coords[f.vertex_ids()] for f in self.facets]),
-            np.array([f.area for f in self.facets]),
-            np.array([f.frame for f in self.facets]),
-        )
-
-    def _setup(self, k, layout, cache, vertices, area, frame):
+    def __init__(self, table, ids, k, layout, triangles, cache):
+        self.table, self.ids, self.triangles = table, ids, triangles
         self.k, self.basis, self.layout, self.cache = k, _basis(k), layout, cache
-        self.size = len(vertices)
-        self.area = area
+        self.size = len(ids)
+        self.area = table.areas[ids]
+        frame = np.column_stack((table.centroids[ids], table.diameters[ids]))
         self.frame = tuple(frame.T[:, :, None])
         self.chains = layout.chains
-        self.vertices = vertices
+        self.vertices = table.coords[table.walks(ids, len(layout.chains))]
         d = self.vertices[:, self.chains[:, -1]] - self.vertices
         self.lengths = np.hypot(d[..., 0], d[..., 1])
         # edge by edge, as Facet.perimeter's Python sum adds them
@@ -196,7 +188,9 @@ class ElementGroup:
 
     def corners(self):
         """Triangle corners of every member, (members, triangles, 3, 2)."""
-        return np.stack([f.coords[f.triangles] for f in self.facets])
+        if self.triangles is None:
+            return self.table.coords[triangulate(self.table.facet(self.ids[0]))][None]
+        return self.table.coords[self.triangles]
 
     def rule(self, degree):
         """Stacked polygon rule of this degree: points (members, n, 2)."""
@@ -219,36 +213,18 @@ class ElementGroup:
             self._mass = np.take(I, _pair_tables(self.k)[0], axis=1)
         return self._mass
 
-
-class TableGroup(ElementGroup):
-    """A group sliced from a FacetTable: facets `ids`, with their triangles
-    (members, T, 3) as vertex ids, or None for a lone facet triangulated
-    when a rule needs it (its triangulation failed once, or its loops
-    repeat a vertex)."""
-
-    def __init__(self, table, ids, k, layout, triangles, cache):
-        self.table, self.ids, self.triangles = table, ids, triangles
-        frame = np.column_stack((table.centroids[ids], table.diameters[ids]))
-        self._setup(k, layout, cache, table.coords[table.walks(ids, len(layout.chains))],
-                    table.areas[ids], frame)
-
-    def corners(self):
-        if self.triangles is None:
-            return self.table.coords[triangulate(self.table.facet(self.ids[0]))][None]
-        return self.table.coords[self.triangles]
-
     def split(self):
         """One group per member, in member order."""
         return [
-            TableGroup(self.table, self.ids[i : i + 1], self.k, self.layout,
-                       None if self.triangles is None else self.triangles[i : i + 1],
-                       GroupMatrixCache())
+            ElementGroup(self.table, self.ids[i : i + 1], self.k, self.layout,
+                         None if self.triangles is None else self.triangles[i : i + 1],
+                         GroupMatrixCache())
             for i in range(self.size)
         ]
 
 
 def group_facets(table, k, caches=None):
-    """(ids, TableGroup) pairs covering the facets of a FacetTable at order
+    """(ids, ElementGroup) pairs covering the facets of a FacetTable at order
     k, each group's cache storing into `caches`, one per facet, if given.
 
     Members of a group share loop lengths and triangle count, and groups
@@ -300,15 +276,14 @@ def group_facets(table, k, caches=None):
             for i in np.flatnonzero(~fan).tolist():
                 triangles[i] = clipped[members[i]]
         cache = GroupMatrixCache(None if caches is None else [caches[e] for e in members])
-        groups.append((ids, TableGroup(table, ids, k, layout, triangles, cache)))
+        groups.append((ids, ElementGroup(table, ids, k, layout, triangles, cache)))
     return groups
 
 
-def group_elements(elements):
-    """`group_facets` for a list of (Element, cache) pairs of one order,
-    their facets' pools stacked; matrices go into the pairs' caches."""
-    table = FacetTable.from_facets([el.facet for el, _ in elements])
-    return group_facets(table, elements[0][0].k, [c for _, c in elements])
+def _lone_group(element, cache):
+    """A lone Element as the group of a one-row FacetTable, its matrices
+    going into cache."""
+    return group_facets(FacetTable.from_facets([element.facet]), element.k, [cache])[0][1]
 
 
 class ElementList:
@@ -362,7 +337,7 @@ def find_or_compute(cache, element, tag):
     if tag in cache:
         return cache.get(tag)
     if isinstance(element, Element):
-        group = ElementGroup([element], [cache])
+        group = _lone_group(element, cache)
         return find_or_compute(group.cache, group, tag)[0]
     deps, fn = _MATRICES[tag]
     for dep in deps:
@@ -571,7 +546,7 @@ def load_vector(element, f, cache=None):
     with its GroupMatrixCache; a group gets one row per member.
     """
     if isinstance(element, Element):
-        group = ElementGroup([element], [ElementMatrixCache() if cache is None else cache])
+        group = _lone_group(element, ElementMatrixCache() if cache is None else cache)
         return load_vector(group, f, group.cache)[0]
     group, layout = element, element.layout
     if group.k == 1:

@@ -13,12 +13,14 @@ the areas, centroids and diameters of the elements.  The loops are
 oriented, checked and measured a loop-length class at a time, with the
 bits, warnings and errors of an element-by-element build; the edge table
 and the dof numbering are computed from the same boundary walks.  The
-poly2d reader, the writer and the cut work on the same flat loop arrays:
-the reader checks the lines in bulk and hands its ids, loop sizes and
-loops per element to the build, the writer formats them in one pass, and
-a cut splits only the loops the line crosses and copies the rest as
-slices.  `PolyMesh.elements`, one list pair per element, is made only on
-request.
+poly2d reader, the writer, the cut and the merge work on the same flat
+loop arrays: the reader checks the lines in bulk and hands its ids, loop
+sizes and loops per element to the build, the writer formats them in one
+pass, a cut splits only the loops the line crosses and copies the rest as
+slices, and a merge tests overlap in vectorized passes over box pairs and
+splices its hanging nodes into the boundary walks in one scatter.
+`PolyMesh.elements` and `PolyMesh.facets`, per-element objects, are made
+only on request; of the commands, only `quad` walks the facets.
 """
 
 import warnings
@@ -339,9 +341,7 @@ class PolyMesh:
         hanging vertex was not inserted on the long side)."""
         table = self.shapes
         u = table.loop_ids
-        nxt = np.arange(1, len(u) + 1)
-        nxt[table.loop_starts[1:] - 1] = table.loop_starts[:-1]
-        w = u[nxt]
+        w = u[table.next_slots()]
         lo, hi = np.minimum(u, w), np.maximum(u, w)
         base = lo.min(initial=0)
         code = (lo - base) * (hi.max(initial=0) - base + 1) + (hi - base)
@@ -435,7 +435,7 @@ class PolyMesh:
         return [uses[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
 
     def boundary_vertex_ids(self):
-        return np.unique(self.edge_ends[self.boundary_edge_ids]).tolist()
+        return np.unique(self.edge_ends[self.boundary_edge_ids])
 
 
 @dataclass
@@ -783,182 +783,154 @@ def cut_mesh(mesh, line, snap_tol=None):
 # -- merging -------------------------------------------------------------
 
 
-def _point_segment_distance(p, a, b):
-    e = b - a
-    L2 = float(e @ e)
-    t = float(np.clip((p - a) @ e / L2, 0.0, 1.0))
-    return float(np.hypot(*(a + t * e - p)))
+def _holds_vertex_of(mesh, other, tol):
+    """Whether a vertex of `other` lies strictly inside an element of mesh:
+    in its material region, by the winding numbers of `point_in_loop` (the
+    outer loop's nonzero, every hole's zero), and farther than tol from
+    each of its boundary segments.  Only the pairs whose vertex lies in the
+    element's closed outer-loop box are tested, a run of pairs at a time,
+    each against every slot of the element's boundary walk."""
+    t = mesh.shapes
+    if not len(t):
+        return False
+    v, ls = t.coords, t.loop_starts
+    loop = np.repeat(np.arange(len(ls) - 1), np.diff(ls))  # of every slot
+    hole = np.ones(len(ls) - 1, dtype=bool)
+    hole[t.facet_loops[:-1]] = False
+    nxt = t.next_slots()
+    pts = v[t.loop_ids]
+    lo = np.minimum.reduceat(pts, ls[:-1])[t.facet_loops[:-1]]
+    hi = np.maximum.reduceat(pts, ls[:-1])[t.facet_loops[:-1]]
+    for f, j in other._grid.candidates(lo, hi):
+        p = other.vertices[j]
+        inbox = np.all((lo[f] <= p) & (p <= hi[f]), axis=1)
+        if not inbox.any():
+            continue
+        f, p = f[inbox], p[inbox]
+        pair, off = _ranges(np.diff(t.slot_starts)[f])
+        s = t.slot_starts[f][pair] + off
+        p, p0, p1 = p[pair], v[t.loop_ids[s]], v[t.loop_ids[nxt[s]]]
+        (x, y), (x0, y0), (x1, y1) = p.T, p0.T, p1.T
+        side = (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)
+        crossings = ((y0 <= y) & (y1 > y) & (side > 0)).astype(np.intp) - (
+            (y0 > y) & (y1 <= y) & (side < 0))
+        # every pair's walk starts a loop, and its loops run in order
+        runs = np.flatnonzero(s == ls[loop[s]])
+        winding = np.add.reduceat(crossings, runs)
+        outside = np.zeros(len(f), dtype=bool)
+        outside[pair[runs[np.where(hole[loop[s[runs]]], winding != 0, winding == 0)]]] = True
+        e = p1 - p0
+        t_near = np.clip(np.vecdot(p - p0, e) / np.vecdot(e, e), 0.0, 1.0)
+        d = p0 + t_near[:, None] * e - p
+        dist = np.minimum.reduceat(np.hypot(d[:, 0], d[:, 1]), np.flatnonzero(off == 0))
+        if np.any(~outside & (dist > tol)):
+            return True
+    return False
 
 
-def _facet_box_pairs(mesh, other):
-    """(facet of mesh, vertex of other) pairs with the vertex inside the
-    facet's closed bounding box, the only pairs Facet.contains accepts."""
-    table = mesh.shapes
-    if not len(table):
-        return
-    outer = table.facet_loops[:-1]
-    ids = np.concatenate([table.loop_ids[table.loop_starts[i]:table.loop_starts[i + 1]]
-                          for i in outer.tolist()])
-    starts = np.cumsum(np.diff(table.loop_starts)[outer]) - np.diff(table.loop_starts)[outer]
-    pts = mesh.vertices[ids]
-    lo = np.minimum.reduceat(pts, starts)
-    hi = np.maximum.reduceat(pts, starts)
-    for f, v in other._grid.candidates(lo, hi):
-        p = other.vertices[v]
-        inside = np.all((lo[f] <= p) & (p <= hi[f]), axis=1)
-        yield from zip(f[inside].tolist(), v[inside].tolist())
+def _hanging(u, w, candidates, coords, tol):
+    """(segment, vertex) of every candidate vertex strictly inside a segment
+    u[i] -> w[i]: within tol of its line and farther than tol from both
+    ends.  Sorted by segment, then along it from u by (t, id)."""
+    if not len(u) or not len(candidates):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    pa, pb = coords[u], coords[w]
+    grid = _VertexGrid(coords[candidates])
+    runs = grid.candidates(np.minimum(pa, pb) - 2.0 * tol, np.maximum(pa, pb) + 2.0 * tol)
+    seg, c = map(np.concatenate, zip(*runs))  # one run at least, as there is a box
+    c = candidates[c]
+    e = pb[seg] - pa[seg]
+    rel = coords[c] - pa[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a segment glued to a point
+        L = np.hypot(e[:, 0], e[:, 1])
+        t = np.vecdot(rel, e) / (L * L)
+        perp = np.abs(rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / L
+        inside = (perp <= tol) & (t * L > tol) & ((1.0 - t) * L > tol)
+    inside &= (c != u[seg]) & (c != w[seg])
+    seg, c, t = seg[inside], c[inside], t[inside]
+    order = np.lexsort((c, t, seg))
+    return seg[order], c[order]
 
 
-def _near_segments(keys, candidates, coords, tol):
-    """Map each segment key to the candidate ids near it: every candidate
-    within tol of the segment, and a few more."""
-    near = {key: [] for key in keys}
-    if not keys or not candidates:
-        return near
-    keys = sorted(keys)
-    ends = coords[np.array(keys)]
-    cand = np.array(candidates)
-    grid = _VertexGrid(coords[cand])
-    lo, hi = ends.min(axis=1) - 2.0 * tol, ends.max(axis=1) + 2.0 * tol
-    for s, c in grid.candidates(lo, hi):
-        for si, ci in zip(s.tolist(), cand[c].tolist()):
-            near[keys[si]].append(ci)
-    return near
+def _spliced(table, ids, slots, hanging):
+    """`_Loops` of the table's loops over vertex ids `ids` (its loop_ids or a
+    renumbering of them), with hanging[i] inserted after slot slots[i];
+    slots ascend, and the vertices of one slot come in walk order."""
+    extra = np.bincount(slots, minlength=len(ids))
+    before = np.concatenate(([0], np.cumsum(extra)))  # hanging vertices before each slot
+    out = np.empty(len(ids) + len(hanging), dtype=np.intp)
+    out[np.arange(len(ids)) + before[:-1]] = ids
+    out[slots + 1 + np.arange(len(hanging))] = hanging
+    starts = table.loop_starts + before[table.loop_starts]
+    return _Loops(out, np.diff(starts), np.diff(table.facet_loops))
 
 
 def merge_meshes(a, b, tol=None):
     """Glue two meshes along a shared straight boundary, adding hanging
     nodes where one side's boundary vertices subdivide the other's edges.
 
-    Raises NoCommonBoundary when no boundary segment ends up shared and
+    Every b boundary vertex within tol of a boundary vertex of a becomes
+    the lowest such a vertex; b's other vertices follow a's.  Both meshes'
+    boundary segments are found from their edge tables, the other side's
+    boundary vertices inside them are spliced into each walk in one pass,
+    and the merged mesh is built from the loop arrays.
+
+    Raises ValueError for a tol that is not a finite number >= 0,
     OverlapDetected when a vertex of one mesh lies strictly inside the
-    other.
+    other, and NoCommonBoundary when no boundary segment ends up shared.
     """
     if tol is None:
         tol = MERGE_TOL * max(a.diameter, b.diameter)
+    elif not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError("merge tolerance must be a finite number >= 0, got %r" % tol)
 
-    a_boundary = a.boundary_vertex_ids()
-    b_boundary = b.boundary_vertex_ids()
-
-    # unify coincident boundary vertices, b ids remapped onto a ids; the
-    # target is the lowest a boundary id within tol
-    targets = {}
-    on_a_boundary = np.zeros(a.num_vertices, dtype=bool)
+    na = a.num_vertices
+    a_boundary, b_boundary = a.boundary_vertex_ids(), b.boundary_vertex_ids()
+    on_a_boundary = np.zeros(na, dtype=bool)
     on_a_boundary[a_boundary] = True
+    target = np.full(b.num_vertices, na)  # na: no a vertex within tol
     pb = b.vertices[b_boundary]
-    for q, va in a._grid.candidates(pb - 2.0 * tol, pb + 2.0 * tol):
-        q, va = q[on_a_boundary[va]], va[on_a_boundary[va]]
-        d = a.vertices[va] - pb[q]
+    for q, j in a._grid.candidates(pb - 2.0 * tol, pb + 2.0 * tol):
+        q, j = q[on_a_boundary[j]], j[on_a_boundary[j]]
+        d = a.vertices[j] - pb[q]
         near = np.hypot(d[:, 0], d[:, 1]) <= tol
-        for qi, vi in zip(q[near].tolist(), va[near].tolist()):
-            vb = b_boundary[qi]
-            targets[vb] = min(vi, targets.get(vb, vi))
-    vertices = [v for v in a.vertices]
-    remap = {}
-    for vb in range(b.num_vertices):
-        target = targets.get(vb)
-        if target is None:
-            remap[vb] = len(vertices)
-            vertices.append(b.vertices[vb])
-        else:
-            remap[vb] = target
-    vertices = np.array(vertices)
-
-    # overlap check: any vertex of one mesh strictly interior to an
-    # element of the other one; only facets whose closed bounding box
-    # holds the vertex can contain it
-    def strictly_inside(f, p):
-        if not f.contains(p):
-            return False
-        dist = min(
-            _point_segment_distance(p, e.p0, e.p1)
-            for e in f.boundary_edges()
-        )
-        return dist > tol
+        np.minimum.at(target, b_boundary[q[near]], j[near])
+    fresh = target == na
+    remap = np.where(fresh, na + np.cumsum(fresh) - 1, target)
+    vertices = np.concatenate((a.vertices, b.vertices[fresh]))
 
     for mesh, other, message in (
         (a, b, "vertex of the second mesh is inside the first"),
         (b, a, "vertex of the first mesh is inside the second"),
     ):
-        facets = {}
-        for fid, vid in _facet_box_pairs(mesh, other):
-            if fid not in facets:
-                facets[fid] = mesh.shapes.facet(fid)
-            if strictly_inside(facets[fid], other.vertices[vid]):
-                raise OverlapDetected(message)
+        if _holds_vertex_of(mesh, other, tol):
+            raise OverlapDetected(message)
 
-    # hanging-node insertion: other-side vertices strictly inside a
-    # boundary segment subdivide it
-    def subdividers(seg_a, seg_b, candidates, coords):
-        pa, pb = coords[seg_a], coords[seg_b]
-        e = pb - pa
-        L = float(np.hypot(*e))
-        found = []
-        for cid in candidates:
-            p = coords[cid]
-            if cid in (seg_a, seg_b):
-                continue
-            t = float((p - pa) @ e) / (L * L)
-            perp = abs(float((p - pa)[0] * e[1] - (p - pa)[1] * e[0])) / L
-            if perp <= tol and t * L > tol and (1.0 - t) * L > tol:
-                found.append((t, cid))
-        return [cid for _, cid in sorted(found)]
-
-    b_boundary_mapped = sorted({remap[v] for v in b_boundary})
-
-    def insert_hanging(loops_elements, boundary_keys, candidates):
-        near = _near_segments(boundary_keys, candidates, vertices, tol)
-        inserted_any = False
-        new_elems = []
-        for outer, holes in loops_elements:
-            def process(loop):
-                nonlocal inserted_any
-                out = []
-                n = len(loop)
-                for i in range(n):
-                    u, v = loop[i], loop[(i + 1) % n]
-                    out.append(u)
-                    key = (u, v) if u < v else (v, u)
-                    if key not in boundary_keys:
-                        continue
-                    subs = subdividers(u, v, near[key], vertices)
-                    if subs:
-                        inserted_any = True
-                        out.extend(subs)
-                return out
-            new_elems.append((process(outer), [process(h) for h in holes]))
-        return new_elems, inserted_any
-
-    a_elements = [(list(o), [list(h) for h in hs]) for o, hs in a.elements]
-    b_elements = [
-        ([remap[i] for i in o], [[remap[i] for i in h] for h in hs])
-        for o, hs in b.elements
-    ]
-    a_bkeys = {a.edge_keys[i] for i in a.boundary_edge_ids}
-    b_bkeys = set()
-    for i in b.boundary_edge_ids:
-        u, v = b.edge_keys[i]
-        u, v = remap[u], remap[v]
-        b_bkeys.add((u, v) if u < v else (v, u))
-
-    a_elements, ins_a = insert_hanging(a_elements, a_bkeys, b_boundary_mapped)
-    b_elements, ins_b = insert_hanging(b_elements, b_bkeys, a_boundary)
-
-    unified = sum(1 for vb, target in remap.items() if target < a.num_vertices)
-    if unified + int(ins_a) + int(ins_b) == 0:
+    # the other side's boundary vertices strictly inside a boundary segment
+    # subdivide it
+    loops, inserted = [], False
+    for mesh, ids, candidates in (
+        (a, a.shapes.loop_ids, np.unique(remap[b_boundary])),
+        (b, remap[b.shapes.loop_ids], a_boundary),
+    ):
+        slots = np.flatnonzero(np.isin(mesh.slot_edges, mesh.boundary_edge_ids))
+        ends = ids[mesh.shapes.next_slots()[slots]]
+        seg, hanging = _hanging(ids[slots], ends, candidates, vertices, tol)
+        loops.append(_spliced(mesh.shapes, ids, slots[seg], hanging))
+        inserted |= len(hanging) > 0
+    if fresh.all() and not inserted:
         raise NoCommonBoundary("the meshes share no boundary vertices or edges")
 
-    merged = PolyMesh(vertices, a_elements + b_elements)
+    merged = PolyMesh(vertices, _Loops(*map(np.concatenate, zip(*loops))))
 
     # the glue must produce at least one interior segment joining the two
     # sides, otherwise the meshes only touch at isolated points
-    na = len(a_elements)
     owner = merged.shapes.slot_facets()
     first = np.full(merged.num_edges, merged.num_elements)
     last = np.full(merged.num_edges, -1)
     np.minimum.at(first, merged.slot_edges, owner)
     np.maximum.at(last, merged.slot_edges, owner)
-    shared = np.count_nonzero((first < na) & (na <= last))
+    shared = np.count_nonzero((first < a.num_elements) & (a.num_elements <= last))
     if shared == 0:
         raise NoCommonBoundary("the meshes touch only at isolated vertices")
     expected = a.area + b.area

@@ -17,8 +17,9 @@ are merged into blocks no wider than the widest one, W, so the factor
 keeps at most 2 W N entries for N coarse unknowns, and it solves over
 views of a work vector of its own, so one factor serves one solve at a
 time.  A solve that misses the tolerance reports the rounding floor and
-the reason it stopped.  scipy.sparse is imported at the first matrix
-built (`_csr`), not with the module, so mesh tooling never loads it.
+the reason it stopped.  scipy.sparse is imported by the first assembly
+or matrix built (`_sparse`), not with the module, so mesh tooling never
+loads it.
 The error norms read the gradient of each element's projection off the
 basis value table that its value uses, through a constant table of
 monomial derivatives.
@@ -44,17 +45,21 @@ from .monomials import basis_size, derivative_tables
 from .quadrature import gauss_lobatto_1d
 
 
-def _csr(*args, **kwargs):
-    """scipy.sparse.csr_matrix(*args, **kwargs), importing scipy.sparse at
-    the first call.  The import costs about 0.15 s and 22 MB of RSS over
-    numpy alone, most of it scipy's array-API shim
-    (scipy._lib.array_api_compat.numpy), which walks dir(numpy) and so
+def _sparse():
+    """scipy.sparse, imported at the first call.  The import costs about
+    0.15 s and 22 MB of RSS over numpy alone, most of it scipy's array-API
+    shim (scipy._lib.array_api_compat.numpy), which walks dir(numpy) and so
     loads numpy.f2py and numpy.testing; deferring it keeps that off every
     process that never builds a matrix, such as the mesh and quad
     commands."""
     import scipy.sparse
 
-    return scipy.sparse.csr_matrix(*args, **kwargs)
+    return scipy.sparse
+
+
+def _csr(*args, **kwargs):
+    """scipy.sparse.csr_matrix(*args, **kwargs)."""
+    return _sparse().csr_matrix(*args, **kwargs)
 
 
 @dataclass
@@ -115,9 +120,10 @@ def discretisation(mesh, k):
 
     Built once and kept on the mesh, so assembly, the load vector, the error
     norms, the interpolant and the CLI share every element's projectors.
-    The groups are `localmat.group_facets` (ids, ElementGroup) pairs of the
-    mesh's FacetTable; the pairs, an `ElementList`, are made on first use
-    and read the groups' matrices.
+    The groups are `localmat.group_facets` (ids, ElementGroup) pairs, each
+    group a slice of the mesh's FacetTable; the pairs, an `ElementList`,
+    are made on first use and read the groups' matrices, and a lone
+    Element outside the mesh is computed as the group of a one-row table.
     """
     if k not in mesh.discretisations:
         dofmap = build_global_dofs(mesh, k)
@@ -174,6 +180,7 @@ def assemble(mesh, k, f=None):
 
     Element failures are re-raised with the element id prepended.
     """
+    _sparse()  # imported before the triplets exist, so it adds nothing to their peak
     dofmap, elements, groups = discretisation(mesh, k)
     n = dofmap.num_dofs
 
@@ -415,7 +422,7 @@ def _coarse_space(system, inner):
     if k == 1:
         return None
     t = gauss_lobatto_1d(k + 1)[0][1:k]
-    ends = np.asarray(system.mesh.edge_keys, dtype=np.intp).reshape(-1, 2)
+    ends = system.mesh.edge_ends
     on_edges = nv + np.arange(len(ends) * (k - 1))
     rows = np.concatenate([np.arange(nv), on_edges, on_edges])
     cols = np.concatenate([np.arange(nv), np.repeat(ends, k - 1, axis=0).T.ravel()])

@@ -4,10 +4,17 @@ oracles for the tests."""
 import numpy as np
 
 from polyvem.errors import ParseError
-from polyvem.geometry import Facet
+from polyvem.geometry import Facet, FacetTable
+from polyvem.localmat import ElementMatrixCache, group_facets
 from polyvem.mesh import PolyMesh
 from polyvem.monomials import ScaledMonomial
 from polyvem.quadrature import gauss_1d
+
+
+def lone_group(facet, k):
+    """The element group of one facet at order k: the group of its
+    one-row FacetTable, with a fresh member cache."""
+    return group_facets(FacetTable.from_facets([facet]), k, [ElementMatrixCache()])[0][1]
 
 
 def unit_square():

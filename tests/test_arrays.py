@@ -8,14 +8,16 @@ scans and a per-element walk for the dof maps.  The array path must agree
 with them bit for bit, in its outputs, its warnings and its failures.
 """
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvem import geometry, localmat
-from polyvem.errors import DegenerateCut, InvariantViolation
+from polyvem.errors import DegenerateCut, InvariantViolation, NoCommonBoundary, OverlapDetected
 from polyvem.geometry import (
     Facet,
     OrientationWarning,
@@ -26,6 +28,7 @@ from polyvem.geometry import (
 )
 from polyvem.mesh import (
     DUPLICATE_TOL,
+    MERGE_TOL,
     CutLine,
     PolyMesh,
     _normalize_element,
@@ -33,6 +36,7 @@ from polyvem.mesh import (
     cut_mesh,
     gen_structured,
     merge_meshes,
+    write_mesh,
 )
 from polyvem.monomials import basis_size
 from polyvem.quadrature import gauss_lobatto_1d
@@ -114,6 +118,124 @@ def reference_build(vertices, elements):
     }
 
 
+def reference_merge(a, b, tol=None):
+    """The merge as the object code made it, raising what it raised: b's
+    boundary vertices unified onto the lowest a boundary vertex within tol,
+    an overlap test per (facet, vertex) pair through Facet.contains and
+    the facet's boundary edges, then hanging nodes inserted loop by loop
+    and edge by edge.  Its grid prefilters only skipped pairs that the
+    exact tests reject, so here every pair in a closed box is tested."""
+    if tol is None:
+        tol = MERGE_TOL * max(a.diameter, b.diameter)
+
+    a_boundary = a.boundary_vertex_ids().tolist()
+    b_boundary = b.boundary_vertex_ids().tolist()
+    targets = {}
+    for vb in b_boundary:
+        d = a.vertices[a_boundary] - b.vertices[vb]
+        near = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) <= tol)
+        if near.size:
+            targets[vb] = a_boundary[near[0]]
+    vertices = [v for v in a.vertices]
+    remap = {}
+    for vb in range(b.num_vertices):
+        target = targets.get(vb)
+        if target is None:
+            remap[vb] = len(vertices)
+            vertices.append(b.vertices[vb])
+        else:
+            remap[vb] = target
+    vertices = np.array(vertices)
+
+    def point_segment_distance(p, a, b):
+        e = b - a
+        L2 = float(e @ e)
+        t = float(np.clip((p - a) @ e / L2, 0.0, 1.0))
+        return float(np.hypot(*(a + t * e - p)))
+
+    def strictly_inside(f, p):
+        if not f.contains(p):
+            return False
+        return min(point_segment_distance(p, e.p0, e.p1) for e in f.boundary_edges()) > tol
+
+    for mesh, other, message in (
+        (a, b, "vertex of the second mesh is inside the first"),
+        (b, a, "vertex of the first mesh is inside the second"),
+    ):
+        for f in mesh.facets:
+            pts = f.outer.points()
+            inbox = np.all((pts.min(axis=0) <= other.vertices)
+                           & (other.vertices <= pts.max(axis=0)), axis=1)
+            if any(strictly_inside(f, p) for p in other.vertices[inbox]):
+                raise OverlapDetected(message)
+
+    def subdividers(seg_a, seg_b, candidates, coords):
+        pa, pb = coords[seg_a], coords[seg_b]
+        e = pb - pa
+        L = float(np.hypot(*e))
+        found = []
+        for cid in candidates:
+            p = coords[cid]
+            if cid in (seg_a, seg_b):
+                continue
+            t = float((p - pa) @ e) / (L * L)
+            perp = abs(float((p - pa)[0] * e[1] - (p - pa)[1] * e[0])) / L
+            if perp <= tol and t * L > tol and (1.0 - t) * L > tol:
+                found.append((t, cid))
+        return [cid for _, cid in sorted(found)]
+
+    def insert_hanging(loops_elements, boundary_keys, candidates):
+        inserted_any = False
+        new_elems = []
+        for outer, holes in loops_elements:
+            def process(loop):
+                nonlocal inserted_any
+                out = []
+                n = len(loop)
+                for i in range(n):
+                    u, v = loop[i], loop[(i + 1) % n]
+                    out.append(u)
+                    key = (u, v) if u < v else (v, u)
+                    if key not in boundary_keys:
+                        continue
+                    subs = subdividers(u, v, candidates, vertices)
+                    if subs:
+                        inserted_any = True
+                        out.extend(subs)
+                return out
+            new_elems.append((process(outer), [process(h) for h in holes]))
+        return new_elems, inserted_any
+
+    a_elements = [(list(o), [list(h) for h in hs]) for o, hs in a.elements]
+    b_elements = [
+        ([remap[i] for i in o], [[remap[i] for i in h] for h in hs])
+        for o, hs in b.elements
+    ]
+    a_bkeys = {a.edge_keys[i] for i in a.boundary_edge_ids}
+    b_bkeys = set()
+    for i in b.boundary_edge_ids:
+        u, v = b.edge_keys[i]
+        u, v = remap[u], remap[v]
+        b_bkeys.add((u, v) if u < v else (v, u))
+
+    a_elements, ins_a = insert_hanging(a_elements, a_bkeys, sorted({remap[v] for v in b_boundary}))
+    b_elements, ins_b = insert_hanging(b_elements, b_bkeys, a_boundary)
+
+    unified = sum(1 for vb, target in remap.items() if target < a.num_vertices)
+    if unified + int(ins_a) + int(ins_b) == 0:
+        raise NoCommonBoundary("the meshes share no boundary vertices or edges")
+
+    merged = PolyMesh(vertices, a_elements + b_elements)
+    na = len(a_elements)
+    touching = [{e for e, _ in uses} for uses in merged.edge_elements]
+    if not any(min(eids) < na <= max(eids) for eids in touching):
+        raise NoCommonBoundary("the meshes touch only at isolated vertices")
+    expected = a.area + b.area
+    if abs(merged.area - expected) > 1e-12 * expected:
+        raise InvariantViolation("merge changed the total area")
+    return merged
+
+
 def reference_dofs(vertices, ref, k):
     """(element maps, dof points, boundary dofs) of the per-element walk."""
     nv, keys, nel = len(vertices), ref["edge_keys"], len(ref["elements"])
@@ -168,12 +290,31 @@ def quads_on(x0, x1, y0, y1, cells, rng):
                                       for i in range(cells))])
 
 
-def ring_mesh(rng):
-    """A square with a square hole, the hole filled by a 2x2 block: hanging
-    nodes on the hole loop."""
+def ring():
+    """A 3x3 square with a unit square hole."""
     verts = np.array([[0.0, 0], [3, 0], [3, 3], [0, 3], [1, 1], [1, 2], [2, 2], [2, 1]])
-    ring = PolyMesh(verts, [([0, 1, 2, 3], [[4, 5, 6, 7]])])
-    return merge_meshes(ring, quads_on(1.0, 2.0, 1.0, 2.0, 2, rng))
+    return PolyMesh(verts, [([0, 1, 2, 3], [[4, 5, 6, 7]])])
+
+
+def ring_mesh(rng):
+    """The ring, its hole filled by a 2x2 block: hanging nodes on the hole
+    loop."""
+    return merge_meshes(ring(), quads_on(1.0, 2.0, 1.0, 2.0, 2, rng))
+
+
+def random_cuts(mesh, rng, count):
+    """The mesh cut by count random lines, skipping the degenerate cuts."""
+    for _ in range(count):
+        theta = rng.uniform(0.0, np.pi)
+        p = rng.uniform(0.2, 0.8, size=2)
+        line = CutLine(np.cos(theta), np.sin(theta), np.cos(theta) * p[0] + np.sin(theta) * p[1])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                mesh = cut_mesh(mesh, line)
+        except DegenerateCut:
+            pass
+    return mesh
 
 
 @st.composite
@@ -189,17 +330,7 @@ def meshes(draw):
     if kind == "merged":
         return merge_meshes(m, quads_on(1.0, 1.0 + rng.uniform(0.3, 1.0), 0.0, 1.0,
                                         draw(st.sampled_from([n - 1, n + 1, 2 * n])), rng))
-    for _ in range(draw(st.integers(0, 2 if kind == "cut" else 0))):
-        theta = rng.uniform(0.0, np.pi)
-        p = rng.uniform(0.2, 0.8, size=2)
-        line = CutLine(np.cos(theta), np.sin(theta), np.cos(theta) * p[0] + np.sin(theta) * p[1])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                m = cut_mesh(m, line)
-        except DegenerateCut:
-            pass
-    return m
+    return random_cuts(m, rng, draw(st.integers(0, 2 if kind == "cut" else 0)))
 
 
 def tables(mesh, rng, flip_share):
@@ -240,6 +371,68 @@ def test_array_build_equals_element_reference(mesh, seed, flip_share):
         # a group's perimeter adds its edges up as Facet.perimeter does
         for ids, group in discretisation(got, k)[2]:
             assert np.array_equal(group.perimeter, [ref["facets"][e].perimeter for e in ids])
+
+
+# -- the array merge equals the object merge -------------------------------
+
+
+def lshape_mesh():
+    verts = np.array([[0.0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    return PolyMesh(verts, [[0, 1, 2, 3, 4, 5]])
+
+
+@st.composite
+def merge_pairs(draw):
+    """(a, b, tol): distortedQuads, plain or cut, with a finer or coarser
+    neighbour on one of its sides, snapped within tol or exactly on it, or
+    a disjoint, corner-touching, overlapping or nested one; a ring with a block in
+    its hole; the L-shape with a block in its notch.  Either order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["side", "side", "ring", "notch", "disjoint", "corner",
+                                 "overlap", "nested"]))
+    if kind in ("ring", "notch"):
+        a = ring() if kind == "ring" else lshape_mesh()
+        b = quads_on(1.0, 2.0, 1.0, 2.0, draw(st.integers(1, 4)), rng)
+    else:
+        n = draw(st.integers(2, 6))
+        a = random_cuts(gen_structured("distortedQuads", n), rng, draw(st.integers(0, 2)))
+        cells = draw(st.sampled_from([max(n - 1, 1), n + 1, 2 * n, 3 * n]))
+        w, gap = rng.uniform(0.3, 1.0), draw(st.sampled_from([0.0, 2e-13, 3e-10]))
+        box = {
+            "disjoint": (2.0, 3.0, 0.0, 1.0),
+            "corner": (1.0, 2.0, 1.0, 2.0),
+            "overlap": (rng.uniform(0.3, 0.9), 1.5, rng.uniform(-0.5, 0.5), 1.2),
+            "nested": (0.4, 0.45, 0.55, 0.6),
+            "side": draw(st.sampled_from([
+                (1.0 + gap, 1.0 + gap + w, 0.0, 1.0),
+                (-gap - w, -gap, 0.0, 1.0),
+                (0.0, 1.0, 1.0 + gap, 1.0 + gap + w),
+                (0.0, 1.0, -gap - w, -gap),
+            ])),
+        }[kind]
+        b = quads_on(*box, cells, rng)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, draw(st.sampled_from([None, None, 0.0, 1e-6]))
+
+
+def poly2d_bytes(mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.poly2d"
+        write_mesh(mesh, path)
+        return path.read_bytes()
+
+
+@given(merge_pairs())
+@settings(max_examples=60, deadline=None)
+def test_array_merge_equals_object_merge(pair):
+    a, b, tol = pair
+    got, error, caught = outcome(lambda a, b: merge_meshes(a, b, tol), a, b)
+    ref, ref_error, ref_caught = outcome(lambda a, b: reference_merge(a, b, tol), a, b)
+    assert error == ref_error
+    assert caught == ref_caught
+    if error is None:
+        assert poly2d_bytes(got) == poly2d_bytes(ref)
 
 
 # -- a defect fails as in the per-element reference -----------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from polyvem import cli
-from polyvem.mesh import PolyMesh, write_mesh
+from polyvem.mesh import PolyMesh, merge_meshes, read_mesh, write_mesh
 
 
 def read_csv(path):
@@ -323,6 +323,23 @@ def test_mesh_merge_disjoint_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["mesh", "merge", a, b]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_mesh_merge_rejects_a_tolerance_not_finite_or_below_zero(tmp_path, capsys, tol):
+    # two unit squares that share x = 1: the tolerance is refused before
+    # any vertex is compared, by the library and the command alike
+    a = str(tmp_path / "a.poly2d")
+    b = str(tmp_path / "b.poly2d")
+    assert cli.main(["mesh", "gen", "quads:1", "-o", a]) == 0
+    sq = np.array([[1, 0], [2, 0], [2, 1], [1, 1]], float)
+    write_mesh(PolyMesh(sq, [[0, 1, 2, 3]]), b)
+    capsys.readouterr()
+    assert cli.main(["mesh", "merge", a, b, "--merge-tol=" + tol]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: merge tolerance must be a finite number >= 0") and tol in err
+    with pytest.raises(ValueError, match="merge tolerance"):
+        merge_meshes(read_mesh(a), read_mesh(b), tol=float(tol))
 
 
 # -- quadrature ----------------------------------------------------------

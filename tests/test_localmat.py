@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 
 from polyvem import localmat
 from polyvem.errors import SingularG, SingularH
-from polyvem.geometry import Facet
+from polyvem.geometry import Facet, FacetTable
 from polyvem.localmat import (
     COND_LIMIT,
     Element,
-    ElementGroup,
     ElementMatrixCache,
     MatrixTag,
     _monomial_integrals,
     find_or_compute,
-    group_elements,
+    group_facets,
     load_vector,
 )
 from polyvem.mesh import (
@@ -43,6 +42,7 @@ from polyvem.system import assemble, discretisation, error_norms, interpolate_do
 from conftest import (
     derivative,
     gauss_edge,
+    lone_group,
     pentagon,
     product,
     random_facet,
@@ -148,7 +148,7 @@ def test_monomial_integrals_match_green_oracle(seed, kind, degree):
     # divergence theorem on Gauss edge rules against the oracle's Green
     # antiderivative, on plain, hanging-node and holed facets
     facet = random_facet(np.random.default_rng(seed), kind)
-    group = ElementGroup([Element(facet, 1)], [ElementMatrixCache()])
+    group = lone_group(facet, 1)
     got = _monomial_integrals(group, degree)[0]
     want = np.array([monomial_integral(facet, ex, ey) for ex, ey in basis_exponents(degree)])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -737,11 +737,11 @@ def relative_deviation(got, want):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_group_kernel_matches_element_oracle_within_tolerance(k):
     zoo = element_zoo()
-    pairs = [(Element(f, k), ElementMatrixCache()) for f in zoo]
-    for _, group in group_elements(pairs):
+    caches = [ElementMatrixCache() for _ in zoo]
+    for _, group in group_facets(FacetTable.from_facets(zoo), k, caches):
         for tag in MatrixTag:
             find_or_compute(group.cache, group, tag)
-    for eid, (facet, (_, cache)) in enumerate(zip(zoo, pairs)):
+    for eid, (facet, cache) in enumerate(zip(zoo, caches)):
         el, c = OracleElement(facet, k), {}
         for tag in MatrixTag:
             dev = relative_deviation(cache.get(tag), oracle_matrix(el, c, tag))

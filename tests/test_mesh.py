@@ -17,7 +17,7 @@ from polyvem.errors import (
 from polyvem import cli
 from polyvem import mesh as mesh_module
 from polyvem.geometry import OrientationWarning
-from polyvem.localmat import Element, ElementGroup, ElementMatrixCache
+from polyvem.localmat import Element
 from polyvem.mesh import (
     DUPLICATE_TOL,
     _Loops,
@@ -31,6 +31,8 @@ from polyvem.mesh import (
     write_mesh,
 )
 from polyvem.vemspace import build_layout
+
+from conftest import lone_group
 
 
 def unit_square_mesh():
@@ -644,7 +646,7 @@ def test_element_maps_agree_with_layout_points():
                 el = Element(f, k)
                 gmap = gd.element_maps[eid]
                 assert len(gmap) == el.layout.num_dofs
-                local = ElementGroup([el], [ElementMatrixCache()]).dof_points[0]
+                local = lone_group(f, k).dof_points[0]
                 mo = el.layout.moment_offset
                 assert np.allclose(gd.dof_points[gmap[:mo]], local, atol=1e-13)
 

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvem.geometry import Facet
-from polyvem.localmat import Element, ElementGroup, ElementMatrixCache
 from polyvem.monomials import basis_size
 from polyvem.quadrature import gauss_lobatto_1d
 from polyvem.vemspace import build_layout
 
-from conftest import pentagon, random_facet, square_with_hole, unit_square
+from conftest import lone_group, pentagon, random_facet, square_with_hole, unit_square
 
 
 @pytest.mark.parametrize("k,expected", [(1, 5), (2, 11), (3, 18)])
@@ -45,7 +44,7 @@ def test_order_zero_rejected():
 
 def dof_points(facet, k):
     """Point of every vertex and edge dof, as the element kernel stacks them."""
-    group = ElementGroup([Element(facet, k)], [ElementMatrixCache()])
+    group = lone_group(facet, k)
     return group.dof_points[0]
 
 
