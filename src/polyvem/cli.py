@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PolyVemError
 from .geometry import triangulate
-from .localmat import MatrixTag, find_or_compute
+from .localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
 from .mesh import (
     CutLine,
     cut_mesh,
@@ -26,7 +26,7 @@ from .mesh import (
 )
 from .monomials import basis_size
 from .quadrature import certify_rule, compress_rule, polygon_rule
-from .system import apply_dirichlet, assemble, error_norms, solve
+from .system import apply_dirichlet, assemble, check_solve_args, discretisation, error_norms, solve
 
 FMT = "%.17g"
 
@@ -148,8 +148,8 @@ def write_vtk(path, mesh, solution, coeffs):
     Hole-free elements map to VTK_POLYGON cells, their outer loops read off
     the loop arrays; elements with holes are triangulated into VTK_TRIANGLE
     cells because the legacy format has no hole-capable planar cell.  Every
-    cell carries its parent element id and that element's projection
-    coefficients, padded with zeros up to the largest element.  The text is
+    cell carries its parent element id and that element's row of coeffs,
+    the (elements, basis_size(k)) projection coefficients.  The text is
     formatted in bulk, as `write_mesh` formats the poly2d file.
     """
     t = mesh.shapes
@@ -170,10 +170,7 @@ def write_vtk(path, mesh, solution, coeffs):
     ncells = len(sizes)
     numbers = np.insert(ids, np.cumsum(sizes) - sizes, sizes)  # a line per cell: size, ids
     formats = {s: "%d" + " %d" * s + "\n" for s in np.unique(sizes).tolist()}
-    ncomp = max(len(c) for c in coeffs)
-    padded = np.zeros((len(coeffs), ncomp))
-    for e, c in enumerate(coeffs):
-        padded[e, : len(c)] = c
+    ncomp = coeffs.shape[1]
     nv = mesh.num_vertices
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -195,7 +192,7 @@ def write_vtk(path, mesh, solution, coeffs):
         fh.write("FIELD projection 1\n")
         fh.write("proj_coeffs %d %d double\n" % (ncomp, ncells))
         row = " ".join([FMT] * ncomp) + "\n"
-        fh.write((row * ncells) % tuple(padded[parents].ravel().tolist()))
+        fh.write((row * ncells) % tuple(coeffs[parents].ravel().tolist()))
 
 
 def _write_errors_csv(path, h, ndof, el2, eh1):
@@ -209,8 +206,9 @@ def _failure(report):
         report.iterations, report.residual, report.floor, report.reason)
 
 
-def _dump_matrices(prefix, eid, element, cache):
+def _dump_matrices(prefix, eid, element):
     path = "%s_element%d.csv" % (prefix, eid)
+    cache = ElementMatrixCache()
     with open(path, "w") as fh:
         for tag in MatrixTag:
             M = np.atleast_2d(find_or_compute(cache, element, tag))
@@ -220,43 +218,56 @@ def _dump_matrices(prefix, eid, element, cache):
     return path
 
 
+def _check_solver_flags(args):
+    """Refuse an order, tolerance, iteration cap or level count out of
+    range before anything is assembled."""
+    for name in ("degree", "levels"):
+        if getattr(args, name, 1) < 1:
+            raise CliInputError("%s must be >= 1, got %d" % (name, getattr(args, name)))
+    try:
+        check_solve_args(args.tol, getattr(args, "maxiter", None))
+    except ValueError as err:
+        raise CliInputError(str(err))
+
+
 # -- commands ------------------------------------------------------------
 
 
 def cmd_solve(args):
+    _check_solver_flags(args)
     mesh = _resolve_mesh(args)
-    u, f, grad = resolve_problem(args.problem, args.degree)
-    sys_ = assemble(mesh, args.degree, f)
+    k, eid = args.degree, args.dump_matrices
+    if eid is not None and not 0 <= eid < mesh.num_elements:
+        raise CliInputError("element id %d out of range" % eid)
+    u, f, grad = resolve_problem(args.problem, k)
+    sys_ = assemble(mesh, k, f)
     apply_dirichlet(sys_, u)
     x, report = solve(sys_, tol=args.tol, maxiter=args.maxiter)
     if not report.converged:
         print("solver failed: %s" % _failure(report), file=sys.stderr)
         return 2
-    el2, eh1 = error_norms(mesh, args.degree, x, u, grad)
+    el2, eh1 = error_norms(mesh, k, x, u, grad)
     h = float(mesh.shapes.diameters.max())
     print(
         "solved: nDof=%d iters=%d residual=%.3e errL2=%.6e errH1=%.6e"
         % (sys_.num_dofs, report.iterations, report.residual, el2, eh1)
     )
     if args.out:
-        coeffs = []
-        for eid, (element, cache) in enumerate(sys_.caches):
-            PiS = find_or_compute(cache, element, MatrixTag.PI_GRAD_STAR)
-            coeffs.append(PiS @ x[sys_.dofmap.element_maps[eid]])
+        coeffs = np.empty((mesh.num_elements, basis_size(k)))
+        for ids, group in discretisation(mesh, k)[1]:
+            PiS = find_or_compute(group.cache, group, MatrixTag.PI_GRAD_STAR)
+            coeffs[ids] = (PiS @ x[sys_.dofmap.maps(ids)][..., None])[..., 0]
         write_vtk(args.out, mesh, x, coeffs)
     if args.errors:
         _write_errors_csv(args.errors, h, sys_.num_dofs, el2, eh1)
-    if args.dump_matrices is not None:
-        eid = args.dump_matrices
-        if not 0 <= eid < mesh.num_elements:
-            raise CliInputError("element id %d out of range" % eid)
-        element, cache = sys_.caches[eid]
-        path = _dump_matrices("matrices", eid, element, cache)
+    if eid is not None:
+        path = _dump_matrices("matrices", eid, Element(mesh.shapes.facet(eid), k))
         print("matrices written to %s" % path)
     return 0
 
 
 def cmd_convergence(args):
+    _check_solver_flags(args)
     u, f, grad = resolve_problem(args.problem, args.degree)
     rows = []
     for level in range(args.levels):
@@ -303,9 +314,10 @@ def cmd_mesh(args):
         mesh = _read(args.path)
         try:
             a, b, c = (float(p) for p in args.line.split(","))
-        except ValueError:
-            raise CliInputError("expected --line a,b,c with numbers")
-        out = cut_mesh(mesh, CutLine(a, b, c))
+            line = CutLine(a, b, c)
+        except ValueError as err:  # not three numbers, or not finite ones
+            raise CliInputError("expected --line a,b,c with finite numbers: %s" % err)
+        out = cut_mesh(mesh, line)
         dest = args.out or args.path
         write_mesh(out, dest)
         print("wrote %s: %d elements, area " % (dest, out.num_elements)

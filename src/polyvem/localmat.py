@@ -29,8 +29,9 @@ only the others take an SVD, so each `SingularH`/`SingularG` decision is
 the one `np.linalg.cond` makes.
 
 Matrices are requested by tag through `find_or_compute`, which walks the
-dependency graph and memoizes per group and per element, so a stiffness
-request performs each intermediate computation once.
+dependency graph and memoizes in one `ElementMatrixCache` per group (a
+lone element's going into its own), so a stiffness request performs each
+intermediate computation once.
 """
 
 import enum
@@ -84,49 +85,19 @@ class Element:
 
 
 class ElementMatrixCache:
-    """Computed matrices of one element, keyed by tag.
+    """Computed matrices keyed by tag: of one element, or of the members of
+    a group, stacked member index first.
 
     compute_count tracks how many matrix evaluations actually ran, which
-    lets callers verify that repeated requests hit the cache.  The cache of
-    a member of a `group_facets` group (see `ElementList`) also reads, as
-    its slice, every tag its group computed, and counts it as computed
-    here.
-    """
-
-    def __init__(self, group=None, index=None):
-        self._store = {}
-        self._count = 0
-        self._group, self._index = group, index
-
-    @property
-    def compute_count(self):
-        if self._group is None:
-            return self._count
-        return self._count + sum(tag not in self._store for tag in self._group._store)
-
-    def __contains__(self, tag):
-        return tag in self._store or (self._group is not None and tag in self._group._store)
-
-    def get(self, tag):
-        if tag in self._store:
-            return self._store[tag]
-        return self._group._store[tag][self._index]
-
-    def put(self, tag, value):
-        self._store[tag] = value
-
-
-class GroupMatrixCache(ElementMatrixCache):
-    """Stacked matrices of a group's members, member index first.
-
-    With member caches, a stored value also goes, as one view per member,
-    into each member cache that lacks it, counting one computation there;
-    a tag that all members hold is stacked from them.  Without (the groups
-    of `group_facets` for a mesh), members read the stacks lazily.
+    lets callers verify that repeated requests hit the cache.  With member
+    caches, one per member, a stored stack also gives each member cache
+    that lacks the tag its own slice, counting one computation there; a
+    tag that every member holds is stacked from them.
     """
 
     def __init__(self, members=None):
-        super().__init__()
+        self._store = {}
+        self.compute_count = 0
         self.members = members
 
     def __contains__(self, tag):
@@ -141,11 +112,10 @@ class GroupMatrixCache(ElementMatrixCache):
 
     def put(self, tag, value):
         self._store[tag] = value
-        self._count += 1
+        self.compute_count += 1
         for cache, member_value in zip(self.members or (), value):
             if tag not in cache:
                 cache.put(tag, member_value)
-                cache._count += 1
 
 
 class ElementGroup:
@@ -218,7 +188,7 @@ class ElementGroup:
         return [
             ElementGroup(self.table, self.ids[i : i + 1], self.k, self.layout,
                          None if self.triangles is None else self.triangles[i : i + 1],
-                         GroupMatrixCache())
+                         ElementMatrixCache())
             for i in range(self.size)
         ]
 
@@ -275,7 +245,7 @@ def group_facets(table, k, caches=None):
                 triangles[fan] = walk[fan][:, fan_table(size)]
             for i in np.flatnonzero(~fan).tolist():
                 triangles[i] = clipped[members[i]]
-        cache = GroupMatrixCache(None if caches is None else [caches[e] for e in members])
+        cache = ElementMatrixCache(None if caches is None else [caches[e] for e in members])
         groups.append((ids, ElementGroup(table, ids, k, layout, triangles, cache)))
     return groups
 
@@ -284,33 +254,6 @@ def _lone_group(element, cache):
     """A lone Element as the group of a one-row FacetTable, its matrices
     going into cache."""
     return group_facets(FacetTable.from_facets([element.facet]), element.k, [cache])[0][1]
-
-
-class ElementList:
-    """(Element, ElementMatrixCache) of every facet of a table, made on
-    first access; a member's cache reads its slice of its group's
-    matrices."""
-
-    def __init__(self, table, k, groups):
-        self._table, self._k = table, k
-        self._group = np.empty(len(table), dtype=np.intp)
-        self._index = np.empty(len(table), dtype=np.intp)
-        for g, (ids, _) in enumerate(groups):
-            self._group[ids], self._index[ids] = g, np.arange(len(ids))
-        self._caches = [group.cache for _, group in groups]
-        self._pairs = [None] * len(table)
-
-    def __len__(self):
-        return len(self._pairs)
-
-    def __getitem__(self, eid):
-        eid = range(len(self._pairs))[eid]  # negative ids and slices as a list's
-        if isinstance(eid, range):
-            return [self[i] for i in eid]
-        if self._pairs[eid] is None:
-            cache = ElementMatrixCache(self._caches[self._group[eid]], self._index[eid])
-            self._pairs[eid] = (Element(self._table.facet(eid), self._k), cache)
-        return self._pairs[eid]
 
 
 def sample(fn, points):
@@ -330,9 +273,9 @@ def _swap(M):
 def find_or_compute(cache, element, tag):
     """Matrix for `tag`, computing and caching any missing dependencies.
 
-    `element` is an ElementGroup with its GroupMatrixCache, which gives the
-    stacked matrices of all members, or a lone Element with its
-    ElementMatrixCache, computed as a group of one.
+    `element` is an ElementGroup with its cache, which gives the stacked
+    matrices of all members, or a lone Element with its cache, computed as
+    a group of one whose cache has it as its member.
     """
     if tag in cache:
         return cache.get(tag)
@@ -543,7 +486,7 @@ def load_vector(element, f, cache=None):
     order 2 when k = 2.
 
     `element` is a lone Element, with its cache if any, or an ElementGroup
-    with its GroupMatrixCache; a group gets one row per member.
+    with its cache; a group gets one row per member.
     """
     if isinstance(element, Element):
         group = _lone_group(element, ElementMatrixCache() if cache is None else cache)

@@ -212,7 +212,7 @@ class PolyMesh:
             raise error
         self._build_edges()
         self.area = float(sum(self.shapes.areas.tolist()))  # element by element
-        # order k -> (dof map, elements, groups), filled by polyvem.system
+        # order k -> (dof map, element groups), filled by polyvem.system
         self.discretisations = {}
 
     # -- construction helpers -------------------------------------------
@@ -450,6 +450,8 @@ class CutLine:
         n = float(np.hypot(self.a, self.b))
         if n == 0.0 or not np.isfinite(n):
             raise ValueError("line normal must be nonzero and finite")
+        if not np.isfinite(self.c / n):
+            raise ValueError("line offset must be finite, got %r" % self.c)
         self.a, self.b, self.c = self.a / n, self.b / n, self.c / n
 
     def signed_distance(self, points):

@@ -32,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PolyVemError
-from .localmat import (
-    ElementList,
-    MatrixTag,
-    find_or_compute,
-    group_facets,
-    load_vector,
-    sample,
-)
+from .localmat import MatrixTag, find_or_compute, group_facets, load_vector, sample
 from .mesh import build_global_dofs
 from .monomials import basis_size, derivative_tables
 from .quadrature import gauss_lobatto_1d
@@ -74,7 +67,8 @@ class SolveReport:
     - "breakdown": CG stopped on a p.Ap that is not positive and finite;
     - "maxiter": CG ran out of iterations;
     - "recovery": CG met tol on the condensed system, but the residual of
-      the whole system, moments recovered, misses it by more.
+      the whole system, moments recovered, misses it by more, also after
+      one retry with a tighter target (see `solve`).
 
     floor is computed only when the residual misses tol, and None when it
     meets it.
@@ -91,13 +85,12 @@ class SolveReport:
 class SparseSystem:
     """Assembled operator plus everything needed to reduce and expand."""
 
-    def __init__(self, A, b, dofmap, mesh, k, caches):
+    def __init__(self, A, b, dofmap, mesh, k):
         self.A = A
         self.b = b
         self.dofmap = dofmap
         self.mesh = mesh
         self.k = k
-        self.caches = caches
         self.constrained_ids = None
         self.constrained_values = None
         self.condensed = None  # (constrained_ids bytes, `_condensed` operators)
@@ -115,20 +108,16 @@ class SparseSystem:
 
 
 def discretisation(mesh, k):
-    """Dof map, per-element (Element, ElementMatrixCache) pairs and element
-    groups at order k.
+    """(dof map, element groups) at order k.
 
     Built once and kept on the mesh, so assembly, the load vector, the error
     norms, the interpolant and the CLI share every element's projectors.
     The groups are `localmat.group_facets` (ids, ElementGroup) pairs, each
-    group a slice of the mesh's FacetTable; the pairs, an `ElementList`,
-    are made on first use and read the groups' matrices, and a lone
-    Element outside the mesh is computed as the group of a one-row table.
+    group a slice of the mesh's FacetTable with the stacked matrices of its
+    members in its cache.
     """
     if k not in mesh.discretisations:
-        dofmap = build_global_dofs(mesh, k)
-        groups = group_facets(mesh.shapes, k)
-        mesh.discretisations[k] = (dofmap, ElementList(mesh.shapes, k, groups), groups)
+        mesh.discretisations[k] = (build_global_dofs(mesh, k), group_facets(mesh.shapes, k))
     return mesh.discretisations[k]
 
 
@@ -181,7 +170,7 @@ def assemble(mesh, k, f=None):
     Element failures are re-raised with the element id prepended.
     """
     _sparse()  # imported before the triplets exist, so it adds nothing to their peak
-    dofmap, elements, groups = discretisation(mesh, k)
+    dofmap, groups = discretisation(mesh, k)
     n = dofmap.num_dofs
 
     def work(ids, group):
@@ -208,7 +197,7 @@ def assemble(mesh, k, f=None):
         # the load adds up element by element in id order
         order = np.argsort(np.concatenate(owners), kind="stable")
         np.add.at(b, np.concatenate(targets)[order], np.concatenate(loads)[order])
-    return SparseSystem(A, b, dofmap, mesh, k, elements)
+    return SparseSystem(A, b, dofmap, mesh, k)
 
 
 def apply_dirichlet(system, g):
@@ -475,6 +464,15 @@ def _condensed(system):
     return system.condensed[1:]
 
 
+def check_solve_args(tol, maxiter):
+    """Raise ValueError unless tol is a finite number >= 0 and maxiter is
+    None or at least 1."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("solver tolerance must be a finite number >= 0, got %r" % tol)
+    if maxiter is not None and maxiter < 1:
+        raise ValueError("maxiter must be >= 1, got %r" % maxiter)
+
+
 def solve(system, tol=1e-12, maxiter=None):
     """Solve the (reduced) system; boundary values are re-inserted.
 
@@ -482,9 +480,13 @@ def solve(system, tol=1e-12, maxiter=None):
     coarse space, so the report's iterations are on S, with tol rescaled
     so that its residual and `converged` are of the whole reduced system
     after the moments are recovered: ||rhs_f - A_ff x_f|| / ||rhs_f|| <=
-    tol.  Non-convergence is reported through the flag on the returned
-    report, with the rounding floor and the reason, not as an exception.
+    tol.  If CG meets its target on S but that residual misses tol by
+    more than twice the rounding floor, CG runs once more from zero, its
+    target scaled by tol / 2 over the miss, within the iterations left;
+    the report sums both runs.  Non-convergence is reported through the
+    flag on the report, with the rounding floor and the reason.
     """
+    check_solve_args(tol, maxiter)
     S, A_bm, M, A_bm_M, coarse = _condensed(system)
     free, mo = system.free_ids(), system.dofmap.moment_offset
     inner = free[free < mo]
@@ -498,15 +500,18 @@ def solve(system, tol=1e-12, maxiter=None):
     rhs = r[inner] - A_bm_M @ r[mo:]
     if maxiter is None:
         maxiter = max(10 * len(free), 1)
-    scaled_tol = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
-    x = np.zeros(system.num_dofs)
-    start = time.perf_counter()
-    x[inner], iterations, _, met = SOLVERS["jacobi_cg"](S, rhs, scaled_tol, maxiter, coarse)
-    elapsed = time.perf_counter() - start
-    x[mo:] = M @ (r[mo:] - A_bm.T @ x[inner])
-    residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
-    report = SolveReport(iterations, residual, elapsed, residual <= tol)
-    if not report.converged:
+    target = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
+    x, iterations, elapsed = np.zeros(system.num_dofs), 0, 0.0
+    for retried in (False, True):
+        start = time.perf_counter()
+        x[inner], its, _, met = SOLVERS["jacobi_cg"](S, rhs, target, maxiter - iterations, coarse)
+        elapsed += time.perf_counter() - start
+        iterations += its
+        x[mo:] = M @ (r[mo:] - A_bm.T @ x[inner])
+        residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
+        report = SolveReport(iterations, residual, elapsed, residual <= tol)
+        if report.converged:
+            break
         spread = (abs(system.A) @ np.abs(x))[free] + np.abs(r[free])
         report.floor = float(np.finfo(float).eps * np.linalg.norm(spread)) / (bnorm or 1.0)
         if residual <= 2.0 * report.floor:
@@ -515,6 +520,9 @@ def solve(system, tol=1e-12, maxiter=None):
             report.reason = "breakdown" if iterations < maxiter else "maxiter"
         else:
             report.reason = "recovery"
+        if report.reason != "recovery" or retried or iterations >= maxiter:
+            break
+        target *= 0.5 * tol / residual
     return x + fixed, report
 
 
@@ -524,7 +532,7 @@ def interpolate_dofs(mesh, k, u):
     Point dofs sample u; moment dofs average u against the scaled
     monomials with a quadrature well beyond the space's own degree.
     """
-    dofmap, _, groups = discretisation(mesh, k)
+    dofmap, groups = discretisation(mesh, k)
     x = np.zeros(dofmap.num_dofs)
     pts = dofmap.dof_points[: dofmap.moment_offset]
     x[: dofmap.moment_offset] = u(pts[:, 0], pts[:, 1])
@@ -552,7 +560,7 @@ def error_norms(mesh, k, solution, u_exact, grad_exact):
     basis_size(k - 1) monomials (the graded order puts them first) serve
     both norms.
     """
-    dofmap, _, groups = discretisation(mesh, k)
+    dofmap, groups = discretisation(mesh, k)
     squares = np.empty((mesh.num_elements, 2))
     Dx, Dy = derivative_tables(k)
     low = basis_size(k - 1)

@@ -369,7 +369,7 @@ def test_array_build_equals_element_reference(mesh, seed, flip_share):
         assert np.array_equal(dofs.dof_points, points, equal_nan=True)
         assert dofs.boundary_dof_ids.tolist() == bdofs
         # a group's perimeter adds its edges up as Facet.perimeter does
-        for ids, group in discretisation(got, k)[2]:
+        for ids, group in discretisation(got, k)[1]:
             assert np.array_equal(group.perimeter, [ref["facets"][e].perimeter for e in ids])
 
 
@@ -604,10 +604,10 @@ def test_load_free_assemble_ear_clips_only_what_the_fan_rejects(monkeypatch):
 
 
 def test_element_pairs_index_like_a_list():
-    sys_ = assemble(gen_structured("distortedQuads", 3), 2, lambda x, y: np.ones_like(x))
-    pairs = sys_.caches
-    assert len(pairs) == len(list(pairs)) == 9
-    assert pairs[-1] is pairs[8] and pairs[2:4] == [pairs[2], pairs[3]]
-    # the group computed D, G, B, both energy projectors, the stiffness, H
-    # and the moment projector once for every member
-    assert [cache.compute_count for _, cache in pairs] == [8] * 9
+    mesh = gen_structured("distortedQuads", 3)
+    assemble(mesh, 2, lambda x, y: np.ones_like(x))
+    groups = discretisation(mesh, 2)[1]
+    assert sum(len(ids) for ids, _ in groups) == 9
+    # each group computed D, G, B, both energy projectors, the stiffness, H
+    # and the moment projector once for all its members
+    assert [group.cache.compute_count for _, group in groups] == [8] * len(groups)

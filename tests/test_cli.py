@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from polyvem import cli
-from polyvem.mesh import PolyMesh, merge_meshes, read_mesh, write_mesh
+from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
+from polyvem.mesh import CutLine, PolyMesh, merge_meshes, read_mesh, write_mesh
+from polyvem.monomials import basis_size
+from polyvem.system import apply_dirichlet, assemble, solve
 
 
 def read_csv(path):
@@ -201,6 +204,26 @@ def test_convergence_csv_matches_golden_bytes(tmp_path):
     assert sha256(out) == CONVERGENCE_SHA256
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["solve", "--gen", "quads:2", "--degree", "0"], "got 0"),
+    (["solve", "--gen", "quads:2", "--tol", "nan"], "got nan"),
+    (["solve", "--gen", "quads:2", "--tol", "-1"], "got -1"),
+    (["solve", "--gen", "quads:2", "--maxiter", "-3"], "got -3"),
+    (["solve", "--gen", "quads:2", "--dump-matrices", "99"], "id 99"),
+    (["convergence", "--tol", "nan"], "got nan"),
+    (["convergence", "--levels", "0"], "got 0"),
+], ids=["degree", "tol-nan", "tol-negative", "maxiter", "dump-id", "convergence-tol",
+        "levels"])
+def test_solver_flags_out_of_range_exit_1_before_assembly(argv, value, capsys, monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err
+
+
 def test_dump_matrices_bad_id_exits_1(capsys):
     rc = cli.main(["solve", "--gen", "quads:2", "--dump-matrices", "99"])
     assert rc == 1
@@ -300,6 +323,20 @@ def test_mesh_cut_bad_line_exits_1(tmp_path, capsys):
     assert "a,b,c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["nan,0,0.5", "1,0,nan"])
+def test_mesh_cut_non_finite_line_exits_1(tmp_path, capsys, line):
+    path = str(tmp_path / "m.poly2d")
+    assert cli.main(["mesh", "gen", "quads:2", "-o", path]) == 0
+    before = open(path).read()
+    capsys.readouterr()
+    assert cli.main(["mesh", "cut", path, "--line=" + line]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected --line a,b,c with finite numbers: line ")
+    assert open(path).read() == before
+    with pytest.raises(ValueError, match="must be .*finite"):
+        CutLine(*(float(t) for t in line.split(",")))
+
+
 def test_mesh_merge_adds_areas(tmp_path, capsys):
     a = str(tmp_path / "a.poly2d")
     b = str(tmp_path / "b.poly2d")
@@ -382,10 +419,11 @@ def test_quad_negative_degree_exits_1(capsys):
 # -- VTK export ----------------------------------------------------------
 
 
-def test_vtk_output_parses_back(tmp_path):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vtk_output_parses_back(tmp_path, k):
     path = holed_file(tmp_path)
     vtk = str(tmp_path / "sol.vtk")
-    rc = cli.main(["solve", "--mesh", path, "--degree", "2",
+    rc = cli.main(["solve", "--mesh", path, "--degree", str(k),
                    "--problem", "polyK", "--out", vtk])
     assert rc == 0
     lines = open(vtk).read().splitlines()
@@ -413,7 +451,19 @@ def test_vtk_output_parses_back(tmp_path):
     assert "POINT_DATA %d" % npts in body
     assert "SCALARS u double 1" in body
     assert "CELL_DATA %d" % ncells in body
-    assert "proj_coeffs 6 %d double" % ncells in body
+    at = lines.index("SCALARS element_id int 1") + 2
+    parents = [int(t) for t in lines[at : at + ncells]]
+    at = lines.index("proj_coeffs %d %d double" % (basis_size(k), ncells)) + 1
+    rows = [[float(t) for t in ln.split()] for ln in lines[at : at + ncells]]
+    # each row is its parent's projection of a library solve, bit for bit
+    mesh = read_mesh(path)
+    u, f, _ = cli.resolve_problem("polyK", k)
+    sys_ = assemble(mesh, k, f)
+    x, _ = solve(apply_dirichlet(sys_, u))
+    for e, row in zip(parents, rows):
+        PiS = find_or_compute(ElementMatrixCache(), Element(mesh.shapes.facet(e), k),
+                              MatrixTag.PI_GRAD_STAR)
+        assert row == (PiS @ x[sys_.dofmap.element_maps[e]]).tolist(), e
 
 
 def test_vtk_point_data_matches_vertex_dofs(tmp_path):

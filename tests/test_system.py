@@ -28,6 +28,7 @@ from polyvem.system import (
     _reduce_triplets,
     apply_dirichlet,
     assemble,
+    discretisation,
     error_norms,
     interpolate_dofs,
     jacobi_cg,
@@ -223,12 +224,13 @@ def test_dropped_mesh_freed_without_cycle_collector():
 def test_error_norms_reuse_assembled_elements():
     mesh = gen_structured("distortedQuads", 2)
     sys_ = assemble(mesh, 2, lambda x, y: np.ones_like(x))
-    counts = [cache.compute_count for _, cache in sys_.caches]
+    groups = discretisation(mesh, 2)[1]
+    counts = [group.cache.compute_count for _, group in groups]
     u = lambda x, y: x
     grad = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     error_norms(mesh, 2, np.zeros(sys_.num_dofs), u, grad)
     interpolate_dofs(mesh, 2, u)
-    assert [cache.compute_count for _, cache in sys_.caches] == counts
+    assert [group.cache.compute_count for _, group in groups] == counts
     assert assemble(mesh, 2).dofmap is sys_.dofmap
 
 
@@ -541,6 +543,7 @@ def components(A):
 @pytest.mark.parametrize("kind", ["cut", "merged", "two components", "no free vertex"])
 @given(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
 @example(3, 3, 8601)  # the cut leaves a sliver: its H is singular
+@example(5, 3, 31)  # CG meets its target on S, the recovered moments miss tol
 # cuts whose solve misses tol = 1e-12 within twice the rounding floor
 @example(5, 3, 831303)
 @example(5, 3, 643667599)
@@ -692,6 +695,13 @@ def test_failed_solve_reports_its_floor_and_reason(reason, monkeypatch):
     else:
         assert 0.0 < rep.floor < 1e-13
         assert (rep.residual <= 2.0 * rep.floor) == (reason == "at the floor")
+
+
+@pytest.mark.parametrize("tol, maxiter", [(np.nan, None), (-1.0, None), (np.inf, None), (1, 0)])
+def test_solve_rejects_a_tolerance_or_cap_out_of_range(tol, maxiter):
+    sys_ = sine_problem(gen_structured("distortedQuads", 2), 2)
+    with pytest.raises(ValueError, match="must be"):
+        solve(sys_, tol=tol, maxiter=maxiter)
 
 
 @pytest.mark.parametrize("k", [2, 3])
