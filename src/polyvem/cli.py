@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .errors import PolyVemError
-from .geometry import triangulate
-from .localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
+from .geometry import FacetTable, triangulate
+from .localmat import MatrixTag, find_or_compute, group_facets
 from .mesh import (
     CutLine,
     cut_mesh,
@@ -206,12 +206,15 @@ def _failure(report):
         report.iterations, report.residual, report.floor, report.reason)
 
 
-def _dump_matrices(prefix, eid, element):
+def _dump_matrices(prefix, eid, facet, k):
+    # the element computed alone, as the group of a one-row table: assembly
+    # keeps only some of the mesh groups' matrices, and a lone element has
+    # the bits of a group member
     path = "%s_element%d.csv" % (prefix, eid)
-    cache = ElementMatrixCache()
+    group = group_facets(FacetTable.from_facets([facet]), k)[0][1]
     with open(path, "w") as fh:
         for tag in MatrixTag:
-            M = np.atleast_2d(find_or_compute(cache, element, tag))
+            M = np.atleast_2d(find_or_compute(group.cache, group, tag)[0])
             fh.write("tag,%s\n" % tag.name)
             for row in M:
                 fh.write(",".join(FMT % v for v in row) + "\n")
@@ -261,7 +264,7 @@ def cmd_solve(args):
     if args.errors:
         _write_errors_csv(args.errors, h, sys_.num_dofs, el2, eh1)
     if eid is not None:
-        path = _dump_matrices("matrices", eid, Element(mesh.shapes.facet(eid), k))
+        path = _dump_matrices("matrices", eid, mesh.shapes.facet(eid), k)
         print("matrices written to %s" % path)
     return 0
 

@@ -47,6 +47,11 @@ from .vemspace import build_layout, walk_layout
 
 COND_LIMIT = 1e12
 
+# the most members a group holds: a group's matrices and their temporaries
+# are stacked over its members, so the cap bounds them while one group is
+# computed
+GROUP_CAP = 256
+
 
 class MatrixTag(enum.Enum):
     D = "dof-values-of-monomials"
@@ -117,6 +122,11 @@ class ElementMatrixCache:
             if tag not in cache:
                 cache.put(tag, member_value)
 
+    def discard(self, *tags):
+        """Forget the stored matrices of `tags`; compute_count stays."""
+        for tag in tags:
+            self._store.pop(tag, None)
+
 
 class ElementGroup:
     """Elements of one order sliced from a FacetTable: facets `ids`, which
@@ -183,6 +193,12 @@ class ElementGroup:
             self._mass = np.take(I, _pair_tables(self.k)[0], axis=1)
         return self._mass
 
+    def discard(self, *tags):
+        """Forget the cached matrices of `tags`, and the masses, which only
+        the D and H computations read."""
+        self.cache.discard(*tags)
+        self._mass = None
+
     def split(self):
         """One group per member, in member order."""
         return [
@@ -197,13 +213,14 @@ def group_facets(table, k, caches=None):
     """(ids, ElementGroup) pairs covering the facets of a FacetTable at order
     k, each group's cache storing into `caches`, one per facet, if given.
 
-    Members of a group share loop lengths and triangle count, and groups
-    come in order of their lowest facet id.  A hole-free facet that
-    `fan_accepts` gets the fan's triangles; only the others are
-    triangulated.  A facet whose loops repeat a vertex (its dof chains
-    differ), or whose triangulation fails, forms a group of its own; the
-    failure then surfaces when that group's rules are built, in element
-    order like any other element error.
+    Members of a group share loop lengths and triangle count; the facets
+    of one such shape are split in id order into runs of at most GROUP_CAP
+    members, and groups come in order of their lowest facet id.  A
+    hole-free facet that `fan_accepts` gets the fan's triangles; only the
+    others are triangulated.  A facet whose loops repeat a vertex (its dof
+    chains differ), or whose triangulation fails, forms a group of its
+    own; the failure then surfaces when that group's rules are built, in
+    element order like any other element error.
     """
     nloops = np.diff(table.facet_loops)
     nvert = np.diff(table.slot_starts)
@@ -230,9 +247,14 @@ def group_facets(table, k, caches=None):
     by_key = {}
     for e, key in enumerate(zip(shape, count.tolist())):
         by_key.setdefault(key if key[1] >= 0 else e, []).append(e)
+    runs = sorted(
+        (members[i : i + GROUP_CAP] for members in by_key.values()
+         for i in range(0, len(members), GROUP_CAP)),
+        key=lambda run: run[0],
+    )
 
     groups = []
-    for members in by_key.values():
+    for members in runs:
         ids = np.array(members)
         first, size = ids[0], nvert[ids[0]]
         walk = table.walks(ids, size)

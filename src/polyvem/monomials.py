@@ -98,22 +98,22 @@ class MonomialBasis:
         self.k = k
         self.exponents = basis_exponents(k)
         self.members = [ScaledMonomial(ex, ey) for ex, ey in self.exponents]
-        self._ex = np.array([e[0] for e in self.exponents])
-        self._ey = np.array([e[1] for e in self.exponents])
 
     @property
     def size(self):
         return len(self.members)
 
     def _powers(self, points, frame):
-        # X^0..X^k and Y^0..Y^k by repeated multiplication, exponent last
+        # X^0..X^k and Y^0..Y^k by repeated multiplication, power-major:
+        # (2, k + 1, ..., npoints), so each power is one contiguous block
         xc, yc, h = frame
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        scaled = (pts - np.stack([xc, yc], axis=-1)) / np.asarray(h)[..., None]
-        table = np.ones(scaled.shape + (self.k + 1,))
+        pts, h = np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(h)
+        scaled = np.stack(np.broadcast_arrays((pts[..., 0] - xc) / h, (pts[..., 1] - yc) / h))
+        table = np.empty((2, self.k + 1) + scaled.shape[1:])
+        table[:, 0] = 1.0
         for e in range(1, self.k + 1):
-            table[..., e] = table[..., e - 1] * scaled
-        return table[..., 0, :], table[..., 1, :]
+            np.multiply(table[:, e - 1], scaled, out=table[:, e])
+        return table
 
     def eval(self, points, frame):
         """Values at points, as an (npoints, size) matrix.
@@ -121,18 +121,25 @@ class MonomialBasis:
         Points may be stacked, (..., npoints, 2), with frame entries that
         broadcast against points[..., 0]; values are then (..., npoints,
         size).  Powers come from per-point tables built by repeated
-        multiplication, so X^e carries up to e - 1 roundings.
+        multiplication, so X^e carries up to e - 1 roundings; each member
+        X^a Y^b is written straight into its column of the output.
         """
         px, py = self._powers(points, frame)
-        return np.take(px, self._ex, axis=-1) * np.take(py, self._ey, axis=-1)
+        out = np.empty(px.shape[1:] + (self.size,))
+        for j, (a, b) in enumerate(self.exponents):
+            np.multiply(px[a], py[b], out=out[..., j])
+        return out
 
     def grad(self, points, frame):
         """Physical gradients at points: a pair of (npoints, size) matrices,
-        stacked like `eval` for stacked points."""
+        stacked like `eval` for stacked points.  Member X^a Y^b has
+        d/dx = (a / h) X^(a-1) Y^b, multiplied in that order."""
         px, py = self._powers(points, frame)
-        h = np.asarray(frame[2])[..., None]
-        exm = np.maximum(self._ex - 1, 0)
-        eym = np.maximum(self._ey - 1, 0)
-        gx = (self._ex / h) * np.take(px, exm, axis=-1) * np.take(py, self._ey, axis=-1)
-        gy = (self._ey / h) * np.take(px, self._ex, axis=-1) * np.take(py, eym, axis=-1)
+        h = np.asarray(frame[2])
+        gx, gy = np.empty((2,) + px.shape[1:] + (self.size,))
+        for j, (a, b) in enumerate(self.exponents):
+            np.multiply(a / h, px[max(a - 1, 0)], out=gx[..., j])
+            np.multiply(gx[..., j], py[b], out=gx[..., j])
+            np.multiply(b / h, px[a], out=gy[..., j])
+            np.multiply(gy[..., j], py[max(b - 1, 0)], out=gy[..., j])
         return gx, gy

@@ -5,13 +5,21 @@ keys row * n + col, a sort of the values of every key with more than one
 (the keys of one run length at once, as the rows of an array) and a
 grouped reduction, so the matrix is bit-identical no matter how elements
 are ordered or parallelized upstream; the sorted keys are already in CSR
-order, so the matrix is built from them directly.  Dirichlet conditions
-are applied by symmetric elimination: constrained columns move to the
-right-hand side and the reduced operator stays SPD, which is what the
-preconditioned CG relies on.  The moment dofs couple only within their element, so `solve`
+order, so the matrix is built from them directly.  Keys and values are
+written into two arrays allocated once, and freed as they are sorted.
+Assembly keeps on the mesh's element groups only what later stages read
+(the energy projector coefficients, the stiffness, the moment projector
+and the degree 2k + 2 rules and basis values); the rest of each group's
+element data goes as soon as its stiffness and load are done, so only
+one group's intermediates, at most `localmat.GROUP_CAP` members, are
+alive at a time.  Dirichlet conditions are applied by symmetric
+elimination: constrained columns move to the right-hand side and the
+reduced operator stays SPD, which is what the preconditioned CG relies
+on.  The moment dofs couple only within their element, so `solve`
 condenses them out block by block: CG runs on their Schur complement,
-preconditioned by its diagonal plus a coarse correction on the vertices.
-The coarse problem is solved exactly, by a block LDL^T factor of it in
+preconditioned by its diagonal plus a coarse correction on the vertices,
+both set up once per constrained set with the condensed operator.  The
+coarse problem is solved exactly, by a block LDL^T factor of it in
 level-set order, made once per constrained set: consecutive level sets
 are merged into blocks no wider than the widest one, W, so the factor
 keeps at most 2 W N entries for N coarse unknowns, and it solves over
@@ -153,9 +161,11 @@ def _reduce_triplets(keys, vals):
     in ascending order (ties in input order), so the order of the triplets
     cannot change a bit of the result.  One stable sort groups the keys;
     then the runs of each length L >= 2 have their values sorted as the
-    rows of one (runs, L) array."""
+    rows of one (runs, L) array.  Passed with no other reference, the
+    unsorted arrays are freed as their sorted copies are made."""
     order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
+    keys = keys[order]
+    vals = vals[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     lengths = np.diff(np.r_[starts, len(keys)])
     for length in (np.flatnonzero(np.bincount(lengths)[2:]) + 2).tolist():
@@ -164,10 +174,44 @@ def _reduce_triplets(keys, vals):
     return keys[starts], np.add.reduceat(vals, starts)
 
 
+def _triplet_keys(maps, n):
+    """row * n + col of every member's (dofs, dofs) block, member-major,
+    for each (members, dofs) array of dof maps in turn, in one array."""
+    keys = np.empty(sum(g.size * g.shape[1] for g in maps), dtype=np.int64)
+    at = 0
+    for g in maps:
+        block = keys[at : at + g.size * g.shape[1]].reshape(g.shape + g.shape[1:])
+        np.multiply(g[:, :, None], n, out=block)
+        block += g[:, None, :]
+        at += block.size
+    return keys
+
+
+def _triplet_values(stiffness):
+    """The symmetric parts (K + K^T) / 2 of stacked element matrices, in
+    the order of `_triplet_keys`, in one array."""
+    vals = np.empty(sum(K.size for K in stiffness))
+    at = 0
+    for K in stiffness:
+        block = vals[at : at + K.size].reshape(K.shape)
+        np.add(K, np.swapaxes(K, 1, 2), out=block)
+        block *= 0.5
+        at += K.size
+    return vals
+
+
+# element data that no stage after assembly reads: the error norms and the
+# VTK export read PI_GRAD_STAR, an assembly of the same mesh again
+# STIFFNESS and PI_ZERO_STAR
+_ASSEMBLY_ONLY = (MatrixTag.D, MatrixTag.B, MatrixTag.G, MatrixTag.H, MatrixTag.PI_GRAD)
+
+
 def assemble(mesh, k, f=None):
     """Assemble the global stiffness matrix and load vector.
 
-    Element failures are re-raised with the element id prepended.
+    Each group drops its assembly-only matrices (`_ASSEMBLY_ONLY`) and its
+    masses once its stiffness and load are done.  Element failures are
+    re-raised with the element id prepended.
     """
     _sparse()  # imported before the triplets exist, so it adds nothing to their peak
     dofmap, groups = discretisation(mesh, k)
@@ -176,18 +220,13 @@ def assemble(mesh, k, f=None):
     def work(ids, group):
         K = find_or_compute(group.cache, group, MatrixTag.STIFFNESS)
         be = None if f is None else load_vector(group, f, group.cache)
+        group.discard(*_ASSEMBLY_ONLY)
         return ids, dofmap.maps(ids), K, be
 
-    keys, vals, owners, targets, loads = [], [], [], [], []
-    for ids, g, K, be in _each_group(groups, work):
-        K = 0.5 * (K + np.swapaxes(K, 1, 2))
-        keys.append((g[:, :, None] * n + g[:, None, :]).ravel())  # row * n + col
-        vals.append(K.ravel())
-        if f is not None:
-            owners.append(np.repeat(ids, g.shape[1]))
-            targets.append(g.ravel())
-            loads.append(be.ravel())
-    keys, summed = _reduce_triplets(np.concatenate(keys), np.concatenate(vals))
+    ids, maps, stiffness, loads = zip(*_each_group(groups, work))
+    # the arrays go to _reduce_triplets with no other reference, so the
+    # unsorted ones are freed once sorted
+    keys, summed = _reduce_triplets(_triplet_keys(maps, n), _triplet_values(stiffness))
     # the keys are the sorted distinct row * n + col: CSR order already
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     A = _csr((summed, keys % n, indptr), shape=(n, n))
@@ -195,8 +234,10 @@ def assemble(mesh, k, f=None):
     b = np.zeros(n)
     if f is not None:
         # the load adds up element by element in id order
-        order = np.argsort(np.concatenate(owners), kind="stable")
-        np.add.at(b, np.concatenate(targets)[order], np.concatenate(loads)[order])
+        owners = np.concatenate([np.repeat(e, g.shape[1]) for e, g in zip(ids, maps)])
+        order = np.argsort(owners, kind="stable")
+        targets = np.concatenate([g.ravel() for g in maps])
+        np.add.at(b, targets[order], np.concatenate([be.ravel() for be in loads])[order])
     return SparseSystem(A, b, dofmap, mesh, k)
 
 
@@ -209,33 +250,38 @@ def apply_dirichlet(system, g):
     return system
 
 
-def jacobi_cg(A, b, tol, maxiter, coarse=None):
+def jacobi_cg(A, b, tol, maxiter, coarse=None, x0=None, diag=None):
     """Conjugate gradients with diagonal preconditioning, plus a coarse
     correction when `coarse` is given.
 
-    Returns (x, iterations, relative residual, converged).  The test and
-    the residual are of the true ||b - A x|| / ||b||: a recurrence residual
-    under tol restarts CG from the true one unless that meets tol too.  A
-    zero right hand side is solved in zero iterations.  A breakdown, where
-    p.Ap is not positive or not finite (A is not SPD, or holds a NaN),
-    stops at once: converged=False, with the iterations and the recurrence
-    residual from before it.
+    Returns (x, iterations, relative residual, converged).  CG starts from
+    x0 if given, else from zero.  The test and the residual are of the
+    true ||b - A x|| / ||b||: a recurrence residual under tol restarts CG
+    from the true one unless that meets tol too.  A zero right hand side
+    is solved in zero iterations.  A breakdown, where p.Ap is not positive
+    or not finite (A is not SPD, or holds a NaN), stops at once:
+    converged=False, with the iterations and the recurrence residual from
+    before it.
 
     coarse = (P, Ac) adds P Ac^-1 P^T r to the preconditioned residual,
     with Ac = P^T A P given as its `LevelFactor` (or as a matrix, which is
-    factored here).  The coarse solve is exact, so the preconditioner is
-    one fixed SPD operator and CG keeps its finite termination.
+    factored here).  A third entry, P^T as a CSR matrix, is applied in
+    place of scipy's P.T, a CSC view that is slower to apply.  The coarse
+    solve is exact, so the preconditioner is one fixed SPD operator and CG
+    keeps its finite termination.  diag, if given, is A's diagonal with
+    its zeros replaced by ones, which saves reading it again.
     """
     n = len(b)
-    x = np.zeros(n)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     bnorm = math.sqrt(b @ b)
     if n == 0 or bnorm == 0.0:
-        return x, 0, 0.0, True
-    diag = A.diagonal().copy()
-    diag[diag == 0.0] = 1.0
+        return np.zeros(n), 0, 0.0, True
+    if diag is None:
+        diag = A.diagonal().copy()
+        diag[diag == 0.0] = 1.0
     if coarse is not None:
-        P, Ac = coarse
-        Pt = P.T
+        P, Ac = coarse[:2]
+        Pt = coarse[2] if len(coarse) > 2 else P.T
         factor = Ac if isinstance(Ac, LevelFactor) else LevelFactor(Ac)
     z = np.empty(n)
 
@@ -244,7 +290,7 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None):
         if coarse is not None:
             np.add(z, P @ factor.solve(Pt @ r), out=z)
 
-    r = b.copy()
+    r = b.copy() if x0 is None else b - A @ x
     precondition(r)
     p = z.copy()
     rz = float(r @ z)
@@ -425,9 +471,12 @@ def _coarse_space(system, inner):
 
 
 def _condensed(system):
-    """(S, A_bm, M, A_bm M, coarse) that condense the moment dofs m out of
-    the free dofs b + m, kept on the system for its constrained set (A
-    stays fixed).
+    """(S, A_mb, M, A_bm M, diag, P^T, coarse) that condense the moment
+    dofs m out of the free dofs b + m, kept on the system for its
+    constrained set (A stays fixed), with what every CG run on S reads:
+    S's diagonal (zeros replaced by ones) and P^T.  The transposes A_mb =
+    A_bm^T and P^T are CSR copies, which apply faster than scipy's CSC
+    views.
 
     M = A_mm^-1 is one batched inverse of the (elements, nm, nm) diagonal
     blocks; a constrained moment's row and column are the identity's there
@@ -457,10 +506,14 @@ def _condensed(system):
         A_inner = system.A[inner]
         A_bm = A_inner[:, mo:]
         A_bm_M = A_bm @ M
-        S = A_inner[:, inner] - A_bm_M @ A_bm.T
+        A_mb = A_bm.T.tocsr()
+        S = A_inner[:, inner] - A_bm_M @ A_mb
+        diag = S.diagonal()
+        diag[diag == 0.0] = 1.0
         P = _coarse_space(system, inner)
-        coarse = None if P is None else (P, LevelFactor(P.T @ (S @ P)))
-        system.condensed = (key, S, A_bm, M, A_bm_M, coarse)
+        Pt = None if P is None else P.T.tocsr()
+        coarse = None if P is None else (P, LevelFactor(Pt @ (S @ P)))
+        system.condensed = (key, S, A_mb, M, A_bm_M, diag, Pt, coarse)
     return system.condensed[1:]
 
 
@@ -481,13 +534,14 @@ def solve(system, tol=1e-12, maxiter=None):
     so that its residual and `converged` are of the whole reduced system
     after the moments are recovered: ||rhs_f - A_ff x_f|| / ||rhs_f|| <=
     tol.  If CG meets its target on S but that residual misses tol by
-    more than twice the rounding floor, CG runs once more from zero, its
-    target scaled by tol / 2 over the miss, within the iterations left;
+    more than twice the rounding floor, CG runs once more from the first
+    run's x, its target scaled by tol / 2 over the miss, within the
+    iterations left;
     the report sums both runs.  Non-convergence is reported through the
     flag on the report, with the rounding floor and the reason.
     """
     check_solve_args(tol, maxiter)
-    S, A_bm, M, A_bm_M, coarse = _condensed(system)
+    S, A_mb, M, A_bm_M, diag, Pt, coarse = _condensed(system)
     free, mo = system.free_ids(), system.dofmap.moment_offset
     inner = free[free < mo]
     fixed = np.zeros(system.num_dofs)
@@ -501,13 +555,15 @@ def solve(system, tol=1e-12, maxiter=None):
     if maxiter is None:
         maxiter = max(10 * len(free), 1)
     target = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
-    x, iterations, elapsed = np.zeros(system.num_dofs), 0, 0.0
+    coarse = None if coarse is None else coarse + (Pt,)
+    x, x0, iterations, elapsed = np.zeros(system.num_dofs), None, 0, 0.0
     for retried in (False, True):
         start = time.perf_counter()
-        x[inner], its, _, met = SOLVERS["jacobi_cg"](S, rhs, target, maxiter - iterations, coarse)
+        x[inner], its, _, met = SOLVERS["jacobi_cg"](
+            S, rhs, target, maxiter - iterations, coarse, x0, diag)
         elapsed += time.perf_counter() - start
         iterations += its
-        x[mo:] = M @ (r[mo:] - A_bm.T @ x[inner])
+        x[mo:] = M @ (r[mo:] - A_mb @ x[inner])
         residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
         report = SolveReport(iterations, residual, elapsed, residual <= tol)
         if report.converged:
@@ -523,6 +579,7 @@ def solve(system, tol=1e-12, maxiter=None):
         if report.reason != "recovery" or retried or iterations >= maxiter:
             break
         target *= 0.5 * tol / residual
+        x0 = x[inner]
     return x + fixed, report
 
 

@@ -7,7 +7,7 @@ from polyvem.errors import ParseError
 from polyvem.geometry import Facet, FacetTable
 from polyvem.localmat import ElementMatrixCache, group_facets
 from polyvem.mesh import PolyMesh
-from polyvem.monomials import ScaledMonomial
+from polyvem.monomials import MonomialBasis, ScaledMonomial
 from polyvem.quadrature import gauss_1d
 
 
@@ -126,6 +126,28 @@ def evaluate(m, points, frame):
     if np.ndim(points) == 1:
         return float(vals[0])
     return vals
+
+
+def gathered_basis(k, points, frame):
+    """(values, gx, gy) of the degree-k scaled monomials at points, by a
+    gather formula: exponent-last power tables built by the same repeated
+    multiplication as MonomialBasis, two np.take gathers and a product,
+    (ex / h) first in the gradients.  MonomialBasis, which writes each
+    member's column directly, must match it bit for bit."""
+    ex, ey = np.array(MonomialBasis(k).exponents).T
+    xc, yc, h = frame
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    scaled = (pts - np.stack([xc, yc], axis=-1)) / np.asarray(h)[..., None]
+    table = np.ones(scaled.shape + (k + 1,))
+    for e in range(1, k + 1):
+        table[..., e] = table[..., e - 1] * scaled
+    px, py = table[..., 0, :], table[..., 1, :]
+    h = np.asarray(h)[..., None]
+    values = np.take(px, ex, axis=-1) * np.take(py, ey, axis=-1)
+    exm, eym = np.maximum(ex - 1, 0), np.maximum(ey - 1, 0)
+    gx = (ex / h) * np.take(px, exm, axis=-1) * np.take(py, ey, axis=-1)
+    gy = (ey / h) * np.take(px, ex, axis=-1) * np.take(py, eym, axis=-1)
+    return values, gx, gy
 
 
 def gauss_edge(p0, p1, n):

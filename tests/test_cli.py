@@ -146,6 +146,26 @@ def test_dump_matrices(tmp_path, monkeypatch):
         assert tag in text
 
 
+def test_dump_matrices_builds_one_group(tmp_path, monkeypatch):
+    # all eight tags are read from one lone group, not one group per tag
+    from polyvem import localmat, system
+
+    monkeypatch.chdir(tmp_path)
+    mesh = cli.gen_structured("distortedQuads", 8)
+    calls = []
+    original = localmat.group_facets
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, localmat, system):
+        monkeypatch.setattr(module, "group_facets", counting)
+    path = cli._dump_matrices("matrices", 5, mesh.shapes.facet(5), 3)
+    assert len(calls) == 1
+    assert (tmp_path / path).read_text().count("tag,") == len(MatrixTag) == 8
+
+
 # sha256 of the files these runs write.  The element matrices were recorded
 # when H, G and D's moment rows moved to boundary integrals; the holed
 # out.vtk when the vertex coarse space of CG on the condensed system came

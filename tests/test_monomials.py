@@ -13,7 +13,7 @@ from polyvem.monomials import (
     laplacian_terms,
 )
 
-from conftest import derivative, evaluate, product
+from conftest import derivative, evaluate, gathered_basis, product
 
 
 class TestAlgebra:
@@ -200,6 +200,24 @@ class TestBasisEvaluation:
                 dy = evaluate(derivative(m, "y"), pts[i], frame) / frame[2]
                 for got, ref in ((vals, want), (gx, dx), (gy, dy)):
                     assert np.allclose(got[i, :, j], ref, rtol=1e-14, atol=1e-14)
+
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_the_gathered_tables_bitwise(self, k, seed, stacked):
+        # eval and grad write each member's column directly; the oracle
+        # gathers it from exponent-last tables, with the same products
+        rng = np.random.default_rng(seed)
+        basis = MonomialBasis(k)
+        frames = [(*rng.uniform(-2.0, 2.0, 2), rng.uniform(0.3, 3.0)) for _ in range(3)]
+        pts = np.array([f[:2] + f[2] * rng.uniform(-0.8, 0.8, (7, 2)) for f in frames])
+        if stacked:
+            frame = tuple(np.array(frames).T[:, :, None])
+        else:
+            pts, frame = pts[0], frames[0]
+        got = (basis.eval(pts, frame), *basis.grad(pts, frame))
+        for have, want in zip(got, gathered_basis(k, pts, frame)):
+            assert have.shape == want.shape and have.flags.c_contiguous
+            assert have.tobytes() == want.tobytes()
 
     @given(
         st.integers(0, 3),

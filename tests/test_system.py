@@ -234,6 +234,53 @@ def test_error_norms_reuse_assembled_elements():
     assert assemble(mesh, 2).dofmap is sys_.dofmap
 
 
+
+@pytest.mark.parametrize("k, load", [(1, True), (2, False), (2, True), (3, True)])
+def test_assembly_keeps_only_what_later_stages_read(k, load):
+    # the error norms and solve --out read PI_GRAD_STAR, an assembly of the
+    # same mesh again STIFFNESS and PI_ZERO_STAR (which only a load at
+    # k >= 2 computes); D, B, G, H and PI_GRAD go, with the masses
+    mesh = gen_structured("distortedQuads", 3)
+    assemble(mesh, k, (lambda x, y: np.ones_like(x)) if load else None)
+    kept = {MatrixTag.PI_GRAD_STAR, MatrixTag.STIFFNESS}
+    if load and k >= 2:
+        kept.add(MatrixTag.PI_ZERO_STAR)
+    for _, group in discretisation(mesh, k)[1]:
+        assert {tag for tag in MatrixTag if tag in group.cache} == kept
+        assert group._mass is None
+
+
+def capped_meshes():
+    rng = np.random.default_rng(5)
+    merged = merge_meshes(gen_structured("distortedQuads", 4), quads_on(1.0, 1.5, 0.0, 1.0, 5, rng))
+    return {"distortedQuads:8": gen_structured("distortedQuads", 8), "holed": holed_mesh(),
+            "merged": merged}
+
+
+@pytest.mark.parametrize("name", ["distortedQuads:8", "holed", "merged"])
+def test_group_cap_changes_no_bit(name, monkeypatch):
+    # a member's matrices have the same bits in a group of any size, and
+    # assembly sums in an order that does not depend on the groups
+    u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+    runs = []
+    for cap in (localmat.GROUP_CAP, 3):
+        monkeypatch.setattr(localmat, "GROUP_CAP", cap)
+        mesh = capped_meshes()[name]
+        sys_ = apply_dirichlet(assemble(mesh, 3, lambda x, y: 2 * np.pi**2 * u(x, y)), u)
+        x, rep = solve(sys_)
+        groups = discretisation(mesh, 3)[1]
+        assert max(len(ids) for ids, _ in groups) <= cap
+        assert [ids[0] for ids, _ in groups] == sorted(ids[0] for ids, _ in groups)
+        runs.append((len(groups), sys_.A.data, sys_.A.indices, sys_.A.indptr, sys_.b, x,
+                     rep.iterations, np.array(error_norms(mesh, 3, x, u, grad))))
+    (uncapped, *first), (capped, *second) = runs
+    assert capped > uncapped or name == "holed"
+    for a, b in zip(first, second):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 # -- boundary conditions -------------------------------------------------
 
 
@@ -695,6 +742,42 @@ def test_failed_solve_reports_its_floor_and_reason(reason, monkeypatch):
     else:
         assert 0.0 < rep.floor < 1e-13
         assert (rep.residual <= 2.0 * rep.floor) == (reason == "at the floor")
+
+
+def test_recovery_retry_continues_from_the_first_run(monkeypatch):
+    # the pinned cut case: CG meets its target on S in 20 iterations, the
+    # recovered moments miss tol, and the retry starts from that x
+    rng = np.random.default_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mesh = cut_mesh(gen_structured("distortedQuads", 5),
+                        CutLine(*rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 0.8)))
+    sys_ = apply_dirichlet(assemble(mesh, 3, lambda x, y: np.ones_like(x)),
+                           lambda x, y: np.zeros_like(x))
+    runs = []
+
+    def recording(S, rhs, tol, maxiter, coarse, x0, diag):
+        runs.append((x0, jacobi_cg(S, rhs, tol, maxiter, coarse, x0, diag)))
+        return runs[-1][1]
+
+    monkeypatch.setitem(system.SOLVERS, "jacobi_cg", recording)
+    x, rep = solve(sys_)
+    assert rep.converged and rep.reason == "met"
+    assert [out[1] for _, out in runs] == [20, 1] and rep.iterations == 21
+    assert runs[0][0] is None and np.array_equal(runs[1][0], runs[0][1][0])
+
+
+def test_cg_from_a_start_vector_matches_a_run_from_zero():
+    # from its own answer CG stops at once; from zero it is bitwise a run
+    # without x0
+    n = 50
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    b = np.random.default_rng(2).standard_normal(n)
+    x, it, res, ok = jacobi_cg(A, b, 1e-12, 10 * n)
+    again = jacobi_cg(A, b, 1e-12, 10 * n, None, x)
+    assert ok and again[1] == 1 and again[3] and again[2] <= 1e-12
+    zero = jacobi_cg(A, b, 1e-12, 10 * n, None, np.zeros(n))
+    assert zero[0].tobytes() == x.tobytes() and zero[1:] == (it, res, ok)
 
 
 @pytest.mark.parametrize("tol, maxiter", [(np.nan, None), (-1.0, None), (np.inf, None), (1, 0)])
