@@ -8,8 +8,10 @@ byte-identical and the CSVs round-trip through float parsing.
 
 import argparse
 import functools
+import itertools
 import runpy
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .mesh import (
     write_mesh,
 )
 from .monomials import basis_size
-from .quadrature import certify_rule, compress_rule, polygon_rule
+from .quadrature import certified, compress_rule, monomial_integrals, polygon_rule
 from .system import apply_dirichlet, assemble, check_solve_args, discretisation, error_norms, solve
 
 FMT = "%.17g"
@@ -117,6 +119,8 @@ def _read(path):
         return read_mesh(path)
     except FileNotFoundError:
         raise CliInputError("mesh file not found: %s" % path)
+    except ValueError as err:  # a vertex table that is empty or not finite
+        raise CliInputError("%s: %s" % (path, err))
 
 
 def _resolve_mesh(args):
@@ -351,40 +355,42 @@ def cmd_mesh(args):
 
 
 def cmd_quad(args):
+    """Every element's polygon rule, compressed if asked, certified against
+    its monomials' boundary integrals, a `group_facets` group at a time;
+    lines in element order, up to one whose rule fails, then its error."""
     mesh = _resolve_mesh(args)
     if args.degree < 0:
         raise CliInputError("degree must be >= 0")
-    rows = []
-    all_pass = True
-    before_total = after_total = 0
-    for eid, facet in enumerate(mesh.facets):
-        rule = polygon_rule(facet, args.degree)
-        before = rule.npoints
-        verdict = "PASS"
-        if args.compress:
-            rule = compress_rule(rule, frame=(facet.centroid, facet.diameter))
-            if rule.compression_failed:
-                verdict = "FAIL(compression)"
-        ok, worst = certify_rule(rule, facet, degree=args.degree, tol=1e-12)
-        if not ok:
-            verdict = "FAIL(exactness %.2e)" % worst
-        if verdict != "PASS":
-            all_pass = False
-        after = rule.npoints
-        before_total += before
-        after_total += after
-        print("element %d: before=%d after=%d %s" % (eid, before, after, verdict))
-        for (x, y), w in zip(rule.points, rule.weights):
-            rows.append((eid, x, y, w))
-    limit = basis_size(args.degree)
-    print("total: before=%d after=%d budget-per-element=%d verdict=%s"
-          % (before_total, after_total, limit, "PASS" if all_pass else "FAIL"))
+    table, degree, done = mesh.shapes, args.degree, {}  # done[e]: (before, rule, verdict)
+    try:
+        for ids, group in group_facets(table, 1):
+            stacked = polygon_rule(group.corners(), degree)
+            ends = group.vertices[:, group.chains[:, -1]]
+            exact = monomial_integrals(group.vertices, ends, group.frame, degree)
+            for i, e in enumerate(ids.tolist()):
+                rule = replace(stacked, points=stacked.points[i], weights=stacked.weights[i])
+                before, verdict = rule.npoints, "PASS"
+                if args.compress:
+                    rule = compress_rule(rule, frame=(table.centroids[e], table.diameters[e]))
+                    if rule.compression_failed:
+                        verdict = "FAIL(compression)"
+                frame = [c[i, 0] for c in group.frame]
+                ok, worst = certified(rule, exact[i], frame, table.areas[e], degree)
+                done[e] = before, rule, verdict if ok else "FAIL(exactness %.2e)" % worst
+    finally:
+        for e in itertools.takewhile(done.__contains__, range(len(table))):
+            before, rule, verdict = done[e]
+            print("element %d: before=%d after=%d %s" % (e, before, rule.npoints, verdict))
+    results = [done[e] for e in range(len(table))]
+    print("total: before=%d after=%d budget-per-element=%d verdict=%s" % (
+        sum(r[0] for r in results), sum(r[1].npoints for r in results), basis_size(degree),
+        "PASS" if all(r[2] == "PASS" for r in results) else "FAIL"))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("element,x,y,w\n")
-            for eid, x, y, w in rows:
-                fh.write(("%d," + FMT + "," + FMT + "," + FMT + "\n")
-                         % (eid, x, y, w))
+            for e, (_, rule, _) in enumerate(results):
+                for (x, y), w in zip(rule.points.tolist(), rule.weights.tolist()):
+                    fh.write(("%d," + FMT + "," + FMT + "," + FMT + "\n") % (e, x, y, w))
     return 0
 
 

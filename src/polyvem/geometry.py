@@ -8,16 +8,17 @@ boundary edge (hole edges included) is the walk tangent rotated by -90
 degrees.  Collinear vertices along an edge are legal and are how hanging
 nodes enter the element shapes.
 
-Many facets over one coordinate pool live in a `FacetTable`: flat arrays of
-loop vertex ids and per-facet measures, computed a loop-length class at a
-time by the `loop_*` functions, which round every row as the lone `Loop`
-and `Facet` constructors round it.  `fan_accepts` proves, a class at a
-time, where ear clipping would cut a hole-free loop into the fan from its
-last vertex, so only the loops it rejects are ear-clipped.
+Facets live in a `FacetTable`: loop vertex ids over one coordinate pool,
+with every facet's area, centroid and diameter.  Its constructor is the one
+checked path, for a mesh and a lone `Facet` (a view of one row) alike: it
+checks and measures the loops a loop-length class at a time and hands the
+first row it rejects to a scalar explainer, which raises that row's error.
+`fan_accepts` proves, a class at a time, where ear clipping would cut a
+hole-free loop into the fan from its last vertex, so only the loops it
+rejects are ear-clipped.
 """
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,26 +53,14 @@ def signed_area(pts):
     return 0.5 * float((pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]).sum())
 
 
-def loop_moments(pts):
-    """Signed area and first moments (integral of x, of y) of one loop."""
-    nxt = _next(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = nxt[:, 0], nxt[:, 1]
-    cr = x * yn - xn * y
-    a = 0.5 * float(cr.sum())
-    sx = float(((x + xn) * cr).sum()) / 6.0
-    sy = float(((y + yn) * cr).sum()) / 6.0
-    return a, sx, sy
-
-
 def _next_column(a):
     """The loop successor of every entry of a stack of loops (axis 1)."""
     return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
 
 
 def loop_measures(pts):
-    """`loop_moments` of m loops of one length, pts (m, L, 2): signed
-    areas and first moments, three (m,) arrays.
+    """Signed areas and first moments (integrals of x and of y) of m loops
+    of one length, pts (m, L, 2): three (m,) arrays.
 
     A row sum of a contiguous (m, L) array rounds as ndarray.sum of that
     row alone; np.add.reduceat over a flat array does not.
@@ -87,8 +76,8 @@ def loop_measures(pts):
 
 
 def loop_defects(ids, pts, area):
-    """Which of m loops of one length the `Loop` constructor rejects: ids
-    (m, L) and their points (m, L, 2), with their signed areas."""
+    """Which of m loops of one length `checked_loop` rejects: ids (m, L)
+    and their points (m, L, 2), with their signed areas."""
     if ids.shape[1] < 3:
         return np.ones(len(ids), dtype=bool)
     seg = _next_column(pts) - pts
@@ -104,63 +93,69 @@ def loop_defects(ids, pts, area):
 
 def vertex_diameters(pts):
     """Largest pairwise vertex distance of m facets with V vertices each,
-    pts (m, V, 2), as `Facet` computes its diameter."""
+    pts (m, V, 2)."""
     d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(axis=3)
     return np.sqrt(d2.reshape(len(pts), -1).max(axis=1))
 
 
-class Loop:
-    """Closed vertex loop over a shared coordinate array.
-
-    Orientation is derived from the shoelace sign and cached.  Degenerate
-    loops (fewer than 3 vertices, repeated consecutive vertices, zero-length
-    edges, vanishing signed area) are rejected at construction.
-    """
-
-    def __init__(self, ids, coords):
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.ndim != 1 or ids.size < 3:
-            raise InvariantViolation("a loop needs at least 3 vertices")
-        if (ids == _next(ids)).any():
-            raise InvariantViolation("repeated consecutive vertex in loop")
-        coords = np.asarray(coords, dtype=float)
-        pts = coords[ids]
-        _require_finite(pts, "loop coordinates")
-        seg = _next(pts) - pts
-        lens = np.hypot(seg[:, 0], seg[:, 1])
-        scale = float(max((pts.max(axis=0) - pts.min(axis=0)).max(), 0.0))
-        if scale == 0.0 or (lens <= 1e-14 * scale).any():
-            raise InvariantViolation("zero-length edge in loop")
-        self.ids = ids
-        self.coords = coords
-        self.signed_area = signed_area(pts)
-        if abs(self.signed_area) <= 1e-14 * scale * scale:
-            raise InvalidOrientation("loop encloses no area; winding undefined")
-
-    @classmethod
-    def _checked(cls, ids, coords, signed_area):
-        """A loop whose checks have run elsewhere (see FacetTable)."""
-        loop = cls.__new__(cls)
-        loop.ids, loop.coords, loop.signed_area = ids, coords, signed_area
-        return loop
-
-    @property
-    def orientation(self):
-        return "ccw" if self.signed_area > 0.0 else "cw"
-
-    def points(self):
-        return self.coords[self.ids]
-
-    def reversed(self):
-        return Loop(self.ids[::-1], self.coords)
-
-    def __len__(self):
-        return int(self.ids.size)
+def checked_loop(ids, coords):
+    """The points and signed area of a closed loop of vertex ids, or the
+    error of its first defect: fewer than 3 vertices, a repeated
+    consecutive vertex, coordinates that are not finite, a zero-length
+    edge, then no enclosed area (no winding)."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 1 or ids.size < 3:
+        raise InvariantViolation("a loop needs at least 3 vertices")
+    if (ids == _next(ids)).any():
+        raise InvariantViolation("repeated consecutive vertex in loop")
+    pts = coords[ids]
+    _require_finite(pts, "loop coordinates")
+    seg = _next(pts) - pts
+    lens = np.hypot(seg[:, 0], seg[:, 1])
+    scale = float(max((pts.max(axis=0) - pts.min(axis=0)).max(), 0.0))
+    if scale == 0.0 or (lens <= 1e-14 * scale).any():
+        raise InvariantViolation("zero-length edge in loop")
+    area = signed_area(pts)
+    if abs(area) <= 1e-14 * scale * scale:
+        raise InvalidOrientation("loop encloses no area; winding undefined")
+    return pts, area
 
 
-def point_in_loop(p, loop):
-    """Winding-number containment test; boundary points are unreliable."""
-    pts = loop.points()
+def _warn_reversed(hole, stacklevel=2):
+    warnings.warn("hole loop was counterclockwise; reversing" if hole
+                  else "outer loop was clockwise; reversing", OrientationWarning,
+                  stacklevel=stacklevel)
+
+
+def explain_facet(coords, loops):
+    """The explainer of a lone `Facet`: each loop passes `checked_loop`,
+    reversed with a warning and checked again if wound the wrong way; then
+    the area must be positive and each hole's first vertex inside the outer
+    loop.  Raises the first error, else returns (area, centroid, diameter)."""
+    pts = []
+    for i, ids in enumerate(loops):
+        p, area = checked_loop(ids, coords)
+        if (area > 0.0) if i else not area > 0.0:
+            _warn_reversed(i > 0)
+            p, area = checked_loop(np.asarray(ids)[::-1], coords)
+        pts.append(p)
+    # clockwise holes contribute negatively, added in order
+    area, sx, sy = (float(m[0]) for m in loop_measures(pts[0][None]))
+    for hp in pts[1:]:
+        ha, hx, hy = loop_measures(hp[None])
+        area, sx, sy = area + float(ha[0]), sx + float(hx[0]), sy + float(hy[0])
+    if area <= 0.0:
+        raise InvariantViolation("facet area must be positive")
+    for hp in pts[1:]:
+        if not point_in_loop(hp[0], pts[0]):
+            raise InvariantViolation("hole loop lies outside the outer loop")
+    diameter = float(vertex_diameters(np.concatenate(pts)[None])[0])
+    return area, np.array([sx / area, sy / area]), diameter
+
+
+def point_in_loop(p, pts):
+    """Winding-number test of p against the closed loop through pts, (n, 2);
+    boundary points are unreliable."""
     x, y = float(p[0]), float(p[1])
     nxt = _next(pts)
     x0, y0 = pts[:, 0], pts[:, 1]
@@ -169,21 +164,6 @@ def point_in_loop(p, loop):
     up = (y0 <= y) & (y1 > y) & (side > 0)
     dn = (y0 > y) & (y1 <= y) & (side < 0)
     return int(up.sum()) - int(dn.sum()) != 0
-
-
-@dataclass
-class EdgeRef:
-    """One traversal edge of a facet boundary, with its outward normal."""
-
-    v0: int
-    v1: int
-    p0: np.ndarray
-    p1: np.ndarray
-    length: float
-    tangent: np.ndarray
-    normal: np.ndarray
-    loop_index: int = 0
-    edge_index: int = 0
 
 
 class Facet:
@@ -198,64 +178,35 @@ class Facet:
     holes : sequence of sequences of int, optional
         Hole loops.  Reversed (with a warning) if counterclockwise.
 
-    Area, centroid and diameter are computed once at construction; the
-    boundary edges, perimeter and triangulation once, on first use.  The
-    diameter is the largest pairwise vertex distance over all loops, and the
-    local frame used for scaled monomials is (centroid, diameter).
+    A facet is a view of one row of a FacetTable: the constructor builds
+    a one-row table, checked as a mesh's is, with `explain_facet` as its
+    explainer, and `FacetTable.facet` views a row of a table built before.
+    `outer` is the counterclockwise id array and `holes` the clockwise
+    ones; the diameter is the largest pairwise vertex distance over all
+    loops, and the local frame used for scaled monomials is (centroid,
+    diameter).
     """
 
     def __init__(self, coords, outer, holes=()):
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("coords must be an (n, 2) array")
-        loop = Loop(outer, coords)
-        if loop.orientation == "cw":
-            warnings.warn(
-                "outer loop was clockwise; reversing", OrientationWarning, stacklevel=2
-            )
-            loop = loop.reversed()
-        hole_loops = []
-        for h in holes:
-            hl = Loop(h, coords)
-            if hl.orientation == "ccw":
-                warnings.warn(
-                    "hole loop was counterclockwise; reversing",
-                    OrientationWarning,
-                    stacklevel=2,
-                )
-                hl = hl.reversed()
-            hole_loops.append(hl)
+        n, loops = len(coords), [np.asarray(loop, dtype=np.intp) for loop in [outer, *holes]]
+        ids = np.concatenate([loop.ravel() for loop in loops])
+        if (any(loop.ndim != 1 for loop in loops) or not ((-n <= ids) & (ids < n)).all()
+                or not np.isfinite(coords[ids]).all()):
+            explain_facet(coords, loops)  # raises before any arithmetic on them
+        table = FacetTable(coords, np.where(ids < 0, ids + n, ids), list(map(len, loops)),
+                           [len(loops)], lambda e, hole: _warn_reversed(hole, 5),
+                           lambda e, _: explain_facet(coords, loops))
+        self._view(table, 0)
 
-        loop_pts = [l.points() for l in [loop] + hole_loops]
-        area, sx, sy = loop_moments(loop_pts[0])
-        for hp in loop_pts[1:]:
-            ha, hx, hy = loop_moments(hp)
-            area += ha  # clockwise holes contribute negatively
-            sx += hx
-            sy += hy
-        if area <= 0.0:
-            raise InvariantViolation("facet area must be positive")
-        for hp in loop_pts[1:]:
-            if not point_in_loop(hp[0], loop):
-                raise InvariantViolation("hole loop lies outside the outer loop")
-
-        self.coords = coords
-        self.outer = loop
-        self.holes = hole_loops
-        self.area = area
-        self.centroid = np.array([sx / area, sy / area])
-        pts = np.concatenate(loop_pts)
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        self.diameter = float(np.sqrt(d2.max()))
-
-    @classmethod
-    def _checked(cls, coords, loops, area, centroid, diameter):
-        """A facet whose checks and measures come from elsewhere (see
-        FacetTable)."""
-        facet = cls.__new__(cls)
-        facet.coords, facet.outer, facet.holes = coords, loops[0], loops[1:]
-        facet.area, facet.centroid, facet.diameter = area, centroid, diameter
-        return facet
+    def _view(self, table, e):
+        ls, fl = table.loop_starts, table.facet_loops
+        loops = [table.loop_ids[ls[i]:ls[i + 1]] for i in range(fl[e], fl[e + 1])]
+        self.coords, self.outer, self.holes = table.coords, loops[0], loops[1:]
+        self.area, self.diameter = float(table.areas[e]), float(table.diameters[e])
+        self.centroid = table.centroids[e].copy()
 
     def loops(self):
         return [self.outer] + self.holes
@@ -265,25 +216,6 @@ class Facet:
         """(xc, yc, h): the scaled-monomial frame of this facet."""
         return (float(self.centroid[0]), float(self.centroid[1]), self.diameter)
 
-    @property
-    def num_vertices(self):
-        return sum(len(l) for l in self.loops())
-
-    def vertex_ids(self):
-        """All boundary vertex ids, outer loop first, then holes."""
-        return np.concatenate([l.ids for l in self.loops()])
-
-    @cached_property
-    def perimeter(self):
-        # the lengths of boundary_edges(), summed in their order, without
-        # building the edges
-        lengths = []
-        for loop in self.loops():
-            pts = loop.points()
-            d = _next(pts) - pts
-            lengths.extend(np.hypot(d[:, 0], d[:, 1]).tolist())
-        return sum(lengths)
-
     @cached_property
     def triangles(self):
         """This facet's `triangulate` cover, computed once (read-only)."""
@@ -291,37 +223,11 @@ class Facet:
         tris.flags.writeable = False
         return tris
 
-    def boundary_edges(self):
-        """Traversal edges of every loop, outward normals included."""
-        return self._edges
-
-    @cached_property
-    def _edges(self):
-        edges = []
-        count = 0
-        for li, loop in enumerate(self.loops()):
-            ids = loop.ids
-            pts = loop.points()
-            n = len(ids)
-            for j in range(n):
-                p0 = pts[j]
-                p1 = pts[(j + 1) % n]
-                d = p1 - p0
-                length = float(np.hypot(d[0], d[1]))
-                t = d / length
-                nrm = np.array([t[1], -t[0]])
-                edges.append(
-                    EdgeRef(int(ids[j]), int(ids[(j + 1) % n]), p0, p1, length, t, nrm,
-                            loop_index=li, edge_index=count)
-                )
-                count += 1
-        return tuple(edges)
-
     def contains(self, p):
         """True when p lies in the material region (outer minus holes)."""
-        if not point_in_loop(p, self.outer):
+        if not point_in_loop(p, self.coords[self.outer]):
             return False
-        return not any(point_in_loop(p, h) for h in self.holes)
+        return not any(point_in_loop(p, self.coords[h]) for h in self.holes)
 
 
 class FacetTable:
@@ -331,44 +237,117 @@ class FacetTable:
     loops counterclockwise and holes clockwise: loop i is
     loop_ids[loop_starts[i]:loop_starts[i + 1]], and facet e owns loops
     facet_loops[e] to facet_loops[e + 1] - 1, its outer loop first, so its
-    boundary walk is loop_ids[slot_starts[e]:slot_starts[e + 1]].  The
-    measures are those the lone `Loop` and `Facet` constructors compute;
-    the table trusts them, as whoever built it ran the checks.
-    """
+    boundary walk is loop_ids[slot_starts[e]:slot_starts[e + 1]].
 
-    def __init__(self, coords, loop_ids, loop_starts, facet_loops, loop_areas,
-                 areas, centroids, diameters):
+    The constructor orients, checks and measures the loops as given (`ids`
+    flat, their `sizes`, the loop `counts` of the facets) a loop-length
+    class at a time, as a facet-by-facet pass would: each facet before the
+    first special one calls warn(facet, hole) per loop it reverses, and a
+    special one (a check rejects it, or a scalar check would reverse its
+    loop once more) goes to explain(facet, loops as given), which warns and
+    raises as that facet alone does, or returns its (area, centroid,
+    diameter)."""
+
+    def __init__(self, coords, ids, sizes, counts, warn, explain):
+        v, nv = coords, len(coords)
+        sizes, counts = np.asarray(sizes, dtype=np.intp), np.asarray(counts, dtype=np.intp)
+        loop_starts = np.concatenate(([0], np.cumsum(sizes)))
+        facet_loops = np.concatenate(([0], np.cumsum(counts)))
+        owner = np.repeat(np.arange(len(counts)), counts)
+        hole = np.ones(len(sizes), dtype=bool)
+        hole[facet_loops[:-1]] = False
+        oriented = ids.copy()
+        flip, bad = np.zeros(len(sizes), dtype=bool), np.zeros(len(sizes), dtype=bool)
+        a, sx, sy = np.zeros(len(sizes)), np.zeros(len(sizes)), np.zeros(len(sizes))
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            if size < 3:
+                bad[rows] = True
+                continue
+            slots = loop_starts[rows, None] + np.arange(size)
+            lids = ids[slots]
+            outside = ((lids < 0) | (lids >= nv)).any(axis=1)
+            lids[outside] = 0
+            pts = v[lids]
+            la, lx, ly = loop_measures(pts)
+            fl = np.where(hole[rows], la > 0, la < 0)
+            lids[fl], pts[fl] = lids[fl, ::-1], pts[fl, ::-1]
+            la[fl], lx[fl], ly[fl] = loop_measures(pts[fl])
+            # a loop the scalar check would reverse once more is explained
+            wrong = np.where(hole[rows], la > 0, ~(la > 0))
+            bad[rows] = outside | wrong | loop_defects(lids, pts, la)
+            flip[rows], oriented[slots] = fl, lids
+            a[rows], sx[rows], sy[rows] = la, lx, ly
+
+        first = facet_loops[:-1]
+        area, mx, my = a[first], sx[first], sy[first]
+        for j in range(1, counts.max(initial=1)):  # holes add up in order
+            e = np.flatnonzero(counts > j)
+            area[e] += a[first[e] + j]
+            mx[e] += sx[first[e] + j]
+            my[e] += sy[first[e] + j]
+        special = set(owner[bad].tolist()) | set(np.flatnonzero(area <= 0.0).tolist())
+        for h in np.flatnonzero(hole & ~bad & ~bad[first[owner]]).tolist():
+            outer = oriented[loop_starts[first[owner[h]]]:loop_starts[first[owner[h]] + 1]]
+            if not point_in_loop(v[oriented[loop_starts[h]]], v[outer]):
+                special.add(int(owner[h]))
+
+        slot_starts = loop_starts[facet_loops]
+        nvert = np.diff(slot_starts)
+        diameters = np.zeros(len(counts))
+        for size in np.unique(nvert[nvert > 0]):  # no loop, no diameter
+            rows = np.flatnonzero(nvert == size)
+            walks = oriented[slot_starts[rows, None] + np.arange(size)]
+            diameters[rows] = vertex_diameters(v[np.where((walks >= 0) & (walks < nv), walks, 0)])
+        with np.errstate(divide="ignore", invalid="ignore"):  # special rows are explained
+            centroids = np.column_stack((mx / area, my / area))
+
+        flips = np.flatnonzero(flip & ~np.isin(owner, list(special)))
+        done = 0
+        for e in sorted(special):
+            stop = int(np.searchsorted(owner[flips], e))
+            for i in flips[done:stop].tolist():
+                warn(owner[i], hole[i])
+            done = stop
+            loops = [ids[loop_starts[i]:loop_starts[i + 1]].tolist()
+                     for i in range(facet_loops[e], facet_loops[e + 1])]
+            area[e], centroids[e], diameters[e] = explain(e, loops)
+        for i in flips[done:].tolist():
+            warn(owner[i], hole[i])
+        self._set(coords, oriented, loop_starts, facet_loops, area, centroids, diameters)
+
+    def _set(self, coords, loop_ids, loop_starts, facet_loops, areas, centroids, diameters):
         self.coords = coords
         self.loop_ids = loop_ids
         self.loop_starts = loop_starts
         self.facet_loops = facet_loops
         self.slot_starts = loop_starts[facet_loops]
-        self.loop_areas = loop_areas
         self.areas = areas
         self.centroids = centroids
         self.diameters = diameters
 
     @classmethod
     def from_facets(cls, facets):
-        """The table of lone facets; facets over distinct pools get their
-        pools stacked, with their ids shifted to match."""
+        """The table stacking the rows that facets view; facets over
+        distinct pools get their pools stacked, with their ids shifted to
+        match."""
         pools, offsets = [], {}
         for f in facets:
             if id(f.coords) not in offsets:
                 offsets[id(f.coords)] = sum(len(p) for p in pools)
                 pools.append(f.coords)
-        loops = [(l, offsets[id(f.coords)], len(f.coords)) for f in facets for l in f.loops()]
-        ids = [np.where(l.ids < 0, l.ids + n, l.ids) + off for l, off, n in loops]
-        return cls(
+        ids = [loop + offsets[id(f.coords)] for f in facets for loop in f.loops()]
+        table = cls.__new__(cls)
+        table._set(
             np.concatenate(pools),
             np.concatenate(ids),
             np.cumsum([0] + [len(i) for i in ids]),
             np.cumsum([0] + [1 + len(f.holes) for f in facets]),
-            np.array([l.signed_area for l, _, _ in loops]),
             np.array([f.area for f in facets]),
             np.array([f.centroid for f in facets]),
             np.array([f.diameter for f in facets]),
         )
+        return table
 
     def __len__(self):
         return len(self.areas)
@@ -392,14 +371,10 @@ class FacetTable:
         return np.diff(self.loop_starts[self.facet_loops[e] : self.facet_loops[e + 1] + 1])
 
     def facet(self, e):
-        """Facet e as a lone object, its loops viewing `loop_ids`."""
-        loops = [
-            Loop._checked(self.loop_ids[self.loop_starts[i]:self.loop_starts[i + 1]],
-                          self.coords, float(self.loop_areas[i]))
-            for i in range(self.facet_loops[e], self.facet_loops[e + 1])
-        ]
-        return Facet._checked(self.coords, loops, float(self.areas[e]),
-                              self.centroids[e].copy(), float(self.diameters[e]))
+        """Facet e, a view of this table's row, not checked again."""
+        facet = Facet.__new__(Facet)
+        facet._view(self, e)
+        return facet
 
 
 def _cross(u, v):
@@ -464,19 +439,19 @@ def _bridge_holes(facet):
     shortest length with lowest vertex ids breaking ties.
     """
     coords = facet.coords
-    poly = [int(i) for i in facet.outer.ids]
+    poly = facet.outer.tolist()
     eps = 1e-12 * facet.diameter ** 2
     ptol = 1e-12 * facet.diameter
 
     def hole_key(hl):
-        pts = hl.points()
-        j = int(np.lexsort((hl.ids, pts[:, 1], pts[:, 0]))[0])
-        return (pts[j, 0], pts[j, 1], int(hl.ids[j]))
+        pts = coords[hl]
+        j = int(np.lexsort((hl, pts[:, 1], pts[:, 0]))[0])
+        return (pts[j, 0], pts[j, 1], int(hl[j]))
 
     remaining = sorted(facet.holes, key=hole_key)
     while remaining:
         hole = remaining.pop(0)
-        hids = [int(i) for i in hole.ids]
+        hids = hole.tolist()
         cands = []
         for oi, ov in enumerate(poly):
             for hi, hv in enumerate(hids):
@@ -487,12 +462,12 @@ def _bridge_holes(facet):
         for d2, ov, hv, oi, hi in cands:
             a = coords[ov]
             b = coords[hv]
-            if _diagonal_clear(a, b, poly, [hids] + [list(map(int, h.ids)) for h in remaining],
+            if _diagonal_clear(a, b, poly, [hids] + [h.tolist() for h in remaining],
                                coords, eps, ptol):
                 mid = 0.5 * (a + b)
-                if not point_in_loop(mid, facet.outer):
+                if not point_in_loop(mid, coords[facet.outer]):
                     continue
-                if any(point_in_loop(mid, h) for h in facet.holes):
+                if any(point_in_loop(mid, coords[h]) for h in facet.holes):
                     continue
                 rot = hids[hi:] + hids[:hi]
                 spliced = poly[: oi + 1] + rot + [rot[0], poly[oi]] + poly[oi + 1 :]
@@ -601,7 +576,7 @@ def triangulate(facet):
     if facet.holes:
         walk = _bridge_holes(facet)
     else:
-        walk = [int(i) for i in facet.outer.ids]
+        walk = facet.outer.tolist()
     tris = _ear_clip(walk, facet.coords, facet.area, facet.diameter)
     cover = 0.0
     for (i, j, k) in tris:
@@ -731,7 +706,6 @@ class Polyhedron:
         self.coords = coords
         self.faces = norm_faces
         self._check_closed()
-        self._measures = None
 
     def _check_closed(self):
         balance = {}
@@ -753,18 +727,15 @@ class Polyhedron:
                     "edge %s walked %d times (direction balance %d)" % (key, cnt, bal)
                 )
 
-    def _face_rule(self, face, degree):
+    @cached_property
+    def _measures(self):
         from .quadrature import planar_face_rule
 
-        outer, holes = face
-        return planar_face_rule(self.coords, outer, holes, degree)
-
-    def _compute_measures(self):
         vol = 0.0
         mom = np.zeros(3)
-        for face in self.faces:
-            _, _, _, nrm = face_frame(self.coords, face[0])
-            rule = self._face_rule(face, 2)
+        for outer, holes in self.faces:
+            _, _, _, nrm = face_frame(self.coords, outer)
+            rule = planar_face_rule(self.coords, outer, holes, 2)
             pts = rule.points
             w = rule.weights
             vol += nrm[0] * float(np.sum(w * pts[:, 0]))
@@ -781,22 +752,8 @@ class Polyhedron:
         pts = self.coords[used]
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         diam = float(np.sqrt(np.max(d2)))
-        self._measures = (vol, mom / vol, diam)
+        return vol, mom / vol, diam
 
-    @property
-    def volume(self):
-        if self._measures is None:
-            self._compute_measures()
-        return self._measures[0]
-
-    @property
-    def centroid(self):
-        if self._measures is None:
-            self._compute_measures()
-        return self._measures[1]
-
-    @property
-    def diameter(self):
-        if self._measures is None:
-            self._compute_measures()
-        return self._measures[2]
+    volume = property(lambda self: self._measures[0])
+    centroid = property(lambda self: self._measures[1])
+    diameter = property(lambda self: self._measures[2])

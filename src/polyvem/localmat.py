@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import PolyVemError, SingularG, SingularH
 from .geometry import FacetTable, fan_accepts, fan_table, triangulate
-from .monomials import MonomialBasis, basis_index, laplacian_terms
-from .quadrature import gauss_1d, gauss_lobatto_1d, polygon_rule
+from .monomials import basis_index, laplacian_terms, shared_basis
+from .quadrature import gauss_lobatto_1d, monomial_integrals, polygon_rule
 from .vemspace import build_layout, walk_layout
 
 COND_LIMIT = 1e12
@@ -64,21 +64,13 @@ class MatrixTag(enum.Enum):
     STIFFNESS = "stiffness"
 
 
-@lru_cache(maxsize=None)
-def _basis(k):
-    # frame-agnostic, so every element of order k shares one
-    return MonomialBasis(k)
-
-
 class Element:
     """One polygon at one order: its dof layout and monomial basis."""
 
     def __init__(self, facet, k):
         if k < 1:
             raise ValueError("order must be >= 1")
-        self.facet = facet
-        self.k = int(k)
-        self.basis = _basis(self.k)
+        self.facet, self.k, self.basis = facet, int(k), shared_basis(int(k))
 
     @cached_property
     def layout(self):
@@ -128,6 +120,10 @@ class ElementMatrixCache:
             self._store.pop(tag, None)
 
 
+# the stacked boundary geometry of an ElementGroup, made on first use
+_GEOMETRY = ("vertices", "lengths", "perimeter", "normals", "edge_nodes", "dof_points")
+
+
 class ElementGroup:
     """Elements of one order sliced from a FacetTable: facets `ids`, which
     share their loop lengths, triangle count and dof chains (see
@@ -135,36 +131,37 @@ class ElementGroup:
     None for a lone facet triangulated when a rule needs it (its
     triangulation failed once, or its loops repeat a vertex).
 
-    Geometry and dof points are stacked along a leading member axis; frame
+    The boundary geometry and dof points (`_GEOMETRY`) are stacked along a
+    leading member axis, made on first use and dropped by `discard`; frame
     entries are (members, 1) columns, which broadcast against stacked
     points.  Rules and basis values are built once per degree, masses once.
     """
 
     def __init__(self, table, ids, k, layout, triangles, cache):
         self.table, self.ids, self.triangles = table, ids, triangles
-        self.k, self.basis, self.layout, self.cache = k, _basis(k), layout, cache
+        self.k, self.basis, self.layout, self.cache = k, shared_basis(k), layout, cache
         self.size = len(ids)
         self.area = table.areas[ids]
         frame = np.column_stack((table.centroids[ids], table.diameters[ids]))
         self.frame = tuple(frame.T[:, :, None])
         self.chains = layout.chains
-        self.vertices = table.coords[table.walks(ids, len(layout.chains))]
-        d = self.vertices[:, self.chains[:, -1]] - self.vertices
-        self.lengths = np.hypot(d[..., 0], d[..., 1])
-        # edge by edge, as Facet.perimeter's Python sum adds them
-        self.perimeter = np.zeros(self.size)
-        for i in range(self.lengths.shape[1]):
-            self.perimeter += self.lengths[:, i]
-        tangent = d / self.lengths[..., None]
-        self.normals = np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1)
+        self._rules, self._values, self._mass = {}, {}, None
+
+    def __getattr__(self, name):
+        # the stacked boundary geometry (`_GEOMETRY`), made on first use
+        if name not in _GEOMETRY:
+            raise AttributeError(name)
+        v = self.table.coords[self.table.walks(self.ids, len(self.chains))]
+        d = v[:, self.chains[:, -1]] - v  # each edge, to the next vertex of its loop
+        lengths = np.hypot(d[..., 0], d[..., 1])
+        tangent = d / lengths[..., None]
         t, _ = gauss_lobatto_1d(self.k + 1)
-        self.edge_nodes = self.vertices[:, :, None, :] + t[:, None] * d[:, :, None, :]
-        self.dof_points = np.concatenate(
-            [self.vertices, self.edge_nodes[:, :, 1:-1].reshape(self.size, -1, 2)], axis=1
-        )
-        self._rules = {}
-        self._values = {}
-        self._mass = None
+        nodes = v[:, :, None, :] + t[:, None] * d[:, :, None, :]
+        self.__dict__.update(
+            vertices=v, lengths=lengths, perimeter=sum(lengths.T),  # edge by edge
+            normals=np.stack([tangent[..., 1], -tangent[..., 0]], axis=-1), edge_nodes=nodes,
+            dof_points=np.concatenate([v, nodes[:, :, 1:-1].reshape(self.size, -1, 2)], axis=1))
+        return self.__dict__[name]
 
     def corners(self):
         """Triangle corners of every member, (members, triangles, 3, 2)."""
@@ -194,10 +191,12 @@ class ElementGroup:
         return self._mass
 
     def discard(self, *tags):
-        """Forget the cached matrices of `tags`, and the masses, which only
-        the D and H computations read."""
+        """Forget the cached matrices of `tags`, and the masses and the
+        stacked boundary geometry, which are built again on first use."""
         self.cache.discard(*tags)
         self._mass = None
+        for name in _GEOMETRY:
+            self.__dict__.pop(name, None)
 
     def split(self):
         """One group per member, in member order."""
@@ -314,21 +313,9 @@ def find_or_compute(cache, element, tag):
 
 def _monomial_integrals(group, degree):
     """Integral over each member of every scaled monomial of degree <=
-    `degree`: (members, basis_size(degree)).
-
-    X^a Y^b is homogeneous of degree d = a + b in x - c, so by the divergence
-    theorem its integral is sum_e ((v_e - c).n_e) int_e X^a Y^b / (2 + d),
-    with an exact Gauss rule on every edge, stacked over edges and members.
-    """
-    basis = _basis(degree)
-    t, w = gauss_1d(degree // 2 + 1)
-    d = group.vertices[:, group.chains[:, -1]] - group.vertices
-    points = group.vertices[:, :, None, :] + t[:, None] * d[:, :, None, :]
-    values = basis.eval(points.reshape(group.size, -1, 2), group.frame)
-    per_edge = w @ values.reshape(points.shape[:-1] + (basis.size,))
-    centre = np.stack(group.frame[:2], axis=-1)
-    flux = group.lengths * ((group.vertices - centre) * group.normals).sum(axis=-1)
-    return (flux[:, None, :] @ per_edge)[:, 0] / (2 + np.sum(basis.exponents, axis=1))
+    `degree`: (members, basis_size(degree)), from its boundary edges."""
+    return monomial_integrals(group.vertices, group.vertices[:, group.chains[:, -1]],
+                              group.frame, degree)
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +323,7 @@ def _pair_tables(k):
     # for members a, b of the degree-k basis: the position of m_a m_b among
     # the monomials of degree <= 2k, then per variable the factor and the
     # position of the product of their scaled derivatives (0 if one is 0)
-    ex, ey = np.array(_basis(k).exponents).T
+    ex, ey = np.array(shared_basis(k).exponents).T
     sx, sy = ex[:, None] + ex, ey[:, None] + ey
     fx, fy = ex[:, None] * ex, ey[:, None] * ey
 
@@ -353,9 +340,7 @@ def _boundary_monomial_average(group):
     nodes = group.edge_nodes
     vals = group.basis.eval(nodes.reshape(group.size, -1, 2), group.frame)
     per_edge = w @ vals.reshape(nodes.shape[:-1] + (group.basis.size,))
-    total = np.zeros((group.size, group.basis.size))
-    for i in range(per_edge.shape[1]):
-        total += group.lengths[:, i, None] * per_edge[:, i]
+    total = sum(group.lengths[:, i, None] * per_edge[:, i] for i in range(per_edge.shape[1]))
     return total / group.perimeter[:, None]
 
 

@@ -8,19 +8,17 @@ ordinary collinear vertices listed by both incident elements, so the
 invariant survives cutting and merging unchanged; a T-junction whose
 vertex is missing from the long side is rejected.
 
-The elements are stored as arrays, a `FacetTable`: loop vertex ids, with
-the areas, centroids and diameters of the elements.  The loops are
-oriented, checked and measured a loop-length class at a time, with the
-bits, warnings and errors of an element-by-element build; the edge table
-and the dof numbering are computed from the same boundary walks.  The
-poly2d reader, the writer, the cut and the merge work on the same flat
-loop arrays: the reader checks the lines in bulk and hands its ids, loop
-sizes and loops per element to the build, the writer formats them in one
-pass, a cut splits only the loops the line crosses and copies the rest as
-slices, and a merge tests overlap in vectorized passes over box pairs and
-splices its hanging nodes into the boundary walks in one scatter.
+The elements are a `FacetTable`, built by its checked constructor with
+the bits, warnings and errors of an element-by-element build (the element
+explainer `PolyMesh._explain` names the element in them); the edge table
+and the dof numbering come from the same boundary walks.  The reader, the
+writer, the cut and the merge work on the same flat loop arrays: the
+reader checks the lines in bulk, the writer formats them in one pass, a
+cut splits only the loops the line crosses and copies the rest as slices,
+and a merge tests overlap in vectorized passes over box pairs and splices
+its hanging nodes into the boundary walks in one scatter.
 `PolyMesh.elements` and `PolyMesh.facets`, per-element objects, are made
-only on request; of the commands, only `quad` walks the facets.
+only on request; no command walks the facets.
 """
 
 import warnings
@@ -38,17 +36,7 @@ from .errors import (
     OverlapDetected,
     ParseError,
 )
-from .geometry import (
-    Facet,
-    FacetTable,
-    Loop,
-    OrientationWarning,
-    loop_defects,
-    loop_measures,
-    point_in_loop,
-    signed_area,
-    vertex_diameters,
-)
+from .geometry import FacetTable, OrientationWarning, explain_facet, signed_area
 from .monomials import basis_size
 from .quadrature import gauss_lobatto_1d
 
@@ -174,25 +162,19 @@ def _flat_loops(elements):
 
 
 def _warn_flip(eid, hole):
-    if hole:
-        warnings.warn(
-            "element %d: hole loop was counter-clockwise, reversing" % eid,
-            OrientationWarning,
-        )
-    else:
-        warnings.warn(
-            "element %d: outer loop was clockwise, reversing" % eid, OrientationWarning
-        )
+    warnings.warn("element %d: %s" % (eid, "hole loop was counter-clockwise, reversing" if hole
+                                       else "outer loop was clockwise, reversing"),
+                  OrientationWarning)
 
 
 class PolyMesh:
-    """Conforming polygonal mesh over one vertex table.
+    """Conforming polygonal mesh over one vertex table, which must not be
+    empty.
 
-    The elements are `shapes`, a FacetTable over `vertices`, built and
-    checked a loop-length class at a time; `elements` and `facets` are
-    made from it on request.  The edge table is `edge_ends`, the sorted
-    (lo, hi) vertex pairs, with `slot_edges`, the edge of every slot of the
-    boundary walks.
+    The elements are `shapes`, a FacetTable over `vertices`; `elements` and
+    `facets` are made from it on request.  The edge table is `edge_ends`,
+    the sorted (lo, hi) vertex pairs, with `slot_edges`, the edge of every
+    slot of the boundary walks.
     """
 
     def __init__(self, vertices, elements):
@@ -201,13 +183,15 @@ class PolyMesh:
             raise ValueError("vertices must be an (N, 2) array")
         if not np.all(np.isfinite(vertices)):
             raise ValueError("vertex coordinates must be finite")
+        if not len(vertices):
+            raise ValueError("vertex table is empty: a mesh needs vertices")
         self.vertices = vertices
         lo, hi = vertices.min(axis=0), vertices.max(axis=0)
         self.diameter = float(np.hypot(*(hi - lo)))
         self._grid = _VertexGrid(vertices)
         self._check_duplicates()
         ids, sizes, counts, error = _flat_loops(elements)
-        self.shapes = self._checked_shapes(ids, sizes, counts)
+        self.shapes = FacetTable(vertices, ids, sizes, counts, _warn_flip, self._explain)
         if error is not None:
             raise error
         self._build_edges()
@@ -239,82 +223,10 @@ class PolyMesh:
                     "vertices %d and %d coincide" % (i[first], j[first])
                 )
 
-    def _checked_shapes(self, ids, sizes, counts):
-        """Orient, check and measure the loops, a loop-length class at a
-        time, as an element-by-element pass would: every element up to the
-        first bad one warns of its reversed loops, then that one is built
-        alone, so it warns and raises as it would on its own."""
-        v, nv = self.vertices, len(self.vertices)
-        loop_starts = np.concatenate(([0], np.cumsum(sizes)))
-        facet_loops = np.concatenate(([0], np.cumsum(counts)))
-        owner = np.repeat(np.arange(len(counts)), counts)
-        hole = np.ones(len(sizes), dtype=bool)
-        hole[facet_loops[:-1]] = False
-        oriented = ids.copy()
-        flip, bad = np.zeros(len(sizes), dtype=bool), np.zeros(len(sizes), dtype=bool)
-        a, sx, sy = np.zeros(len(sizes)), np.zeros(len(sizes)), np.zeros(len(sizes))
-        for size in np.unique(sizes):
-            rows = np.flatnonzero(sizes == size)
-            if size < 3:
-                bad[rows] = True
-                continue
-            slots = loop_starts[rows, None] + np.arange(size)
-            lids = ids[slots]
-            outside = ((lids < 0) | (lids >= nv)).any(axis=1)
-            lids[outside] = 0
-            pts = v[lids]
-            la, lx, ly = loop_measures(pts)
-            fl = np.where(hole[rows], la > 0, la < 0)
-            lids[fl], pts[fl] = lids[fl, ::-1], pts[fl, ::-1]
-            la[fl], lx[fl], ly[fl] = loop_measures(pts[fl])
-            # a loop the lone Facet would reverse once more is built alone
-            wrong = np.where(hole[rows], la > 0, ~(la > 0))
-            bad[rows] = outside | wrong | loop_defects(lids, pts, la)
-            flip[rows], oriented[slots] = fl, lids
-            a[rows], sx[rows], sy[rows] = la, lx, ly
-
-        first = facet_loops[:-1]
-        area, mx, my = a[first], sx[first], sy[first]
-        for j in range(1, counts.max(initial=1)):  # holes add up in order
-            e = np.flatnonzero(counts > j)
-            area[e] += a[first[e] + j]
-            mx[e] += sx[first[e] + j]
-            my[e] += sy[first[e] + j]
-        special = set(owner[bad].tolist()) | set(np.flatnonzero(area <= 0.0).tolist())
-        for h in np.flatnonzero(hole & ~bad & ~bad[first[owner]]).tolist():
-            outer = oriented[loop_starts[first[owner[h]]]:loop_starts[first[owner[h]] + 1]]
-            if not point_in_loop(v[oriented[loop_starts[h]]], Loop._checked(outer, v, 0.0)):
-                special.add(int(owner[h]))
-
-        slot_starts = loop_starts[facet_loops]
-        nvert = np.diff(slot_starts)
-        diameters = np.zeros(len(counts))
-        for size in np.unique(nvert[nvert > 0]):  # no loop, no diameter
-            rows = np.flatnonzero(nvert == size)
-            walks = oriented[slot_starts[rows, None] + np.arange(size)]
-            diameters[rows] = vertex_diameters(v[np.where((walks >= 0) & (walks < nv), walks, 0)])
-        with np.errstate(divide="ignore", invalid="ignore"):  # bad elements raise below
-            centroids = np.column_stack((mx / area, my / area))
-
-        flips = np.flatnonzero(flip & ~np.isin(owner, list(special)))
-        done = 0
-        for e in sorted(special):
-            stop = int(np.searchsorted(owner[flips], e))
-            for i in flips[done:stop].tolist():
-                _warn_flip(owner[i], hole[i])
-            done = stop
-            loops = [ids[loop_starts[i]:loop_starts[i + 1]].tolist()
-                     for i in range(facet_loops[e], facet_loops[e + 1])]
-            f = self._lone_element(e, loops)
-            area[e], centroids[e], diameters[e] = f.area, f.centroid, f.diameter
-        for i in flips[done:].tolist():
-            _warn_flip(owner[i], hole[i])
-        return FacetTable(v, oriented, loop_starts, facet_loops, a, area, centroids, diameters)
-
-    def _lone_element(self, eid, loops):
-        """Element eid built on its own, as an element-by-element pass
-        builds it: its vertex ids checked, warnings, then the Facet, whose
-        errors name the element."""
+    def _explain(self, eid, loops):
+        """The explainer of the element table: element eid checked alone,
+        as an element-by-element pass checks it: its vertex ids, warnings,
+        then `explain_facet`, whose errors name the element."""
         nv = len(self.vertices)
         for loop in loops:
             if not loop:
@@ -330,7 +242,7 @@ class PolyMesh:
                 _warn_flip(eid, i > 0)
                 loops[i] = loop[::-1]
         try:
-            return Facet(self.vertices, loops[0], loops[1:])
+            return explain_facet(self.vertices, loops)
         except Exception as err:
             raise InvariantViolation("element %d: %s" % (eid, err))
 

@@ -143,3 +143,10 @@ class MonomialBasis:
             np.multiply(b / h, px[a], out=gy[..., j])
             np.multiply(gy[..., j], py[max(b - 1, 0)], out=gy[..., j])
         return gx, gy
+
+
+@lru_cache(maxsize=None)
+def shared_basis(k):
+    """The MonomialBasis of degree k: frame-agnostic, so every element of
+    order k, and every rule certified at degree k, shares one."""
+    return MonomialBasis(k)

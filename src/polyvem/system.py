@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PolyVemError
+from .errors import InvariantViolation, PolyVemError
 from .localmat import MatrixTag, find_or_compute, group_facets, load_vector, sample
 from .mesh import build_global_dofs
 from .monomials import basis_size, derivative_tables
@@ -122,8 +122,10 @@ def discretisation(mesh, k):
     norms, the interpolant and the CLI share every element's projectors.
     The groups are `localmat.group_facets` (ids, ElementGroup) pairs, each
     group a slice of the mesh's FacetTable with the stacked matrices of its
-    members in its cache.
+    members in its cache.  A mesh without elements has none to discretise.
     """
+    if not mesh.num_elements:
+        raise InvariantViolation("mesh has no elements")
     if k not in mesh.discretisations:
         mesh.discretisations[k] = (build_global_dofs(mesh, k), group_facets(mesh.shapes, k))
     return mesh.discretisations[k]

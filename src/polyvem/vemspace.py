@@ -35,7 +35,7 @@ def build_layout(facet, k):
     """Build the dof layout of a facet at order k (k >= 1)."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    return walk_layout(facet.vertex_ids(), [len(loop) for loop in facet.loops()], k)
+    return walk_layout(np.concatenate(facet.loops()), list(map(len, facet.loops())), k)
 
 
 def walk_layout(ids, sizes, k):

@@ -1,10 +1,13 @@
 """Shared shape builders, randomized element generators and independent
 oracles for the tests."""
 
+import warnings
+from collections import namedtuple
+
 import numpy as np
 
-from polyvem.errors import ParseError
-from polyvem.geometry import Facet, FacetTable
+from polyvem.errors import InvalidOrientation, InvariantViolation, ParseError
+from polyvem.geometry import Facet, FacetTable, OrientationWarning
 from polyvem.localmat import ElementMatrixCache, group_facets
 from polyvem.mesh import PolyMesh
 from polyvem.monomials import MonomialBasis, ScaledMonomial
@@ -148,6 +151,172 @@ def gathered_basis(k, points, frame):
     gx = (ex / h) * np.take(px, exm, axis=-1) * np.take(py, ey, axis=-1)
     gy = (ey / h) * np.take(px, ex, axis=-1) * np.take(py, eym, axis=-1)
     return values, gx, gy
+
+
+def monomial_integral(facet, ex, ey, frame=None):
+    """Exact integral of the scaled monomial X^ex Y^ey over the facet.
+
+    Green's theorem turns the area integral into edge integrals of the
+    x-antiderivative, each a 1d polynomial handled by a Gauss rule of the
+    right order.  Independent of the triangulation path and of the
+    divergence-theorem integrals of `polyvem.quadrature.monomial_integrals`,
+    which it certifies.
+    """
+    if ex < 0 or ey < 0:
+        raise ValueError("exponents must be nonnegative")
+    if frame is None:
+        frame = facet.frame
+    xc, yc, h = frame
+    npts = (ex + ey + 2 + 1) // 2  # integrand degree ex+1+ey along each edge
+    t, w = gauss_1d(npts)
+    total = 0.0
+    for loop in facet.loops():
+        pts = (facet.coords[loop] - np.array([xc, yc])) / h
+        nxt = np.roll(pts, -1, axis=0)
+        for (u0, v0), (u1, v1) in zip(pts, nxt):
+            dv = v1 - v0
+            if dv == 0.0:
+                continue
+            ut = u0 + t * (u1 - u0)
+            vt = v0 + t * dv
+            total += dv / (ex + 1) * float(np.sum(w * ut ** (ex + 1) * vt ** ey))
+    return total * h * h
+
+
+Edge = namedtuple("Edge", "v0 v1 p0 p1 length tangent normal")
+
+
+def boundary_edges(facet):
+    """Every edge of a facet's boundary walk, loop after loop, with its
+    length, unit tangent and outward normal (the tangent turned by -90
+    degrees), computed edge by edge."""
+    edges = []
+    for ids in facet.loops():
+        pts = facet.coords[ids]
+        n = len(ids)
+        for j in range(n):
+            p0, p1 = pts[j], pts[(j + 1) % n]
+            d = p1 - p0
+            length = float(np.hypot(d[0], d[1]))
+            t = d / length
+            edges.append(Edge(int(ids[j]), int(ids[(j + 1) % n]), p0, p1, length, t,
+                              np.array([t[1], -t[0]])))
+    return edges
+
+
+def perimeter(facet):
+    """The lengths of `boundary_edges`, summed in their order."""
+    return sum(e.length for e in boundary_edges(facet))
+
+
+# -- the scalar facet reference ------------------------------------------
+#
+# The loop-by-loop construction the checked FacetTable path replaced: each
+# loop checked on its own, reversed with a warning when wound the wrong way,
+# then the facet measured and its holes tested.  Facet must give its area,
+# centroid and diameter bit for bit, and raise and warn as it does.
+
+
+def _shifted(a):
+    return np.concatenate((a[1:], a[:1]))
+
+
+class ReferenceLoop:
+    """Closed vertex loop over a coordinate array, rejected at construction
+    when degenerate (fewer than 3 vertices, repeated consecutive vertices,
+    coordinates not finite, zero-length edges, vanishing signed area)."""
+
+    def __init__(self, ids, coords):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 1 or ids.size < 3:
+            raise InvariantViolation("a loop needs at least 3 vertices")
+        if (ids == _shifted(ids)).any():
+            raise InvariantViolation("repeated consecutive vertex in loop")
+        pts = coords[ids]
+        if not np.isfinite(pts).all():
+            raise ValueError("loop coordinates must be finite")
+        seg = _shifted(pts) - pts
+        lens = np.hypot(seg[:, 0], seg[:, 1])
+        scale = float(max((pts.max(axis=0) - pts.min(axis=0)).max(), 0.0))
+        if scale == 0.0 or (lens <= 1e-14 * scale).any():
+            raise InvariantViolation("zero-length edge in loop")
+        self.ids, self.coords = ids, coords
+        nxt = _shifted(pts)
+        self.signed_area = 0.5 * float((pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]).sum())
+        if abs(self.signed_area) <= 1e-14 * scale * scale:
+            raise InvalidOrientation("loop encloses no area; winding undefined")
+
+    @property
+    def orientation(self):
+        return "ccw" if self.signed_area > 0.0 else "cw"
+
+    def points(self):
+        return self.coords[self.ids]
+
+    def reversed(self):
+        return ReferenceLoop(self.ids[::-1], self.coords)
+
+
+def _winding(p, pts):
+    x, y = float(p[0]), float(p[1])
+    nxt = _shifted(pts)
+    x0, y0, x1, y1 = pts[:, 0], pts[:, 1], nxt[:, 0], nxt[:, 1]
+    side = (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)
+    up = (y0 <= y) & (y1 > y) & (side > 0)
+    dn = (y0 > y) & (y1 <= y) & (side < 0)
+    return int(up.sum()) - int(dn.sum())
+
+
+class ReferenceFacet:
+    """Facet(coords, outer, holes) built loop by loop; `outer` and `holes`
+    are the oriented id arrays, and `perimeter` adds up `boundary_edges`."""
+
+    def __init__(self, coords, outer, holes=()):
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError("coords must be an (n, 2) array")
+        loop = ReferenceLoop(outer, coords)
+        if loop.orientation == "cw":
+            warnings.warn("outer loop was clockwise; reversing", OrientationWarning)
+            loop = loop.reversed()
+        hole_loops = []
+        for h in holes:
+            hl = ReferenceLoop(h, coords)
+            if hl.orientation == "ccw":
+                warnings.warn("hole loop was counterclockwise; reversing", OrientationWarning)
+                hl = hl.reversed()
+            hole_loops.append(hl)
+        pts = [l.points() for l in [loop] + hole_loops]
+        area, sx, sy = 0.0, 0.0, 0.0
+        for i, p in enumerate(pts):
+            nxt = _shifted(p)
+            cr = p[:, 0] * nxt[:, 1] - nxt[:, 0] * p[:, 1]
+            a = 0.5 * float(cr.sum())
+            mx = float(((p[:, 0] + nxt[:, 0]) * cr).sum()) / 6.0
+            my = float(((p[:, 1] + nxt[:, 1]) * cr).sum()) / 6.0
+            if i:
+                area, sx, sy = area + a, sx + mx, sy + my
+            else:
+                area, sx, sy = a, mx, my
+        if area <= 0.0:
+            raise InvariantViolation("facet area must be positive")
+        for hp in pts[1:]:
+            if _winding(hp[0], pts[0]) == 0:
+                raise InvariantViolation("hole loop lies outside the outer loop")
+        self.coords = coords
+        self.outer, self.holes = loop.ids, [h.ids for h in hole_loops]
+        self.area = area
+        self.centroid = np.array([sx / area, sy / area])
+        allpts = np.concatenate(pts)
+        d2 = ((allpts[:, None, :] - allpts[None, :, :]) ** 2).sum(axis=2)
+        self.diameter = float(np.sqrt(d2.max()))
+
+    def loops(self):
+        return [self.outer] + self.holes
+
+    @property
+    def perimeter(self):
+        return perimeter(self)
 
 
 def gauss_edge(p0, p1, n):

@@ -14,6 +14,7 @@ from polyvem import cli
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
 from polyvem.mesh import CutLine, PolyMesh, merge_meshes, read_mesh, write_mesh
 from polyvem.monomials import basis_size
+from polyvem.quadrature import polygon_rule
 from polyvem.system import apply_dirichlet, assemble, solve
 
 
@@ -434,6 +435,66 @@ def test_quad_degree_zero_single_point_per_element(capsys):
 def test_quad_negative_degree_exits_1(capsys):
     assert cli.main(["quad", "--gen", "quads:2", "--degree", "-1"]) == 1
     assert "degree" in capsys.readouterr().err
+
+
+def merged_file(tmp_path):
+    # a unit square of four quads glued to a coarse square on its right
+    # side: a hanging node on the shared edge
+    coarse = PolyMesh(np.array([[1, 0], [2, 0], [2, 1], [1, 1]], float), [[0, 1, 2, 3]])
+    path = tmp_path / "merged.poly2d"
+    write_mesh(merge_meshes(cli.gen_structured("quads", 2), coarse), path)
+    return str(path)
+
+
+# sha256 of the stdout and of the --out table of `quad` at degrees 0 to 6,
+# then with --compress at degree 4, each stream over the eight runs in that
+# order
+QUAD_SHA256 = {
+    "distortedQuads": (
+        "9fb26eb8095b4518032f4b7dd654d0d576083fb6a2d4d6e22945ce8b11ce47c0",
+        "3833d6eac726aa6f94a94ca56cd64dee29445a8a826639fe3e42680d285a6580",
+    ),
+    "holed": (
+        "c7dea6781375b78131f9bd7c4bbbb28ff5b63fb52bbd2fb61c10a740a3e36676",
+        "dec979edd8977b25aa85c51cc21047f2acc470aaa1f76a4f5b34ff127aebcb29",
+    ),
+    "merged": (
+        "0b785fbcc6acec43a97f167c0308b99463112e51edd63c0742d7bc16aaf2a52c",
+        "fcbcf46d0f8bfd20d7759c6c7e7cf9c9897db7f163d47d317008bec568b7989e",
+    ),
+}
+
+
+def test_quad_builds_one_rule_per_group(monkeypatch, capsys):
+    # 1,024 distortedQuads elements are four groups of localmat.GROUP_CAP
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return polygon_rule(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "polygon_rule", counted)
+    assert cli.main(["quad", "--gen", "distortedQuads:32", "--degree", "4"]) == 0
+    assert len(calls) == 4
+    assert capsys.readouterr().out.count("PASS") == 1024 + 1
+
+
+@pytest.mark.parametrize("case", sorted(QUAD_SHA256))
+def test_quad_outputs_match_golden_bytes(case, tmp_path, capsys):
+    source = {
+        "distortedQuads": lambda: ["--gen", "distortedQuads:4"],
+        "holed": lambda: ["--mesh", holed_file(tmp_path)],
+        "merged": lambda: ["--mesh", merged_file(tmp_path)],
+    }[case]()
+    stdout, table = hashlib.sha256(), hashlib.sha256()
+    out = str(tmp_path / "rule.csv")
+    for extra in [["--degree", str(d)] for d in range(7)] + [["--degree", "4", "--compress"]]:
+        capsys.readouterr()
+        assert cli.main(["quad", *source, *extra, "--out", out]) == 0
+        stdout.update(capsys.readouterr().out.encode())
+        with open(out, "rb") as fh:
+            table.update(fh.read())
+    assert (stdout.hexdigest(), table.hexdigest()) == QUAD_SHA256[case]
 
 
 # -- VTK export ----------------------------------------------------------

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvem.errors import (
     InvalidOrientation,
@@ -11,18 +14,21 @@ from polyvem.errors import (
 )
 from polyvem.geometry import (
     Facet,
-    Loop,
     OrientationWarning,
     Polyhedron,
     face_frame,
     point_in_loop,
+    signed_area,
     triangulate,
 )
 
 from conftest import (
+    ReferenceFacet,
+    boundary_edges,
     hanging_square,
     lshape,
     pentagon,
+    perimeter,
     random_facet,
     square_with_hole,
     unit_square,
@@ -45,7 +51,7 @@ class TestFacetMeasures:
         f = square_with_hole(1.0, 0.5)
         assert abs(f.area - 0.75) < 1e-14
         assert np.allclose(f.centroid, [0.5, 0.5], atol=1e-14)
-        assert abs(f.perimeter - 6.0) < 1e-13
+        assert abs(perimeter(f) - 6.0) < 1e-13
 
     def test_lshape(self):
         f = lshape()
@@ -57,7 +63,7 @@ class TestFacetMeasures:
 
     def test_diameter_spans_all_loops(self):
         f = square_with_hole(1.0, 0.5)
-        pts = np.concatenate([l.points() for l in f.loops()])
+        pts = np.concatenate([f.coords[l] for l in f.loops()])
         d = max(
             np.linalg.norm(p - q) for p in pts for q in pts
         )
@@ -70,14 +76,14 @@ class TestFacetMeasures:
             th = rng.uniform(0.0, 2.0 * np.pi)
             R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
             shift = rng.uniform(-5.0, 5.0, 2)
-            g = Facet(f.coords @ R.T + shift, list(f.outer.ids))
+            g = Facet(f.coords @ R.T + shift, f.outer)
             assert abs(g.area - f.area) < 1e-12 * f.area
             assert abs(g.diameter - f.diameter) < 1e-12 * f.diameter
             assert np.allclose(g.centroid, R @ f.centroid + shift, atol=1e-12)
 
     def test_scaling_scales_area_quadratically(self):
         f = pentagon()
-        g = Facet(3.0 * f.coords, list(f.outer.ids))
+        g = Facet(3.0 * f.coords, f.outer)
         assert abs(g.area - 9.0 * f.area) < 1e-12 * g.area
         assert abs(g.diameter - 3.0 * f.diameter) < 1e-12 * g.diameter
 
@@ -87,7 +93,7 @@ class TestFacetValidation:
         pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         with pytest.warns(OrientationWarning):
             f = Facet(pts, [0, 3, 2, 1])
-        assert f.outer.orientation == "ccw"
+        assert signed_area(f.coords[f.outer]) > 0.0
         assert f.area > 0
 
     def test_ccw_hole_corrected_with_warning(self):
@@ -98,7 +104,7 @@ class TestFacetValidation:
         )
         with pytest.warns(OrientationWarning):
             f = Facet(pts, [0, 1, 2, 3], [[4, 5, 6, 7]])  # hole counterclockwise
-        assert f.holes[0].orientation == "cw"
+        assert signed_area(f.coords[f.holes[0]]) < 0.0
         assert abs(f.area - 0.75) < 1e-14
 
     def test_repeated_vertex_rejected(self):
@@ -132,14 +138,102 @@ class TestFacetValidation:
     def test_nonfinite_coordinates_rejected(self):
         pts = np.array([[0, 0], [1, 0], [np.nan, 1]], dtype=float)
         with pytest.raises(ValueError):
-            Loop([0, 1, 2], pts)
+            Facet(pts, [0, 1, 2])
+
+
+FACET_DEFECTS = [
+    None,
+    "clockwise outer",
+    "counterclockwise hole",
+    "negative id",
+    "repeated vertex",
+    "zero-length edge",
+    "two vertices",
+    "collinear loop",
+    "hole outside",
+    "hole wider than the outer loop",
+    "not finite",
+    "id out of range",
+]
+
+
+@st.composite
+def facet_inputs(draw):
+    """(coords, outer, holes) of a random plain, hanging-node or holed
+    loop set, with one defect or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_facet(rng, draw(st.sampled_from(["plain", "hanging", "hole"])))
+    coords, outer, holes = f.coords.copy(), f.outer.tolist(), [h.tolist() for h in f.holes]
+    n, i = len(coords), int(rng.integers(len(outer)))
+    a, b = coords[outer[i]], coords[outer[(i + 1) % len(outer)]]
+    defect = draw(st.sampled_from(FACET_DEFECTS))
+    if defect == "clockwise outer":
+        outer = outer[::-1]
+    elif defect == "counterclockwise hole":
+        holes = [h[::-1] for h in holes] or [[n, n + 1, n + 2]]
+        c = coords[outer].mean(axis=0)
+        coords = np.vstack([coords, c + 0.01 * np.array([[0, 0], [1, 0], [0, 1]])])
+    elif defect == "negative id":
+        outer[i] -= n
+    elif defect == "repeated vertex":
+        outer.insert(i, outer[i])
+    elif defect == "zero-length edge":
+        coords = np.vstack([coords, coords[outer[i]]])
+        outer.insert(i + 1, n)
+    elif defect == "two vertices":
+        outer = outer[:2]
+    elif defect == "collinear loop":
+        coords = np.vstack([coords, 2.0 * b - a])
+        outer = [outer[i], outer[(i + 1) % len(outer)], n]
+    elif defect == "hole outside":
+        c = coords.max(axis=0) + 1.0
+        coords = np.vstack([coords, c, c + [0.0, 0.1], c + [0.1, 0.0]])
+        holes = holes + [[n, n + 1, n + 2]]
+    elif defect == "hole wider than the outer loop":
+        c = coords[outer].mean(axis=0)
+        coords = np.vstack([coords, c + 3.0 * (coords[outer] - c)])
+        holes = [list(range(n + len(outer) - 1, n - 1, -1))]
+    elif defect == "not finite":
+        coords[outer[i]] = [np.nan, np.inf][int(rng.integers(2))]
+    elif defect == "id out of range":
+        outer[i] = n + int(rng.integers(3))
+    return coords, outer, holes
+
+
+def built(cls, coords, outer, holes):
+    """(facet or None, (type, message) of its error, its warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            facet, error = cls(coords, outer, holes), None
+        except Exception as err:
+            facet, error = None, (type(err), str(err))
+    return facet, error, [(w.category, str(w.message)) for w in caught]
+
+
+@given(facet_inputs())
+@settings(max_examples=300, deadline=None)
+def test_facet_equals_scalar_reference(inputs):
+    # the checked one-row table against the loop-by-loop construction:
+    # the same error and warnings, else bitwise the same measures and the
+    # same oriented loops (negative ids wrapped)
+    got, error, caught = built(Facet, *inputs)
+    ref, ref_error, ref_caught = built(ReferenceFacet, *inputs)
+    assert error == ref_error
+    assert caught == ref_caught
+    if error is None:
+        assert got.area == ref.area and got.diameter == ref.diameter
+        assert got.centroid.tobytes() == ref.centroid.tobytes()
+        n = len(inputs[0])
+        for mine, theirs in zip(got.loops(), ref.loops(), strict=True):
+            assert mine.tolist() == np.where(theirs < 0, theirs + n, theirs).tolist()
 
 
 class TestContainmentAndNormals:
     def test_point_in_loop(self):
         f = unit_square()
-        assert point_in_loop([0.5, 0.5], f.outer)
-        assert not point_in_loop([1.5, 0.5], f.outer)
+        assert point_in_loop([0.5, 0.5], f.coords[f.outer])
+        assert not point_in_loop([1.5, 0.5], f.coords[f.outer])
 
     def test_contains_respects_holes(self):
         f = square_with_hole(1.0, 0.5)
@@ -149,14 +243,14 @@ class TestContainmentAndNormals:
 
     def test_unit_square_edge_normals(self):
         f = unit_square()
-        normals = [e.normal for e in f.boundary_edges()]
+        normals = [e.normal for e in boundary_edges(f)]
         expected = [[0, -1], [1, 0], [0, 1], [-1, 0]]
         for n, e in zip(normals, expected):
             assert np.allclose(n, e, atol=1e-14)
 
     def test_hole_edge_normals_point_out_of_material(self):
         f = square_with_hole(1.0, 0.5)
-        for e in f.boundary_edges():
+        for e in boundary_edges(f):
             mid = 0.5 * (e.p0 + e.p1)
             eps = 1e-6
             assert not f.contains(mid + eps * e.normal)
@@ -164,7 +258,7 @@ class TestContainmentAndNormals:
 
     def test_edge_lengths_and_tangents(self):
         f = unit_square()
-        for e in f.boundary_edges():
+        for e in boundary_edges(f):
             assert abs(e.length - 1.0) < 1e-14
             assert abs(np.linalg.norm(e.tangent) - 1.0) < 1e-14
             assert abs(float(np.dot(e.tangent, e.normal))) < 1e-14

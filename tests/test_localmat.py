@@ -36,14 +36,17 @@ from polyvem.monomials import (
     basis_size,
     laplacian_terms,
 )
-from polyvem.quadrature import gauss_lobatto_1d, monomial_integral, polygon_rule
+from polyvem.quadrature import gauss_lobatto_1d, polygon_rule
 from polyvem.system import assemble, discretisation, error_norms, interpolate_dofs
 
 from conftest import (
+    boundary_edges,
     derivative,
     gauss_edge,
     lone_group,
+    monomial_integral,
     pentagon,
+    perimeter,
     product,
     random_facet,
     square_with_hole,
@@ -161,10 +164,10 @@ def test_g_row_zero_is_boundary_average():
         assert G[0, 0] == pytest.approx(1.0, abs=1e-14)
         # independent route: plain Gauss edge rules instead of Lobatto
         total = np.zeros(el.basis.size)
-        for e in el.facet.boundary_edges():
+        for e in boundary_edges(el.facet):
             pts, w = gauss_edge(e.p0, e.p1, k + 2)
             total += w @ el.basis.eval(pts, el.frame)
-        assert np.allclose(G[0, :], total / el.facet.perimeter, atol=1e-13)
+        assert np.allclose(G[0, :], total / perimeter(el.facet), atol=1e-13)
 
 
 def test_g_gradient_block_matches_oracle():
@@ -456,7 +459,7 @@ class OracleElement:
         self.k = k
         self.basis = MonomialBasis(k)
         self.frame = facet.frame
-        self.edges = edges = facet.boundary_edges()
+        self.edges = edges = boundary_edges(facet)
         n = len(edges)
         # dofs: vertices in walk order, k-1 Lobatto nodes per edge in edge
         # direction, then the moments; a vertex the walk passes twice has

@@ -163,6 +163,24 @@ def test_empty_loop_in_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: element 0: empty loop\n"
 
 
+def test_empty_vertex_table_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="vertex table is empty"):
+        PolyMesh(np.zeros((0, 2)), [])
+    p = tmp_path / "nothing.poly2d"
+    p.write_text("poly2d 1\n0\n0\n")
+    assert cli.main(["mesh", "info", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: vertex table is empty: a mesh needs vertices\n" % p)
+
+
+def test_mesh_without_elements_reads_but_does_not_solve(tmp_path, capsys):
+    p = tmp_path / "bare.poly2d"
+    p.write_text("poly2d 1\n3\n0 0\n1 0\n0 1\n0\n")
+    assert read_mesh(p).num_elements == 0
+    assert cli.main(["solve", "--mesh", str(p)]) == 1
+    assert capsys.readouterr().err == "error: mesh has no elements\n"
+
+
 def test_holed_mesh_is_conforming():
     m = holed_mesh()
     assert m.area == pytest.approx(1.0, abs=1e-14)

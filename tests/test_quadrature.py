@@ -15,7 +15,6 @@ from polyvem.quadrature import (
     compressed_polygon_rule,
     gauss_1d,
     gauss_lobatto_1d,
-    monomial_integral,
     nnls,
     planar_face_rule,
     polygon_rule,
@@ -23,7 +22,7 @@ from polyvem.quadrature import (
     _triangle_rule,
 )
 
-from conftest import gauss_edge, random_facet, square_with_hole, unit_square
+from conftest import gauss_edge, monomial_integral, random_facet, square_with_hole, unit_square
 
 
 def ref_triangle_moment(a, b):

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyvem import localmat, system
-from polyvem.errors import DegenerateCut, PolyVemError, SingularG, SingularH
+from polyvem.errors import DegenerateCut, InvariantViolation, PolyVemError, SingularG, SingularH
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
 from polyvem.mesh import (
     PolyMesh,
@@ -248,6 +248,27 @@ def test_assembly_keeps_only_what_later_stages_read(k, load):
     for _, group in discretisation(mesh, k)[1]:
         assert {tag for tag in MatrixTag if tag in group.cache} == kept
         assert group._mass is None
+
+
+def test_group_geometry_does_not_outlive_assembly():
+    # the stacked boundary geometry goes with the masses, and comes back
+    # with the same bits when a second assembly needs it for H
+    mesh = capped_meshes()["merged"]
+    f = lambda x, y: np.sin(3.0 * x) * y
+    first = assemble(mesh, 2, f)
+    for _, group in discretisation(mesh, 2)[1]:
+        assert not set(localmat._GEOMETRY) & set(vars(group))
+    second = assemble(mesh, 2, f)
+    for a, b in zip((first.A.data, first.A.indices, first.A.indptr, first.b),
+                    (second.A.data, second.A.indices, second.A.indptr, second.b)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_mesh_without_elements_cannot_be_assembled():
+    mesh = PolyMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [])
+    assert (mesh.num_elements, mesh.num_edges, mesh.area) == (0, 0, 0.0)
+    with pytest.raises(InvariantViolation, match="^mesh has no elements$"):
+        assemble(mesh, 1)
 
 
 def capped_meshes():

@@ -23,7 +23,7 @@ def test_dof_count_formula_on_holed_facet():
     f = square_with_hole()
     for k in (1, 2, 3, 4):
         layout = build_layout(f, k)
-        nv = f.num_vertices
+        nv = len(np.concatenate(f.loops()))
         assert layout.num_dofs == nv * k + basis_size(k - 2)
         assert layout.moment_offset == nv * k
 
@@ -34,7 +34,7 @@ def test_dof_count_formula_random(k, n):
     rng = np.random.default_rng(100 * k + n)
     f = random_facet(rng, "plain")
     layout = build_layout(f, k)
-    assert layout.num_dofs == f.num_vertices * k + basis_size(k - 2)
+    assert layout.num_dofs == len(np.concatenate(f.loops())) * k + basis_size(k - 2)
 
 
 def test_order_zero_rejected():
@@ -89,7 +89,7 @@ def test_shared_edge_nodes_coincide_under_reversal():
     k = 3
 
     def nodes_on_edge_12(facet):
-        ids = facet.vertex_ids()
+        ids = np.concatenate(facet.loops())
         chains = build_layout(facet, k).chains
         chain = next(c for c in chains if {ids[c[0]], ids[c[-1]]} == {1, 2})
         return dof_points(facet, k)[chain[1:-1]]
@@ -101,7 +101,7 @@ def test_shared_edge_nodes_coincide_under_reversal():
 def test_edge_dof_chain_endpoints():
     f = pentagon()
     layout = build_layout(f, 2)
-    ids = f.vertex_ids()
+    ids = np.concatenate(f.loops())
     assert layout.chains.shape == (5, 3)
     for i, chain in enumerate(layout.chains):
         assert ids[chain[0]] == ids[i]
@@ -121,7 +121,7 @@ def test_pinched_walk_keeps_last_position():
 def test_holed_facet_walk_covers_both_loops():
     f = square_with_hole()
     layout = build_layout(f, 2)
-    ids = f.vertex_ids()
+    ids = np.concatenate(f.loops())
     assert set(ids[layout.chains[:, 0]]) == set(ids)
     assert set(ids[layout.chains[:, -1]]) == set(ids)
     assert layout.num_vertex_dofs == 8
@@ -137,7 +137,7 @@ def test_holed_facet_walk_covers_both_loops():
 def test_chains_follow_the_boundary_walk(seed, kind, k):
     f = random_facet(np.random.default_rng(seed), kind)
     layout = build_layout(f, k)
-    n = f.num_vertices
+    n = len(np.concatenate(f.loops()))
     assert layout.chains.shape == (n, k + 1)
     pts = dof_points(f, k)
     start = 0
@@ -151,7 +151,7 @@ def test_chains_follow_the_boundary_walk(seed, kind, k):
             assert chain[0] == i and chain[-1] == start + (j + 1) % size
             assert chain[1:-1].tolist() == list(n + i * (k - 1) + np.arange(k - 1))
             # the chain's points run along edge i from its start to its end
-            p0, p1 = loop.points()[j], loop.points()[(j + 1) % size]
+            p0, p1 = f.coords[loop[j]], f.coords[loop[(j + 1) % size]]
             assert np.array_equal(pts[chain[0]], p0) and np.array_equal(pts[chain[-1]], p1)
             d = p1 - p0
             rel = pts[chain] - p0
