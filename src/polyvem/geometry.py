@@ -13,6 +13,10 @@ with every facet's area, centroid and diameter.  Its constructor is the one
 checked path, for a mesh and a lone `Facet` (a view of one row) alike: it
 checks and measures the loops a loop-length class at a time and hands the
 first row it rejects to a scalar explainer, which raises that row's error.
+A class's points are coordinate planes (2, L, m), gathered from the
+transposed pool, so the checks and the diameters (each vertex pair once)
+reduce down the loop position in one vectorized pass per position, and only
+the measures' sums run along rows, where their rounding is fixed.
 `fan_accepts` proves, a class at a time, where ear clipping would cut a
 hole-free loop into the fan from its last vertex, so only the loops it
 rejects are ear-clipped.
@@ -58,44 +62,54 @@ def _next_column(a):
     return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
 
 
+# The loop kernels take the points of m loops of one length L as pts (2, L,
+# m): coordinate, loop position, loop.  A reduction over the loop position
+# then runs down the outer axis of each plane, one vectorized pass per
+# position, where a reduction over a short inner axis pays per loop.
+
+
 def loop_measures(pts):
     """Signed areas and first moments (integrals of x and of y) of m loops
-    of one length, pts (m, L, 2): three (m,) arrays.
+    of one length, pts (2, L, m): three (m,) arrays.
 
-    A row sum of a contiguous (m, L) array rounds as ndarray.sum of that
-    row alone; np.add.reduceat over a flat array does not.
+    Each sum is a row sum of a contiguous (m, L) array, which rounds as
+    ndarray.sum of that row alone; np.add.reduceat over a flat array, or a
+    sum down the loop position, does not.
     """
     nxt = _next_column(pts)
-    x, y = pts[..., 0], pts[..., 1]
-    xn, yn = nxt[..., 0], nxt[..., 1]
-    cr = x * yn - xn * y
-    a = 0.5 * cr.sum(axis=1)
-    sx = ((x + xn) * cr).sum(axis=1) / 6.0
-    sy = ((y + yn) * cr).sum(axis=1) / 6.0
-    return a, sx, sy
+    (x, y), (xn, yn) = pts, nxt
+    terms = np.empty((3, pts.shape[2], pts.shape[1]))  # (3, m, L): rows to sum
+    cr, moments = terms.transpose(0, 2, 1)[0], terms.transpose(0, 2, 1)[1:]
+    np.multiply(x, yn, out=cr)
+    cr -= xn * y
+    np.multiply(pts + nxt, cr, out=moments)
+    s = terms.sum(axis=2)
+    return 0.5 * s[0], s[1] / 6.0, s[2] / 6.0
 
 
 def loop_defects(ids, pts, area):
-    """Which of m loops of one length `checked_loop` rejects: ids (m, L)
-    and their points (m, L, 2), with their signed areas."""
-    if ids.shape[1] < 3:
-        return np.ones(len(ids), dtype=bool)
+    """Which of m loops of one length L >= 3 `checked_loop` rejects: ids
+    (L, m) and their points (2, L, m), with their signed areas."""
     seg = _next_column(pts) - pts
-    lens = np.hypot(seg[..., 0], seg[..., 1])
-    scale = np.maximum((pts.max(axis=1) - pts.min(axis=1)).max(axis=1), 0.0)
+    lens = np.hypot(seg[0], seg[1])
+    scale = np.maximum((pts.max(axis=1) - pts.min(axis=1)).max(axis=0), 0.0)
     return (
-        (ids == _next_column(ids)).any(axis=1)
+        (ids == _next(ids)).any(axis=0)
         | (scale == 0.0)
-        | (lens <= (1e-14 * scale)[:, None]).any(axis=1)
+        | (lens <= 1e-14 * scale).any(axis=0)
         | (np.abs(area) <= 1e-14 * scale * scale)
     )
 
 
 def vertex_diameters(pts):
     """Largest pairwise vertex distance of m facets with V vertices each,
-    pts (m, V, 2)."""
-    d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(axis=3)
-    return np.sqrt(d2.reshape(len(pts), -1).max(axis=1))
+    pts (2, V, m).  Each pair is taken once: (a - b)^2 = (b - a)^2, and the
+    maximum is exact in any order."""
+    r = np.arange(pts.shape[1])
+    i, j = np.nonzero(r[:, None] > r)
+    d = pts[:, i] - pts[:, j]
+    d *= d
+    return np.sqrt((d[0] + d[1]).max(axis=0, initial=0.0))
 
 
 def checked_loop(ids, coords):
@@ -140,16 +154,16 @@ def explain_facet(coords, loops):
             p, area = checked_loop(np.asarray(ids)[::-1], coords)
         pts.append(p)
     # clockwise holes contribute negatively, added in order
-    area, sx, sy = (float(m[0]) for m in loop_measures(pts[0][None]))
+    area, sx, sy = (float(m[0]) for m in loop_measures(pts[0].T[:, :, None]))
     for hp in pts[1:]:
-        ha, hx, hy = loop_measures(hp[None])
+        ha, hx, hy = loop_measures(hp.T[:, :, None])
         area, sx, sy = area + float(ha[0]), sx + float(hx[0]), sy + float(hy[0])
     if area <= 0.0:
         raise InvariantViolation("facet area must be positive")
     for hp in pts[1:]:
         if not point_in_loop(hp[0], pts[0]):
             raise InvariantViolation("hole loop lies outside the outer loop")
-    diameter = float(vertex_diameters(np.concatenate(pts)[None])[0])
+    diameter = float(vertex_diameters(np.concatenate(pts).T[:, :, None])[0])
     return area, np.array([sx / area, sy / area]), diameter
 
 
@@ -249,60 +263,70 @@ class FacetTable:
     diameter)."""
 
     def __init__(self, coords, ids, sizes, counts, warn, explain):
-        v, nv = coords, len(coords)
+        nv = len(coords)
         sizes, counts = np.asarray(sizes, dtype=np.intp), np.asarray(counts, dtype=np.intp)
         loop_starts = np.concatenate(([0], np.cumsum(sizes)))
         facet_loops = np.concatenate(([0], np.cumsum(counts)))
+        first = facet_loops[:-1]
         owner = np.repeat(np.arange(len(counts)), counts)
         hole = np.ones(len(sizes), dtype=bool)
-        hole[facet_loops[:-1]] = False
+        hole[first] = False
+        bad = sizes < 3
+        # an id out of range makes its loop bad, and reads vertex 0 meanwhile
         oriented = ids.copy()
-        flip, bad = np.zeros(len(sizes), dtype=bool), np.zeros(len(sizes), dtype=bool)
-        a, sx, sy = np.zeros(len(sizes)), np.zeros(len(sizes)), np.zeros(len(sizes))
-        for size in np.unique(sizes):
+        outside = (ids < 0) | (ids >= nv)
+        if outside.any():
+            bad[np.repeat(np.arange(len(sizes)), sizes)[outside]] = True
+            oriented[outside] = 0
+        planes = np.ascontiguousarray(coords.T)
+        flip = np.zeros(len(sizes), dtype=bool)
+        a, sx, sy = np.zeros((3, len(sizes)))
+        diameters = np.zeros(len(counts))
+        for size in (np.flatnonzero(np.bincount(sizes, minlength=3)[3:]) + 3).tolist():
             rows = np.flatnonzero(sizes == size)
-            if size < 3:
-                bad[rows] = True
-                continue
-            slots = loop_starts[rows, None] + np.arange(size)
-            lids = ids[slots]
-            outside = ((lids < 0) | (lids >= nv)).any(axis=1)
-            lids[outside] = 0
-            pts = v[lids]
+            slots = loop_starts[rows] + np.arange(size)[:, None]
+            lids = oriented[slots]
+            pts = planes.take(lids, axis=1)
             la, lx, ly = loop_measures(pts)
-            fl = np.where(hole[rows], la > 0, la < 0)
-            lids[fl], pts[fl] = lids[fl, ::-1], pts[fl, ::-1]
-            la[fl], lx[fl], ly[fl] = loop_measures(pts[fl])
+            inner = hole[rows]
+            fl = np.where(inner, la > 0, la < 0)
+            if fl.any():
+                lids[:, fl], pts[:, :, fl] = lids[::-1, fl], pts[:, ::-1, fl]
+                la[fl], lx[fl], ly[fl] = loop_measures(pts[:, :, fl])
             # a loop the scalar check would reverse once more is explained
-            wrong = np.where(hole[rows], la > 0, ~(la > 0))
-            bad[rows] = outside | wrong | loop_defects(lids, pts, la)
+            wrong = (la > 0) == inner
+            bad[rows] |= wrong | loop_defects(lids, pts, la)
             flip[rows], oriented[slots] = fl, lids
             a[rows], sx[rows], sy[rows] = la, lx, ly
+            # a facet with holes is measured again below, over its whole walk
+            diameters[owner[rows]] = vertex_diameters(pts)
 
-        first = facet_loops[:-1]
         area, mx, my = a[first], sx[first], sy[first]
-        for j in range(1, counts.max(initial=1)):  # holes add up in order
-            e = np.flatnonzero(counts > j)
-            area[e] += a[first[e] + j]
-            mx[e] += sx[first[e] + j]
-            my[e] += sy[first[e] + j]
-        special = set(owner[bad].tolist()) | set(np.flatnonzero(area <= 0.0).tolist())
-        for h in np.flatnonzero(hole & ~bad & ~bad[first[owner]]).tolist():
-            outer = oriented[loop_starts[first[owner[h]]]:loop_starts[first[owner[h]] + 1]]
-            if not point_in_loop(v[oriented[loop_starts[h]]], v[outer]):
-                special.add(int(owner[h]))
-
+        special = set(owner[bad].tolist())
         slot_starts = loop_starts[facet_loops]
-        nvert = np.diff(slot_starts)
-        diameters = np.zeros(len(counts))
-        for size in np.unique(nvert[nvert > 0]):  # no loop, no diameter
-            rows = np.flatnonzero(nvert == size)
-            walks = oriented[slot_starts[rows, None] + np.arange(size)]
-            diameters[rows] = vertex_diameters(v[np.where((walks >= 0) & (walks < nv), walks, 0)])
+        if counts.max(initial=1) > 1:  # some facets have holes
+            for j in range(1, counts.max()):  # holes add up in order
+                e = np.flatnonzero(counts > j)
+                area[e] += a[first[e] + j]
+                mx[e] += sx[first[e] + j]
+                my[e] += sy[first[e] + j]
+            for h in np.flatnonzero(hole & ~bad & ~bad[first[owner]]).tolist():
+                outer = oriented[loop_starts[first[owner[h]]]:loop_starts[first[owner[h]] + 1]]
+                if not point_in_loop(coords[oriented[loop_starts[h]]], coords[outer]):
+                    special.add(int(owner[h]))
+            holed = np.flatnonzero(counts > 1)
+            nvert = np.diff(slot_starts)[holed]
+            for size in np.flatnonzero(np.bincount(nvert)).tolist():
+                rows = holed[nvert == size]
+                walks = oriented[slot_starts[rows] + np.arange(size)[:, None]]
+                diameters[rows] = vertex_diameters(planes.take(walks, axis=1))
+        special.update(np.flatnonzero(area <= 0.0).tolist())
         with np.errstate(divide="ignore", invalid="ignore"):  # special rows are explained
             centroids = np.column_stack((mx / area, my / area))
 
-        flips = np.flatnonzero(flip & ~np.isin(owner, list(special)))
+        is_special = np.zeros(len(counts), dtype=bool)
+        is_special[list(special)] = True
+        flips = np.flatnonzero(flip & ~is_special[owner])
         done = 0
         for e in sorted(special):
             stop = int(np.searchsorted(owner[flips], e))

@@ -11,12 +11,18 @@ vertex is missing from the long side is rejected.
 The elements are a `FacetTable`, built by its checked constructor with
 the bits, warnings and errors of an element-by-element build (the element
 explainer `PolyMesh._explain` names the element in them); the edge table
-and the dof numbering come from the same boundary walks.  The reader, the
-writer, the cut and the merge work on the same flat loop arrays: the
-reader checks the lines in bulk, the writer formats them in one pass, a
-cut splits only the loops the line crosses and copies the rest as slices,
-and a merge tests overlap in vectorized passes over box pairs and splices
-its hanging nodes into the boundary walks in one scatter.
+and the dof numbering come from the same boundary walks.  The duplicate
+and T-junction checks query a uniform grid over the vertices: its prefix
+counts pass over every box whose cells hold only the box's own vertices,
+and it pairs each other box with the points of the cells it meets, one
+run of points per x-row of cells.  The T-junction scan drops each
+segment's own ends before its exact test, and the duplicate scan ranks
+the vertices only to name a pair it found.  The reader, the writer, the
+cut and the merge work on the same flat loop arrays: the reader checks
+the lines in bulk, the writer formats them in one pass, a cut splits only
+the loops the line crosses and copies the rest as slices, and a merge
+tests overlap in vectorized passes over box pairs and splices its hanging
+nodes into the boundary walks in one scatter.
 `PolyMesh.elements` and `PolyMesh.facets`, per-element objects, are made
 only on request; no command walks the facets.
 """
@@ -66,22 +72,25 @@ def _ranges(counts):
 
 
 class _VertexGrid:
-    """Uniform grid hash over a point table.
+    """Uniform grid hash over a point table, points (2, n): x, then y.
 
     Cells are about the mean point spacing, so on a spread-out mesh each
     holds a few points.  ``candidates`` pairs query boxes with the points
     in the cells the boxes meet, a run of boxes at a time, so the work
     grows with the number of near pairs, not with boxes times points, and
     the temporaries stay bounded even where points crowd into few cells.
+    The points are kept sorted by cell, x-row by x-row, so the cells a box
+    meets in one x-row hold one contiguous run of them.
     """
 
-    CHUNK = 16384  # pairs (and box-cell slots) per yielded run of boxes
+    CHUNK = 16384  # pairs (and box rows) per yielded run of boxes
 
     def __init__(self, points):
-        self.lo = points.min(axis=0)
-        self.hi = points.max(axis=0)
-        extent = self.hi - self.lo
-        n = len(points)
+        self.points = points
+        self.lo = points.min(axis=1, keepdims=True)
+        self.hi = points.max(axis=1, keepdims=True)
+        extent = (self.hi - self.lo)[:, 0]
+        n = points.shape[1]
         # the second term keeps cells small when the points lie on a line;
         # coincident points get a single cell of any size
         self.cell = max(
@@ -92,43 +101,47 @@ class _VertexGrid:
         self.order = np.argsort(key, kind="stable")
         counts = np.bincount(key, minlength=self.shape[0] * self.shape[1])
         self.bounds = np.concatenate(([0], np.cumsum(counts)))
-        # points in cells [0, i) x [0, j): the pair count of any cell range
-        self.table = np.zeros(self.shape + 1, dtype=np.intp)
-        self.table[1:, 1:] = counts.reshape(self.shape).cumsum(0).cumsum(1)
+        # points in cells [0, i) x [0, j), flat with rows of shape[1] + 1:
+        # the pair count of any cell range
+        table = np.zeros(self.shape + 1, dtype=np.intp)
+        table[1:, 1:] = counts.reshape(self.shape).cumsum(0).cumsum(1)
+        self.table = table.ravel()
 
     def _cells(self, pts):
-        ij = np.floor((pts - self.lo) / self.cell).astype(np.intp)
-        return np.clip(ij, 0, self.shape - 1)
+        """The (x-row, y-column) cells of points pts (2, m), clipped to the
+        grid (truncation rounds as floor once clipped at 0)."""
+        ij = ((pts - self.lo) / self.cell).astype(np.intp)
+        return np.minimum(np.maximum(ij, 0, out=ij), self.shape[:, None] - 1, out=ij)
 
     def _key(self, ij):
-        return ij[:, 0] * self.shape[1] + ij[:, 1]
+        return ij[0] * self.shape[1] + ij[1]
 
-    def candidates(self, box_lo, box_hi):
-        """Yield (box ids, point ids) pairs, boxes in order, run by run.
+    def candidates(self, box_lo, box_hi, own=0):
+        """Yield (box ids, point ids) pairs, boxes in order, run by run, for
+        boxes with corners box_lo and box_hi, (2, m) each.
 
         Every point inside a closed box is paired with it; so are some
-        points near it, which the caller's exact test rejects.
+        points near it, which the caller's exact test rejects.  A box whose
+        cells hold no more than `own` points, the points of its own that
+        the caller knows lie inside it, yields none.
         """
         c0, c1 = self._cells(box_lo), self._cells(box_hi)
-        span = c1 - c0 + 1
-        meets = np.all(box_hi >= self.lo, axis=1) & np.all(box_lo <= self.hi, axis=1)
-        ncells = np.where(meets, span[:, 0] * span[:, 1], 0)
-        t = self.table
-        npairs = np.where(meets, (
-            t[c1[:, 0] + 1, c1[:, 1] + 1] - t[c0[:, 0], c1[:, 1] + 1]
-            - t[c1[:, 0] + 1, c0[:, 1]] + t[c0[:, 0], c0[:, 1]]
-        ), 0)
-        done = np.cumsum(ncells + npairs)
+        t, w = self.table, self.shape[1] + 1
+        x0, x1, y1 = c0[0] * w, c1[0] * w + w, c1[1] + 1
+        npairs = t.take(x1 + y1) - t.take(x0 + y1) - t.take(x1 + c0[1]) + t.take(x0 + c0[1])
+        busy = (npairs > own) & ((box_hi >= self.lo) & (box_lo <= self.hi)).all(axis=0)
+        rows = np.where(busy, c1[0] - c0[0] + 1, 0)
+        done = np.cumsum(rows + np.where(busy, npairs, 0))
         start = 0
-        while start < len(ncells):
+        while start < len(rows):
             before = done[start - 1] if start else 0
             stop = max(int(np.searchsorted(done, before + self.CHUNK, "right")), start + 1)
-            box, off = _ranges(ncells[start:stop])
+            box, row = _ranges(rows[start:stop])
             box += start
-            ij = c0[box] + np.column_stack((off // span[box, 1], off % span[box, 1]))
-            key = self._key(ij)
+            # the cells of one x-row of a box: a key range, one run of points
+            key = self._key((c0[0, box] + row, c0[1, box]))
             first = self.bounds[key]
-            pair, off = _ranges(self.bounds[key + 1] - first)
+            pair, off = _ranges(self.bounds[key + (c1[1, box] - c0[1, box] + 1)] - first)
             yield box[pair], self.order[first[pair] + off]
             start = stop
 
@@ -186,9 +199,8 @@ class PolyMesh:
         if not len(vertices):
             raise ValueError("vertex table is empty: a mesh needs vertices")
         self.vertices = vertices
-        lo, hi = vertices.min(axis=0), vertices.max(axis=0)
-        self.diameter = float(np.hypot(*(hi - lo)))
-        self._grid = _VertexGrid(vertices)
+        self._grid = _VertexGrid(np.ascontiguousarray(vertices.T))
+        self.diameter = float(np.hypot(*(self._grid.hi - self._grid.lo)[:, 0]))
         self._check_duplicates()
         ids, sizes, counts, error = _flat_loops(elements)
         self.shapes = FacetTable(vertices, ids, sizes, counts, _warn_flip, self._explain)
@@ -202,26 +214,30 @@ class PolyMesh:
     # -- construction helpers -------------------------------------------
 
     def _check_duplicates(self):
-        # report the pair a scan in (x, y) order meets first: the lowest
-        # sort rank for the first vertex, then for the second
-        v = self.vertices
-        if len(v) < 2:
+        v = self._grid.points
+        if v.shape[1] < 2:
             return
         tol = DUPLICATE_TOL * (self.diameter or 1.0)
-        order = np.lexsort((v[:, 1], v[:, 0]))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        sv = v[order]
-        for ri, j in self._grid.candidates(sv - 2.0 * tol, sv + 2.0 * tol):
-            later = rank[j] > ri
-            i, j = order[ri[later]], j[later]
-            d = v[j] - v[i]
-            hit = np.nonzero(np.hypot(d[:, 0], d[:, 1]) <= tol)[0]
-            if hit.size:
-                first = hit[np.lexsort((rank[j[hit]], rank[i[hit]]))[0]]
-                raise InvariantViolation(
-                    "vertices %d and %d coincide" % (i[first], j[first])
-                )
+        hits = []
+        for i, j in self._grid.candidates(v - 2.0 * tol, v + 2.0 * tol, own=1):
+            # the box of either vertex of a close pair holds the other
+            later = j > i
+            i, j = i[later], j[later]
+            d = v.take(j, axis=1) - v.take(i, axis=1)
+            near = np.hypot(d[0], d[1]) <= tol
+            hits.append((i[near], j[near]))
+        i, j = map(np.concatenate, zip(*hits))
+        if i.size:
+            # report the pair a scan in (x, y) order meets first: the lowest
+            # sort rank for the first vertex, then for the second
+            order = np.lexsort((v[1], v[0]))
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            lo, hi = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
+            first = np.lexsort((hi, lo))[0]
+            raise InvariantViolation(
+                "vertices %d and %d coincide" % (order[lo[first]], order[hi[first]])
+            )
 
     def _explain(self, eid, loops):
         """The explainer of the element table: element eid checked alone,
@@ -255,8 +271,9 @@ class PolyMesh:
         u = table.loop_ids
         w = u[table.next_slots()]
         lo, hi = np.minimum(u, w), np.maximum(u, w)
-        base = lo.min(initial=0)
-        code = (lo - base) * (hi.max(initial=0) - base + 1) + (hi - base)
+        # the ids are in range once the table is built, so this code sorts
+        # as the (lo, hi) pairs do
+        code = lo * self.num_vertices + hi
         _, first, self.slot_edges, count = np.unique(
             code, return_index=True, return_inverse=True, return_counts=True
         )
@@ -283,24 +300,27 @@ class PolyMesh:
         # segments are visited in edge-table order and the lowest vertex
         # id is reported
         tol = DUPLICATE_TOL * (self.diameter or 1.0)
-        v = self.vertices
-        keys = self.edge_ends
-        a, b = v[keys[:, 0]], v[keys[:, 1]]
+        v = self._grid.points
+        ends_lo, ends_hi = lo[first], hi[first]
+        a, b = v.take(ends_lo, axis=1), v.take(ends_hi, axis=1)
         boxes = np.minimum(a, b) - 2.0 * tol, np.maximum(a, b) + 2.0 * tol
-        for s, j in self._grid.candidates(*boxes):
-            e = b[s] - a[s]
-            L = np.hypot(e[:, 0], e[:, 1])
-            rel = v[j] - a[s]
-            t = (rel[:, 0] * e[:, 0] + rel[:, 1] * e[:, 1]) / (L * L)
-            perp = np.abs(rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / L
-            inside = (perp <= tol) & (t * L > tol) & ((1.0 - t) * L > tol)
-            inside &= (j != keys[s, 0]) & (j != keys[s, 1])
-            bad = np.nonzero(inside)[0]
-            if bad.size:
-                i = bad[np.lexsort((j[bad], s[bad]))[0]]
+        for s, j in self._grid.candidates(*boxes, own=2):
+            # a segment's own ends are candidates of its box, never inside it
+            own = (j == ends_lo[s]) | (j == ends_hi[s])
+            s, j = s[~own], j[~own]
+            if not s.size:
+                continue
+            e = b[:, s] - a[:, s]
+            L = np.hypot(e[0], e[1])
+            rel = v.take(j, axis=1) - a[:, s]
+            t = (rel[0] * e[0] + rel[1] * e[1]) / (L * L)
+            perp = np.abs(rel[0] * e[1] - rel[1] * e[0]) / L
+            inside = np.flatnonzero((perp <= tol) & (t * L > tol) & ((1.0 - t) * L > tol))
+            if inside.size:
+                i = inside[np.lexsort((j[inside], s[inside]))[0]]
                 raise InvariantViolation(
                     "vertex %d lies inside segment %s of element %d"
-                    % (j[i], tuple(keys[s[i]].tolist()), owner[first[s[i]]])
+                    % (j[i], tuple(self.edge_ends[s[i]].tolist()), owner[first[s[i]]])
                 )
 
     # -- queries ---------------------------------------------------------
@@ -450,9 +470,12 @@ def read_mesh(path):
         if pos >= end:
             raise eof(what)
         try:
-            return int(lines[pos])
+            n = int(lines[pos])
         except ValueError:
+            n = -1
+        if n < 0:
             raise fail("expected %s, got %r" % (what, lines[pos]), pos)
+        return n
 
     if not end:
         raise eof("header")
@@ -715,7 +738,7 @@ def _holds_vertex_of(mesh, other, tol):
     pts = v[t.loop_ids]
     lo = np.minimum.reduceat(pts, ls[:-1])[t.facet_loops[:-1]]
     hi = np.maximum.reduceat(pts, ls[:-1])[t.facet_loops[:-1]]
-    for f, j in other._grid.candidates(lo, hi):
+    for f, j in other._grid.candidates(lo.T, hi.T):
         p = other.vertices[j]
         inbox = np.all((lo[f] <= p) & (p <= hi[f]), axis=1)
         if not inbox.any():
@@ -749,8 +772,8 @@ def _hanging(u, w, candidates, coords, tol):
     if not len(u) or not len(candidates):
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     pa, pb = coords[u], coords[w]
-    grid = _VertexGrid(coords[candidates])
-    runs = grid.candidates(np.minimum(pa, pb) - 2.0 * tol, np.maximum(pa, pb) + 2.0 * tol)
+    grid = _VertexGrid(coords[candidates].T)
+    runs = grid.candidates(np.minimum(pa, pb).T - 2.0 * tol, np.maximum(pa, pb).T + 2.0 * tol)
     seg, c = map(np.concatenate, zip(*runs))  # one run at least, as there is a box
     c = candidates[c]
     e = pb[seg] - pa[seg]
@@ -804,7 +827,7 @@ def merge_meshes(a, b, tol=None):
     on_a_boundary[a_boundary] = True
     target = np.full(b.num_vertices, na)  # na: no a vertex within tol
     pb = b.vertices[b_boundary]
-    for q, j in a._grid.candidates(pb - 2.0 * tol, pb + 2.0 * tol):
+    for q, j in a._grid.candidates(pb.T - 2.0 * tol, pb.T + 2.0 * tol):
         q, j = q[on_a_boundary[j]], j[on_a_boundary[j]]
         d = a.vertices[j] - pb[q]
         near = np.hypot(d[:, 0], d[:, 1]) <= tol

@@ -153,6 +153,47 @@ def gathered_basis(k, points, frame):
     return values, gx, gy
 
 
+# The loop kernels of `polyvem.geometry` as they were written over points
+# (m, L, 2), loop by loop along the rows: row sums for the measures, and
+# reductions over the short loop axis and a broadcast over every ordered
+# vertex pair for the defects and diameters.  The kernels, which take (2,
+# L, m) and reduce down the loop position, must match them bit for bit.
+
+
+def _next_row_entry(a):
+    return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+
+
+def row_loop_measures(pts):
+    """Signed areas and first moments of m loops, pts (m, L, 2)."""
+    nxt = _next_row_entry(pts)
+    x, y = pts[..., 0], pts[..., 1]
+    xn, yn = nxt[..., 0], nxt[..., 1]
+    cr = x * yn - xn * y
+    return (0.5 * cr.sum(axis=1), ((x + xn) * cr).sum(axis=1) / 6.0,
+            ((y + yn) * cr).sum(axis=1) / 6.0)
+
+
+def broadcast_loop_defects(ids, pts, area):
+    """Which of m loops `checked_loop` rejects: ids (m, L), pts (m, L, 2)."""
+    seg = _next_row_entry(pts) - pts
+    lens = np.hypot(seg[..., 0], seg[..., 1])
+    scale = np.maximum((pts.max(axis=1) - pts.min(axis=1)).max(axis=1), 0.0)
+    return (
+        (ids == _next_row_entry(ids)).any(axis=1)
+        | (scale == 0.0)
+        | (lens <= (1e-14 * scale)[:, None]).any(axis=1)
+        | (np.abs(area) <= 1e-14 * scale * scale)
+    )
+
+
+def broadcast_vertex_diameters(pts):
+    """Largest vertex distance of m facets, pts (m, V, 2), over every
+    ordered pair, the diagonal included."""
+    d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(axis=3)
+    return np.sqrt(d2.reshape(len(pts), -1).max(axis=1))
+
+
 def monomial_integral(facet, ex, ey, frame=None):
     """Exact integral of the scaled monomial X^ex Y^ey over the facet.
 
@@ -362,6 +403,14 @@ class _LineReader:
         except ValueError:
             raise ParseError("expected %s, got %r" % (what, text), n)
 
+    def next_count(self, what):
+        """The vertex or the element count, which is never negative."""
+        value = self.next_int(what)
+        if value < 0:
+            raise ParseError("expected %s, got %r" % (what, self.lines[self.pos - 1][1]),
+                             self.lines[self.pos - 1][0])
+        return value
+
 
 def read_mesh_by_lines(path):
     """Read a poly2d file a line at a time."""
@@ -369,7 +418,7 @@ def read_mesh_by_lines(path):
     n, header = r.next("header")
     if header.split() != ["poly2d", "1"]:
         raise ParseError("not a poly2d version 1 file", n)
-    nv = r.next_int("vertex count")
+    nv = r.next_count("vertex count")
     verts = np.empty((nv, 2))
     for i in range(nv):
         n, text = r.next("vertex %d" % i)
@@ -380,7 +429,7 @@ def read_mesh_by_lines(path):
             verts[i] = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise ParseError("bad coordinate %r" % text, n)
-    ne = r.next_int("element count")
+    ne = r.next_count("element count")
     elements = []
     for e in range(ne):
         nloops = r.next_int("loop count of element %d" % e)

@@ -513,6 +513,22 @@ def test_out_of_range_id_raises_after_earlier_warnings():
     assert caught == ref_caught and len(caught) == 1
 
 
+def test_hanging_vertex_near_a_segment_end_fails_as_element_reference():
+    # the T-junction scan drops a segment's own ends before its exact test;
+    # a hanging vertex a few tol along the segment from one end is still
+    # inside it, and one within tol of that end coincides with it, which
+    # the duplicate check reports before any element warns
+    for along, expected, warned in ((3.0, "vertex 6 lies inside segment (1, 2) of element 1", 1),
+                                    (0.5, "vertices 1 and 6 coincide", 0)):
+        verts = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [0, 0]])
+        verts[6] = [1.0, along * DUPLICATE_TOL * np.hypot(2.0, 1.0)]
+        elements = [[0, 1, 6, 2, 3], [1, 2, 5, 4]]  # the second clockwise
+        _, error, caught = outcome(PolyMesh, verts, elements)
+        _, ref_error, ref_caught = outcome(reference_build, verts, elements)
+        assert error == ref_error == (InvariantViolation, expected)
+        assert caught == ref_caught and len(caught) == warned
+
+
 # -- the fan ---------------------------------------------------------------
 
 

@@ -17,19 +17,25 @@ from polyvem.geometry import (
     OrientationWarning,
     Polyhedron,
     face_frame,
+    loop_defects,
+    loop_measures,
     point_in_loop,
     signed_area,
     triangulate,
+    vertex_diameters,
 )
 
 from conftest import (
     ReferenceFacet,
     boundary_edges,
+    broadcast_loop_defects,
+    broadcast_vertex_diameters,
     hanging_square,
     lshape,
     pentagon,
     perimeter,
     random_facet,
+    row_loop_measures,
     square_with_hole,
     unit_square,
 )
@@ -399,3 +405,41 @@ class TestFaceFrame:
         )
         with pytest.raises(NonPlanarFace):
             face_frame(coords, [0, 1, 2, 3])
+
+
+# -- the loop kernels against their row-wise formulas --------------------
+
+
+def loop_stack(rng, size, m, scale):
+    """m loops of `size` ids and points (m, size, 2) at the given scale,
+    each plain or with one of the defects and near-defects of a mesh: a
+    repeated vertex, a vertex on the line of its neighbours, every vertex
+    on one line, or every vertex on one point."""
+    pts = (rng.uniform(-1.0, 1.0, (m, size, 2)) + rng.uniform(-5.0, 5.0, 2)) * scale
+    ids = np.arange(m * size).reshape(m, size)
+    for row, kind in zip(range(m), rng.integers(5, size=m).tolist()):
+        j = int(rng.integers(size))
+        if kind == 1:
+            pts[row, j], ids[row, j] = pts[row, j - 1], ids[row, j - 1]
+        elif kind == 2:
+            pts[row, j] = 0.5 * (pts[row, j - 1] + pts[row, (j + 1) % size])
+        elif kind == 3:
+            t = rng.uniform(0.0, 1.0, size)[:, None]
+            pts[row] = (1.0 - t) * pts[row, 0] + t * pts[row, 1]
+        elif kind == 4:
+            pts[row] = pts[row, 0]
+    return ids, pts
+
+
+@given(st.integers(3, 12), st.integers(1, 8), st.integers(-6, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_loop_kernels_equal_the_row_formulas_bitwise(size, m, exponent, seed):
+    ids, pts = loop_stack(np.random.default_rng(seed), size, m, 10.0 ** exponent)
+    planes = np.ascontiguousarray(pts.transpose(2, 1, 0))
+    want = row_loop_measures(pts)
+    got = loop_measures(planes)
+    for have, expected in zip(got, want):
+        assert have.tobytes() == expected.tobytes()
+    defects = loop_defects(np.ascontiguousarray(ids.T), planes, want[0])
+    assert np.array_equal(defects, broadcast_loop_defects(ids, pts, want[0]))
+    assert vertex_diameters(planes).tobytes() == broadcast_vertex_diameters(pts).tobytes()

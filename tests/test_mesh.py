@@ -357,6 +357,26 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         assert "line" in str(exc.value)
 
 
+def test_negative_vertex_count_names_its_line(tmp_path):
+    p = tmp_path / "neg.poly2d"
+    p.write_text("poly2d 1\n-1\n")
+    with pytest.raises(ParseError) as exc:
+        read_mesh(p)
+    assert str(exc.value) == "line 2: expected vertex count, got '-1'"
+    assert exc.value.line == 2
+
+
+def test_negative_element_count_fails_loudly(tmp_path, capsys):
+    # a count of 0 reads (test_mesh_without_elements_reads_but_does_not_solve)
+    p = tmp_path / "neg.poly2d"
+    p.write_text("poly2d 1\n3\n0 0\n1 0\n0 1\n\n-2\n")
+    with pytest.raises(ParseError) as exc:
+        read_mesh(p)
+    assert str(exc.value) == "line 7: expected element count, got '-2'"
+    assert cli.main(["mesh", "info", str(p)]) == 1
+    assert capsys.readouterr() == ("", "error: line 7: expected element count, got '-2'\n")
+
+
 # -- generators ----------------------------------------------------------
 
 
