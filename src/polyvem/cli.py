@@ -7,6 +7,7 @@ byte-identical and the CSVs round-trip through float parsing.
 """
 
 import argparse
+import contextlib
 import functools
 import itertools
 import runpy
@@ -119,8 +120,20 @@ def _read(path):
         return read_mesh(path)
     except FileNotFoundError:
         raise CliInputError("mesh file not found: %s" % path)
+    except OSError as err:  # a directory, say, or a file not readable
+        raise CliInputError("cannot read mesh file %s: %s" % (path, err.strerror or err))
     except ValueError as err:  # a vertex table that is empty or not finite
         raise CliInputError("%s: %s" % (path, err))
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An output path that cannot be written (its directory is missing,
+    say) is an input error."""
+    try:
+        yield
+    except OSError as err:
+        raise CliInputError("cannot write %s: %s" % (path, err.strerror or err))
 
 
 def _resolve_mesh(args):
@@ -264,9 +277,11 @@ def cmd_solve(args):
         for ids, group in discretisation(mesh, k)[1]:
             PiS = find_or_compute(group.cache, group, MatrixTag.PI_GRAD_STAR)
             coeffs[ids] = (PiS @ x[sys_.dofmap.maps(ids)][..., None])[..., 0]
-        write_vtk(args.out, mesh, x, coeffs)
+        with _writing(args.out):
+            write_vtk(args.out, mesh, x, coeffs)
     if args.errors:
-        _write_errors_csv(args.errors, h, sys_.num_dofs, el2, eh1)
+        with _writing(args.errors):
+            _write_errors_csv(args.errors, h, sys_.num_dofs, el2, eh1)
     if eid is not None:
         path = _dump_matrices("matrices", eid, mesh.shapes.facet(eid), k)
         print("matrices written to %s" % path)
@@ -300,7 +315,7 @@ def cmd_convergence(args):
         print("level %d: h=%.4e nDof=%d errL2=%.6e errH1=%.6e%s"
               % (level, h, nd, el2, eh1, rate))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write("level,h,nDof,errL2,errH1,rateL2,rateH1\n")
             for level, h, nd, el2, eh1, rl2, rh1 in rows:
                 cells = [str(level), FMT % h, str(nd), FMT % el2, FMT % eh1]
@@ -313,7 +328,8 @@ def cmd_convergence(args):
 def cmd_mesh(args):
     if args.mesh_cmd == "gen":
         mesh = _parse_gen(args.spec)
-        write_mesh(mesh, args.out)
+        with _writing(args.out):
+            write_mesh(mesh, args.out)
         print("wrote %s: %d vertices, %d elements"
               % (args.out, mesh.num_vertices, mesh.num_elements))
         return 0
@@ -326,7 +342,8 @@ def cmd_mesh(args):
             raise CliInputError("expected --line a,b,c with finite numbers: %s" % err)
         out = cut_mesh(mesh, line)
         dest = args.out or args.path
-        write_mesh(out, dest)
+        with _writing(dest):
+            write_mesh(out, dest)
         print("wrote %s: %d elements, area " % (dest, out.num_elements)
               + FMT % out.area)
         return 0
@@ -338,7 +355,8 @@ def cmd_mesh(args):
         except ValueError as err:  # a tolerance that is not finite or below 0
             raise CliInputError(str(err))
         dest = args.out or args.first
-        write_mesh(merged, dest)
+        with _writing(dest):
+            write_mesh(merged, dest)
         print("wrote %s: %d elements, area " % (dest, merged.num_elements)
               + FMT % merged.area)
         return 0
@@ -386,7 +404,7 @@ def cmd_quad(args):
         sum(r[0] for r in results), sum(r[1].npoints for r in results), basis_size(degree),
         "PASS" if all(r[2] == "PASS" for r in results) else "FAIL"))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write("element,x,y,w\n")
             for e, (_, rule, _) in enumerate(results):
                 for (x, y), w in zip(rule.points.tolist(), rule.weights.tolist()):

@@ -11,19 +11,21 @@ nodes enter the element shapes.
 Facets live in a `FacetTable`: loop vertex ids over one coordinate pool,
 with every facet's area, centroid and diameter.  Its constructor is the one
 checked path, for a mesh and a lone `Facet` (a view of one row) alike: it
-checks and measures the loops a loop-length class at a time and hands the
-first row it rejects to a scalar explainer, which raises that row's error.
-A class's points are coordinate planes (2, L, m), gathered from the
-transposed pool, so the checks and the diameters (each vertex pair once)
-reduce down the loop position in one vectorized pass per position, and only
-the measures' sums run along rows, where their rounding is fixed.
+checks and measures the loops and hands the first row it rejects to a
+scalar explainer, which raises that row's error.  The points of every loop
+are gathered once from the transposed pool into one array, a block of
+coordinate planes (2, L, m) per loop length, so the edge terms and lengths
+come from one elementwise pass over all loops, and per length only the
+reductions remain: the checks and the diameters (each vertex pair once)
+reduce down the loop position in one vectorized pass per position, and the
+measures' sums add as ndarray.sum adds one loop's terms.
 `fan_accepts` proves, a class at a time, where ear clipping would cut a
 hole-free loop into the fan from its last vertex, so only the loops it
 rejects are ear-clipped.
 """
 
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -57,56 +59,79 @@ def signed_area(pts):
     return 0.5 * float((pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]).sum())
 
 
-def _next_column(a):
-    """The loop successor of every entry of a stack of loops (axis 1)."""
-    return np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+def _ranges(counts):
+    """Owner index and offset within the owner for counts[i] slots each."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
 
 
 # The loop kernels take the points of m loops of one length L as pts (2, L,
-# m): coordinate, loop position, loop.  A reduction over the loop position
-# then runs down the outer axis of each plane, one vectorized pass per
-# position, where a reduction over a short inner axis pays per loop.
+# m): coordinate, loop position, loop, with ahead (2, L, m) the point after
+# each in its loop.  A reduction over the loop position then runs down the
+# outer axis of each plane, one vectorized pass per position, where a
+# reduction over a short inner axis pays per loop.  `loop_terms` is
+# elementwise, so the loops of every length can share one call.
 
 
-def loop_measures(pts):
-    """Signed areas and first moments (integrals of x and of y) of m loops
-    of one length, pts (2, L, m): three (m,) arrays.
-
-    Each sum is a row sum of a contiguous (m, L) array, which rounds as
-    ndarray.sum of that row alone; np.add.reduceat over a flat array, or a
-    sum down the loop position, does not.
-    """
-    nxt = _next_column(pts)
-    (x, y), (xn, yn) = pts, nxt
-    terms = np.empty((3, pts.shape[2], pts.shape[1]))  # (3, m, L): rows to sum
-    cr, moments = terms.transpose(0, 2, 1)[0], terms.transpose(0, 2, 1)[1:]
+def loop_terms(pts, ahead):
+    """Twice the signed area and six times the first moments (integrals of
+    x and of y) that each edge pts -> ahead adds to its loop's, (3, ...)."""
+    (x, y), (xn, yn) = pts, ahead
+    terms = np.empty((3,) + x.shape)
+    cr, moments = terms[0], terms[1:]
     np.multiply(x, yn, out=cr)
     cr -= xn * y
-    np.multiply(pts + nxt, cr, out=moments)
-    s = terms.sum(axis=2)
+    np.multiply(pts + ahead, cr, out=moments)
+    return terms
+
+
+def loop_measures(terms):
+    """Signed areas and first moments of m loops of one length from their
+    `loop_terms` (3, L, m): three (m,) arrays.
+
+    Each sum rounds as ndarray.sum of the loop's terms alone, which adds
+    fewer than 8 terms one by one to 0.0 and more pairwise: a short loop's
+    are added down the loop position, a long loop's summed along the rows
+    of a contiguous (m, L) array.  np.add.reduceat over a flat array does
+    neither.
+    """
+    if len(terms[0]) < 8:
+        s = 0.0 + terms[:, 0]
+        for t in terms.transpose(1, 0, 2)[1:]:
+            s += t
+    else:
+        s = np.ascontiguousarray(terms.transpose(0, 2, 1)).sum(axis=2)
     return 0.5 * s[0], s[1] / 6.0, s[2] / 6.0
 
 
-def loop_defects(ids, pts, area):
-    """Which of m loops of one length L >= 3 `checked_loop` rejects: ids
-    (L, m) and their points (2, L, m), with their signed areas."""
-    seg = _next_column(pts) - pts
-    lens = np.hypot(seg[0], seg[1])
+def loop_defects(pts, lens, area):
+    """Which of m loops of one length L >= 3 `checked_loop` rejects: their
+    points (2, L, m), edge lengths (L, m) and signed areas.  A repeated
+    consecutive vertex is an edge of length 0, flagged with the short ones."""
     scale = np.maximum((pts.max(axis=1) - pts.min(axis=1)).max(axis=0), 0.0)
     return (
-        (ids == _next(ids)).any(axis=0)
-        | (scale == 0.0)
+        (scale == 0.0)
         | (lens <= 1e-14 * scale).any(axis=0)
         | (np.abs(area) <= 1e-14 * scale * scale)
     )
+
+
+@cache
+def _vertex_pairs(n):
+    """Every pair (i, j), i > j, of n loop positions, as two arrays."""
+    r = np.arange(n)
+    pairs = np.nonzero(r[:, None] > r)
+    for p in pairs:
+        p.flags.writeable = False
+    return pairs
 
 
 def vertex_diameters(pts):
     """Largest pairwise vertex distance of m facets with V vertices each,
     pts (2, V, m).  Each pair is taken once: (a - b)^2 = (b - a)^2, and the
     maximum is exact in any order."""
-    r = np.arange(pts.shape[1])
-    i, j = np.nonzero(r[:, None] > r)
+    i, j = _vertex_pairs(pts.shape[1])
     d = pts[:, i] - pts[:, j]
     d *= d
     return np.sqrt((d[0] + d[1]).max(axis=0, initial=0.0))
@@ -153,11 +178,16 @@ def explain_facet(coords, loops):
             _warn_reversed(i > 0)
             p, area = checked_loop(np.asarray(ids)[::-1], coords)
         pts.append(p)
+
+    def measures(p):  # of one loop, p (L, 2), as a stack of one
+        terms = loop_terms(p.T[:, :, None], _next(p).T[:, :, None])
+        return (float(m[0]) for m in loop_measures(terms))
+
     # clockwise holes contribute negatively, added in order
-    area, sx, sy = (float(m[0]) for m in loop_measures(pts[0].T[:, :, None]))
+    area, sx, sy = measures(pts[0])
     for hp in pts[1:]:
-        ha, hx, hy = loop_measures(hp.T[:, :, None])
-        area, sx, sy = area + float(ha[0]), sx + float(hx[0]), sy + float(hy[0])
+        ha, hx, hy = measures(hp)
+        area, sx, sy = area + ha, sx + hx, sy + hy
     if area <= 0.0:
         raise InvariantViolation("facet area must be positive")
     for hp in pts[1:]:
@@ -254,8 +284,8 @@ class FacetTable:
     boundary walk is loop_ids[slot_starts[e]:slot_starts[e + 1]].
 
     The constructor orients, checks and measures the loops as given (`ids`
-    flat, their `sizes`, the loop `counts` of the facets) a loop-length
-    class at a time, as a facet-by-facet pass would: each facet before the
+    flat, their `sizes`, the loop `counts` of the facets) with the bits of
+    a facet-by-facet pass, and as that pass would: each facet before the
     first special one calls warn(facet, hole) per loop it reverses, and a
     special one (a check rejects it, or a scalar check would reverse its
     loop once more) goes to explain(facet, loops as given), which warns and
@@ -279,27 +309,48 @@ class FacetTable:
             bad[np.repeat(np.arange(len(sizes)), sizes)[outside]] = True
             oriented[outside] = 0
         planes = np.ascontiguousarray(coords.T)
-        flip = np.zeros(len(sizes), dtype=bool)
-        a, sx, sy = np.zeros((3, len(sizes)))
-        diameters = np.zeros(len(counts))
+        # the loops of each length L >= 3, and their slots as one block of
+        # `order`, position-major (L, m): the loops of one length are views
+        blocks, order, start = [], [np.zeros(0, dtype=np.intp)], 0
         for size in (np.flatnonzero(np.bincount(sizes, minlength=3)[3:]) + 3).tolist():
             rows = np.flatnonzero(sizes == size)
-            slots = loop_starts[rows] + np.arange(size)[:, None]
-            lids = oriented[slots]
-            pts = planes.take(lids, axis=1)
-            la, lx, ly = loop_measures(pts)
-            inner = hole[rows]
-            fl = np.where(inner, la > 0, la < 0)
-            if fl.any():
-                lids[:, fl], pts[:, :, fl] = lids[::-1, fl], pts[:, ::-1, fl]
-                la[fl], lx[fl], ly[fl] = loop_measures(pts[:, :, fl])
-            # a loop the scalar check would reverse once more is explained
-            wrong = (la > 0) == inner
-            bad[rows] |= wrong | loop_defects(lids, pts, la)
-            flip[rows], oriented[slots] = fl, lids
-            a[rows], sx[rows], sy[rows] = la, lx, ly
-            # a facet with holes is measured again below, over its whole walk
-            diameters[owner[rows]] = vertex_diameters(pts)
+            order.append((loop_starts[rows] + np.arange(size)[:, None]).ravel())
+            blocks.append((rows, size, slice(start, start + size * len(rows))))
+            start += size * len(rows)
+        order = np.concatenate(order)
+        measures = np.zeros((3, len(sizes)))
+        diameters = np.zeros(len(counts))
+
+        def measure():
+            """Measure and check every loop of 3 or more slots as `oriented`
+            gives it: its measures and its facet's diameter are written,
+            its defects returned.  Only the sums go a length at a time."""
+            pts = planes.take(oriented[order], axis=1)
+            ahead = np.empty_like(pts)
+            for rows, size, at in blocks:
+                p, q = (v[:, at].reshape(2, size, -1) for v in (pts, ahead))
+                q[:, :-1], q[:, -1] = p[:, 1:], p[:, 0]
+            terms = loop_terms(pts, ahead)
+            seg = np.subtract(ahead, pts, out=ahead)
+            lens = np.hypot(seg[0], seg[1])
+            defects = np.zeros(len(sizes), dtype=bool)
+            for rows, size, at in blocks:
+                p = pts[:, at].reshape(2, size, -1)
+                measures[:, rows] = la = loop_measures(terms[:, at].reshape(3, size, -1))
+                defects[rows] = loop_defects(p, lens[at].reshape(size, -1), la[0])
+                # a facet with holes is measured again below, over its whole walk
+                diameters[owner[rows]] = vertex_diameters(p)
+            return defects
+
+        defects = measure()
+        a, sx, sy = measures
+        flip = np.where(hole, a > 0, a < 0)
+        if flip.any():
+            loop, at = _ranges(np.where(flip, sizes, 0))
+            oriented[loop_starts[loop] + at] = oriented[loop_starts[loop + 1] - 1 - at]
+            defects = measure()  # with the same bits for the loops not flipped
+        # a loop the scalar check would reverse once more is explained
+        bad |= defects | ((a > 0) == hole)
 
         area, mx, my = a[first], sx[first], sy[first]
         special = set(owner[bad].tolist())

@@ -18,11 +18,14 @@ and it pairs each other box with the points of the cells it meets, one
 run of points per x-row of cells.  The T-junction scan drops each
 segment's own ends before its exact test, and the duplicate scan ranks
 the vertices only to name a pair it found.  The reader, the writer, the
-cut and the merge work on the same flat loop arrays: the reader checks
-the lines in bulk, the writer formats them in one pass, a cut splits only
-the loops the line crosses and copies the rest as slices, and a merge
-tests overlap in vectorized passes over box pairs and splices its hanging
-nodes into the boundary walks in one scatter.
+cut and the merge work on the same flat loop arrays.  The reader converts
+a file in the writer's layout in one bulk pass (np.fromstring for the
+numbers, the element heads found from the token counts of the lines); any
+other text goes to a walk over the loop count lines that names the first
+bad line.  The writer formats the integer lines digit column by digit
+column, a cut splits only the loops the line crosses and copies the rest
+as slices, and a merge tests overlap in vectorized passes over box pairs
+and splices its hanging nodes into the boundary walks in one scatter.
 `PolyMesh.elements` and `PolyMesh.facets`, per-element objects, are made
 only on request; no command walks the facets.
 """
@@ -42,7 +45,7 @@ from .errors import (
     OverlapDetected,
     ParseError,
 )
-from .geometry import FacetTable, OrientationWarning, explain_facet, signed_area
+from .geometry import FacetTable, OrientationWarning, _ranges, explain_facet, signed_area
 from .monomials import basis_size
 from .quadrature import gauss_lobatto_1d
 
@@ -62,13 +65,6 @@ def _normalize_element(entry):
         outer, holes = entry
         return list(map(int, outer)), [list(map(int, h)) for h in holes]
     return list(map(int, entry)), []
-
-
-def _ranges(counts):
-    """Owner index and offset within the owner for counts[i] slots each."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    starts = np.cumsum(counts) - counts
-    return owner, np.arange(len(owner)) - starts[owner]
 
 
 class _VertexGrid:
@@ -123,21 +119,25 @@ class _VertexGrid:
         Every point inside a closed box is paired with it; so are some
         points near it, which the caller's exact test rejects.  A box whose
         cells hold no more than `own` points, the points of its own that
-        the caller knows lie inside it, yields none.
+        the caller knows lie inside it, yields none, and a run yields only
+        when some box of it does.
         """
         c0, c1 = self._cells(box_lo), self._cells(box_hi)
         t, w = self.table, self.shape[1] + 1
         x0, x1, y1 = c0[0] * w, c1[0] * w + w, c1[1] + 1
         npairs = t.take(x1 + y1) - t.take(x0 + y1) - t.take(x1 + c0[1]) + t.take(x0 + c0[1])
-        busy = (npairs > own) & ((box_hi >= self.lo) & (box_lo <= self.hi)).all(axis=0)
-        rows = np.where(busy, c1[0] - c0[0] + 1, 0)
-        done = np.cumsum(rows + np.where(busy, npairs, 0))
+        busy = npairs > own
+        if not own:  # a box holding points of its own meets the grid
+            busy &= ((box_hi >= self.lo) & (box_lo <= self.hi)).all(axis=0)
+        busy = np.flatnonzero(busy)
+        rows = c1[0].take(busy) - c0[0].take(busy) + 1
+        done = np.cumsum(rows + npairs.take(busy))
         start = 0
-        while start < len(rows):
+        while start < len(busy):
             before = done[start - 1] if start else 0
             stop = max(int(np.searchsorted(done, before + self.CHUNK, "right")), start + 1)
             box, row = _ranges(rows[start:stop])
-            box += start
+            box = busy.take(box + start)
             # the cells of one x-row of a box: a key range, one run of points
             key = self._key((c0[0, box] + row, c0[1, box]))
             first = self.bounds[key]
@@ -226,6 +226,8 @@ class PolyMesh:
             d = v.take(j, axis=1) - v.take(i, axis=1)
             near = np.hypot(d[0], d[1]) <= tol
             hits.append((i[near], j[near]))
+        if not hits:
+            return
         i, j = map(np.concatenate, zip(*hits))
         if i.size:
             # report the pair a scan in (x, y) order meets first: the lowest
@@ -394,34 +396,113 @@ class CutLine:
 # -- text format ---------------------------------------------------------
 
 
+def _decimal_text(numbers, ends):
+    """Numbers >= 0 in decimal, each followed by its byte of `ends`, as one
+    string: the digits of every number are computed column by column, a
+    leading zero becomes a 0 byte, and the 0 bytes are dropped."""
+    top = int(numbers.max(initial=0))
+    width = len(str(top))
+    chars = np.zeros((len(numbers), width + 1), dtype=np.uint8)
+    chars[:, width] = ends
+    q = numbers.astype(np.min_scalar_type(top))
+    for p in range(width - 1, -1, -1):
+        rest = q // 10
+        digit = q - rest * 10
+        digit += ord("0")
+        if p < width - 1:
+            digit *= q > 0
+        chars[:, p] = digit
+        q = rest
+    flat = chars.ravel()
+    return flat[flat != 0].tobytes().decode()
+
+
 def write_mesh(mesh, path):
     """Write a mesh in the poly2d text format (round-trips exactly).
 
-    The text is formatted from the loop arrays in one pass: a line per
-    element with its loop count, then a line per loop with its size and
-    vertex ids, each line of a loop size sharing one format."""
+    The integer lines are formatted from the loop arrays in bulk: the
+    numbers in file order (a line per element with its loop count, then a
+    line per loop with its size and vertex ids), each followed by a space
+    or, ending its line, a newline."""
     t = mesh.shapes
     sizes = np.diff(t.loop_starts)
     counts = np.diff(t.facet_loops)
     nel, nloops = len(counts), len(sizes)
-    # the lines and numbers in file order: an element's loop count, then a
+    # where the numbers go in file order: an element's loop count, then a
     # line per loop, its size and ids
-    loop_line = np.arange(nloops) + np.repeat(np.arange(1, nel + 1), counts)
-    loop_at = loop_line + t.loop_starts[:-1]
+    loop_at = np.arange(nloops) + np.repeat(np.arange(1, nel + 1), counts) + t.loop_starts[:-1]
     count_at = np.arange(nel) + t.facet_loops[:-1] + t.loop_starts[t.facet_loops[:-1]]
     numbers = np.empty(nel + nloops + len(t.loop_ids), dtype=np.intp)
     is_id = np.ones(len(numbers), dtype=bool)
     is_id[loop_at] = is_id[count_at] = False
     numbers[loop_at], numbers[count_at], numbers[is_id] = sizes, counts, t.loop_ids
-    line_sizes = np.full(nel + nloops, -1)
-    line_sizes[loop_line] = sizes
-    formats = {s: "%d" + " %d" * s + "\n" for s in np.unique(line_sizes).tolist()}  # -1: "%d\n"
+    ends = np.full(len(numbers), ord(" "), dtype=np.uint8)
+    ends[count_at] = ends[loop_at + sizes] = ord("\n")
     with open(path, "w") as fh:
         fh.write("poly2d 1\n%d\n" % mesh.num_vertices)
         fh.write(("%.17g %.17g\n" * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist()))
         fh.write("%d\n" % mesh.num_elements)
-        fh.write("".join(map(formats.__getitem__, line_sizes.tolist()))
-                 % tuple(numbers.tolist()))
+        fh.write(_decimal_text(numbers, ends))
+
+
+def _parsed_in_bulk(text):
+    """(vertices, loops) of a valid file in the layout `write_mesh` writes,
+    converted in bulk, or None for any other text.
+
+    The layout: the header line "poly2d 1", then ASCII decimal numbers,
+    unsigned integers but for the vertex lines' floats, one space between
+    two numbers of a line and a newline after each line, none of them
+    blank.  np.fromstring converts such a token as Python's float and int
+    do, or raises, except that it saturates an int out of range, which the
+    range and count checks below then reject.  The element heads are the
+    lines of one token; they must chain by their loop counts, and every
+    other line must announce its own length.
+    """
+    if not (text.startswith("poly2d 1\n") and text.endswith("\n") and text.isascii()):
+        return None
+    data = text.encode()
+    b = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((b == ord(" ")) | (b == ord("\n")))  # one after every token
+    if (np.diff(seps) == 1).any():  # extra spaces, or a blank line
+        return None
+    nl = np.flatnonzero(b.take(seps) == ord("\n"))
+    ntok = np.diff(nl, prepend=-1)  # tokens per line
+    lf = seps[nl]  # where each line ends
+    if len(lf) < 3 or not data[lf[0] + 1:lf[1]].isdigit():
+        return None
+    nv = int(data[lf[0] + 1:lf[1]])
+    if len(lf) < 3 + nv:
+        return None
+    at, ne_at = lf[1] + 1, lf[1 + nv] + 1  # the vertex lines, the element count
+    if (data[at:ne_at].translate(None, b"0123456789.-+eE \n")
+            or data[ne_at:].translate(None, b"0123456789 \n")):
+        return None
+    if (ntok[2:2 + nv] != 2).any() or ntok[2 + nv] != 1:
+        return None
+    lt = ntok[3 + nv:]  # tokens per element line
+    try:
+        coords = np.fromstring(data[at:ne_at], dtype=float, sep=" ")
+        numbers = np.fromstring(data[ne_at:], dtype=np.intp, sep=" ")
+    except ValueError:
+        return None
+    if len(coords) != 2 * nv or len(numbers) != 1 + lt.sum():
+        return None
+    first = np.cumsum(lt) - lt + 1  # in numbers, of every element line
+    heads = np.flatnonzero(lt == 1)
+    nloops = numbers[first[heads]]
+    if len(heads) != numbers[0] or not ((nloops >= 1) & (nloops <= len(lt))).all():
+        return None
+    # the first head opens the element lines, each element's loop lines run
+    # up to the next head, and the last element's up to the end
+    if np.any(np.concatenate(([0], heads + 1 + nloops)) != np.append(heads, len(lt))):
+        return None
+    loops = lt != 1
+    is_id = np.ones(len(numbers), dtype=bool)
+    is_id[0] = is_id[first] = False
+    ids, sizes = numbers[is_id], lt[loops] - 1
+    if (numbers[first[loops]] != sizes).any() or (ids >= nv).any():
+        return None
+    return coords.reshape(nv, 2), _Loops(ids, sizes, nloops)
 
 
 def _convert(kind, tokens):
@@ -438,19 +519,17 @@ def _convert(kind, tokens):
                 return values, len(values)
 
 
-def read_mesh(path):
-    """Read a poly2d file; parse errors carry the offending line number.
+def _parsed_by_walk(text):
+    """(vertices, loops) of any text, or the ParseError of its first bad
+    line, found as a line-by-line reader finds it.
 
-    The file is read once.  The loop count lines alone fix which line is
-    what, so they are walked first; then the vertex lines and the loop
-    lines are split and converted in bulk with Python's own float and int,
-    and checked vectorized.  The error raised is that of the first bad
-    line, with the checks of one line in the order of a line-by-line
-    reader (token count, tokens, announced count, id range), and the end
-    of the file last.
+    The loop count lines alone fix which line is what, so they are walked
+    first; then the vertex lines and the loop lines are split and converted
+    in bulk with Python's own float and int, and checked vectorized.  The
+    error raised is that of the first bad line, with the checks of one line
+    in the order of a line-by-line reader (token count, tokens, announced
+    count, id range), and the end of the file last.
     """
-    with open(path) as fh:
-        text = fh.read()
     raw = text.split("\n")
     if "#" in text:
         raw = [line.split("#", 1)[0] for line in raw]
@@ -560,7 +639,22 @@ def read_mesh(path):
         raise fail(stop, pos)
     if pos != end:
         raise fail("trailing content", pos)
-    return PolyMesh(verts, _Loops(numbers[is_id], ntok - 1, np.array(nloops, dtype=np.intp)))
+    return verts, _Loops(numbers[is_id], ntok - 1, np.array(nloops, dtype=np.intp))
+
+
+def read_mesh(path):
+    """Read a poly2d file; parse errors carry the offending line number.
+
+    The file is read once.  A valid file in the layout `write_mesh` writes
+    is converted in one bulk pass; any other text, a file with comments or
+    blank lines say, or one that pass rejects, goes to the walk, which
+    reads what a line-by-line reader reads and raises the error of the
+    first bad line.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    parsed = _parsed_in_bulk(text)
+    return PolyMesh(*(_parsed_by_walk(text) if parsed is None else parsed))
 
 
 # -- generators ----------------------------------------------------------
@@ -769,12 +863,16 @@ def _hanging(u, w, candidates, coords, tol):
     """(segment, vertex) of every candidate vertex strictly inside a segment
     u[i] -> w[i]: within tol of its line and farther than tol from both
     ends.  Sorted by segment, then along it from u by (t, id)."""
+    none = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     if not len(u) or not len(candidates):
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+        return none
     pa, pb = coords[u], coords[w]
     grid = _VertexGrid(coords[candidates].T)
-    runs = grid.candidates(np.minimum(pa, pb).T - 2.0 * tol, np.maximum(pa, pb).T + 2.0 * tol)
-    seg, c = map(np.concatenate, zip(*runs))  # one run at least, as there is a box
+    runs = list(grid.candidates(np.minimum(pa, pb).T - 2.0 * tol,
+                                np.maximum(pa, pb).T + 2.0 * tol))
+    if not runs:
+        return none
+    seg, c = map(np.concatenate, zip(*runs))
     c = candidates[c]
     e = pb[seg] - pa[seg]
     rel = coords[c] - pa[seg]

@@ -454,3 +454,34 @@ def read_mesh_by_lines(path):
     if r.pos != len(r.lines):
         raise ParseError("trailing content", r.lines[r.pos][0])
     return PolyMesh(verts, elements)
+
+
+# -- the format-string poly2d writer -------------------------------------
+#
+# The writer `polyvem.mesh.write_mesh` replaced: the integer lines by one
+# format string, a format per loop size.  The digit-column writer must write
+# the same bytes.
+
+
+def write_mesh_by_format(mesh, path):
+    """Write a poly2d file with %-formatting, a line format per loop size."""
+    t = mesh.shapes
+    sizes = np.diff(t.loop_starts)
+    counts = np.diff(t.facet_loops)
+    nel, nloops = len(counts), len(sizes)
+    loop_line = np.arange(nloops) + np.repeat(np.arange(1, nel + 1), counts)
+    loop_at = loop_line + t.loop_starts[:-1]
+    count_at = np.arange(nel) + t.facet_loops[:-1] + t.loop_starts[t.facet_loops[:-1]]
+    numbers = np.empty(nel + nloops + len(t.loop_ids), dtype=np.intp)
+    is_id = np.ones(len(numbers), dtype=bool)
+    is_id[loop_at] = is_id[count_at] = False
+    numbers[loop_at], numbers[count_at], numbers[is_id] = sizes, counts, t.loop_ids
+    line_sizes = np.full(nel + nloops, -1)
+    line_sizes[loop_line] = sizes
+    formats = {s: "%d" + " %d" * s + "\n" for s in np.unique(line_sizes).tolist()}  # -1: "%d\n"
+    with open(path, "w") as fh:
+        fh.write("poly2d 1\n%d\n" % mesh.num_vertices)
+        fh.write(("%.17g %.17g\n" * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("%d\n" % mesh.num_elements)
+        fh.write("".join(map(formats.__getitem__, line_sizes.tolist()))
+                 % tuple(numbers.tolist()))

@@ -80,6 +80,34 @@ def test_missing_mesh_file_exits_1(capsys):
     assert "not found" in err and "/no/such/file.poly2d" in err
 
 
+@pytest.mark.parametrize("argv", [["mesh", "info", "{dir}"], ["solve", "--mesh", "{dir}"]])
+def test_unreadable_mesh_path_exits_1(tmp_path, capsys, argv):
+    rc = cli.main([a.format(dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: cannot read mesh file %s: Is a directory\n" % tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "gen", "quads:2", "-o", "{out}"],
+    ["mesh", "cut", "{mesh}", "--line", "1,0,0.3", "-o", "{out}"],
+    ["mesh", "merge", "{mesh}", "{right}", "-o", "{out}"],
+    ["solve", "--gen", "quads:2", "--out", "{out}"],
+    ["solve", "--gen", "quads:2", "--errors", "{out}"],
+    ["convergence", "--levels", "1", "--out", "{out}"],
+    ["quad", "--gen", "quads:1", "--out", "{out}"],
+])
+def test_unwritable_output_path_exits_1(tmp_path, capsys, argv):
+    mesh, right, out = tmp_path / "m.poly2d", tmp_path / "r.poly2d", tmp_path / "no" / "x.out"
+    write_mesh(cli.gen_structured("quads", 2), mesh)
+    sq = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
+    write_mesh(PolyMesh(sq, [[0, 1, 2, 3]]), right)
+    rc = cli.main([a.format(mesh=mesh, right=right, out=out) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: cannot write %s: No such file or directory\n" % out
+
+
 def test_bad_gen_spec_exits_1(capsys):
     assert cli.main(["solve", "--gen", "quads"]) == 1
     assert "family:n" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from polyvem.geometry import (
     face_frame,
     loop_defects,
     loop_measures,
+    loop_terms,
     point_in_loop,
     signed_area,
     triangulate,
@@ -436,10 +437,12 @@ def loop_stack(rng, size, m, scale):
 def test_loop_kernels_equal_the_row_formulas_bitwise(size, m, exponent, seed):
     ids, pts = loop_stack(np.random.default_rng(seed), size, m, 10.0 ** exponent)
     planes = np.ascontiguousarray(pts.transpose(2, 1, 0))
+    ahead = np.roll(planes, -1, axis=1)
     want = row_loop_measures(pts)
-    got = loop_measures(planes)
+    got = loop_measures(loop_terms(planes, ahead))
     for have, expected in zip(got, want):
         assert have.tobytes() == expected.tobytes()
-    defects = loop_defects(np.ascontiguousarray(ids.T), planes, want[0])
+    seg = ahead - planes
+    defects = loop_defects(planes, np.hypot(seg[0], seg[1]), want[0])
     assert np.array_equal(defects, broadcast_loop_defects(ids, pts, want[0]))
     assert vertex_diameters(planes).tobytes() == broadcast_vertex_diameters(pts).tobytes()

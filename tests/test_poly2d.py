@@ -1,9 +1,12 @@
 """poly2d reading, writing and cutting on the loop arrays.
 
-`read_mesh` checks a file's lines in bulk; `read_mesh_by_lines` in
-conftest.py is the line-by-line reader it replaced.  On valid files and on
-files with one mutation the two must raise the same error or build the
-same mesh.  The read, write and cut paths must not need `PolyMesh.elements`.
+`read_mesh` converts a file in bulk; `read_mesh_by_lines` in conftest.py is
+the line-by-line reader it replaced.  On valid files and on files with one
+mutation the two must raise the same error or build the same mesh.
+`write_mesh` formats the integer lines digit column by digit column;
+`write_mesh_by_format` in conftest.py is the format-string writer it
+replaced, and the two must write the same bytes.  The read, write and cut
+paths must not need `PolyMesh.elements`.
 """
 
 import subprocess
@@ -13,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyvem import cli
 from polyvem.mesh import PolyMesh, cut_mesh, gen_structured, merge_meshes, read_mesh, write_mesh
 
-from conftest import read_mesh_by_lines
+from conftest import read_mesh_by_lines, write_mesh_by_format
 from test_arrays import meshes, quads_on, ring_mesh
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,6 +110,10 @@ def mutations(draw, nv, lines, counts):
             "٣", "1_0", "nan", str(int(parts[j]) + 1) if parts[j].isdigit() else "7",
             str(int(parts[j]) - 1) if parts[j].isdigit() else "-7",
             "99999999999999999999999", "-99999999999999999999999",
+            # where C number parsers and Python's int and float disagree
+            "0x10", "010", "1e400", "-0", "infinity", "0_1", "\u0660",
+            "9223372036854775807", "9223372036854775808",
+            "1\xa02", "1\x0c2", "1\x1c2", "1\x852",
         ]))
         lines[i] = " ".join(parts)
     elif kind == "drop":
@@ -172,6 +179,33 @@ def test_written_file_reads_back_to_the_same_bytes(tmp_path_factory, mesh):
     write_mesh(mesh, first)
     write_mesh(read_mesh(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+FIXED = {}
+
+
+def fixed_mesh(name):
+    """The merged and the holed mesh of `base_files`, and a mesh with vertex
+    ids of five digits, made once."""
+    if not FIXED:
+        FIXED["merged"], FIXED["holed"] = base_files()[2:]
+        FIXED["distortedQuads:100"] = gen_structured("distortedQuads", 100)
+    return FIXED[name]
+
+
+@given(mesh=st.one_of(meshes(), st.sampled_from(["merged", "holed", "distortedQuads:100"])))
+@example(mesh="merged")
+@example(mesh="holed")
+@example(mesh="distortedQuads:100")
+@settings(max_examples=40, deadline=None)
+def test_writer_bytes_equal_the_format_writer(tmp_path_factory, mesh):
+    if isinstance(mesh, str):
+        mesh = fixed_mesh(mesh)
+    tmp_path = tmp_path_factory.getbasetemp()
+    got, want = tmp_path / "got.poly2d", tmp_path / "want.poly2d"
+    write_mesh(mesh, got)
+    write_mesh_by_format(mesh, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_holed_and_merged_files_read_back_to_the_same_bytes(tmp_path):
