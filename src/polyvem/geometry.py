@@ -166,15 +166,18 @@ def _warn_reversed(hole, stacklevel=2):
                   stacklevel=stacklevel)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def explain_facet(coords, loops):
     """The explainer of a lone `Facet`: each loop passes `checked_loop`,
-    reversed with a warning and checked again if wound the wrong way; then
-    the area must be positive and each hole's first vertex inside the outer
-    loop.  Raises the first error, else returns (area, centroid, diameter)."""
+    reversed with a warning and checked again if wound the wrong way (an
+    area that is not a number has no winding); then the area must be
+    positive, the area, centroid and diameter finite, and each hole's first
+    vertex inside the outer loop.  Raises the first error, else returns
+    (area, centroid, diameter)."""
     pts = []
     for i, ids in enumerate(loops):
         p, area = checked_loop(ids, coords)
-        if (area > 0.0) if i else not area > 0.0:
+        if (area > 0.0) if i else area < 0.0:
             _warn_reversed(i > 0)
             p, area = checked_loop(np.asarray(ids)[::-1], coords)
         pts.append(p)
@@ -190,11 +193,14 @@ def explain_facet(coords, loops):
         area, sx, sy = area + ha, sx + hx, sy + hy
     if area <= 0.0:
         raise InvariantViolation("facet area must be positive")
+    centroid = np.array([sx / area, sy / area])
+    diameter = float(vertex_diameters(np.concatenate(pts).T[:, :, None])[0])
+    if not np.isfinite([area, *centroid, diameter]).all():  # coordinates near overflow
+        raise InvariantViolation("facet area, centroid or diameter is not finite")
     for hp in pts[1:]:
         if not point_in_loop(hp[0], pts[0]):
             raise InvariantViolation("hole loop lies outside the outer loop")
-    diameter = float(vertex_diameters(np.concatenate(pts).T[:, :, None])[0])
-    return area, np.array([sx / area, sy / area]), diameter
+    return area, centroid, diameter
 
 
 def point_in_loop(p, pts):
@@ -290,8 +296,10 @@ class FacetTable:
     special one (a check rejects it, or a scalar check would reverse its
     loop once more) goes to explain(facet, loops as given), which warns and
     raises as that facet alone does, or returns its (area, centroid,
-    diameter)."""
+    diameter).  A facet whose area, centroid or diameter overflows is
+    special, so the explainer rejects it."""
 
+    @np.errstate(over="ignore", invalid="ignore")  # what overflows is explained
     def __init__(self, coords, ids, sizes, counts, warn, explain):
         nv = len(coords)
         sizes, counts = np.asarray(sizes, dtype=np.intp), np.asarray(counts, dtype=np.intp)
@@ -371,9 +379,13 @@ class FacetTable:
                 rows = holed[nvert == size]
                 walks = oriented[slot_starts[rows] + np.arange(size)[:, None]]
                 diameters[rows] = vertex_diameters(planes.take(walks, axis=1))
-        special.update(np.flatnonzero(area <= 0.0).tolist())
-        with np.errstate(divide="ignore", invalid="ignore"):  # special rows are explained
-            centroids = np.column_stack((mx / area, my / area))
+        with np.errstate(divide="ignore"):  # special rows are explained
+            cx, cy = mx / area, my / area
+        # a measure that is not finite makes the sum so (one that overflows
+        # only sends a valid row to its explainer)
+        special.update(np.flatnonzero((area <= 0.0) | ~np.isfinite(area + cx + cy + diameters))
+                       .tolist())
+        centroids = np.column_stack((cx, cy))
 
         is_special = np.zeros(len(counts), dtype=bool)
         is_special[list(special)] = True

@@ -23,8 +23,11 @@ as a lone element is the group of a one-row table; elementwise operations,
 one BLAS or LAPACK call per member and scatters in the per-edge order
 round as for a member alone, so a matrix has the same bits in any group.
 
-H and G are checked against COND_LIMIT before use (`_ill_conditioned`):
-a bound from one batched inverse clears the well-conditioned members, and
+H and G are checked against COND_LIMIT before use (`_ill_conditioned`),
+with no inverse: H is symmetric to the bit, and G's first column is zero
+below row 0 with a block K after it that is symmetric to the bit, so one
+batched Cholesky of the members (of K for G) shifted by a multiple of
+their norm proves the well-conditioned ones below COND_LIMIT / 100, and
 only the others take an SVD, so each `SingularH`/`SingularG` decision is
 the one `np.linalg.cond` makes.
 
@@ -214,59 +217,67 @@ def group_facets(table, k, caches=None):
 
     Members of a group share loop lengths and triangle count; the facets
     of one such shape are split in id order into runs of at most GROUP_CAP
-    members, and groups come in order of their lowest facet id.  A
-    hole-free facet that `fan_accepts` gets the fan's triangles; only the
-    others are triangulated.  A facet whose loops repeat a vertex (its dof
+    members, and groups come in order of their lowest facet id.  The keys,
+    runs and fan masks are array operations over all facets.  A hole-free
+    facet that `fan_accepts` gets the fan's triangles; only the others are
+    triangulated.  A facet whose loops repeat a vertex (its dof
     chains differ), or whose triangulation fails, forms a group of its
     own; the failure then surfaces when that group's rules are built, in
     element order like any other element error.
     """
     nloops = np.diff(table.facet_loops)
     nvert = np.diff(table.slot_starts)
-    shape = [(size,) for size in nvert.tolist()]  # loop lengths
     count = np.full(len(table), -1)  # triangles, or -1 for a group of its own
+    fan = np.zeros(len(table), dtype=bool)
     to_clip = []
-    for size in np.unique(nvert):
+    for size in np.unique(nvert).tolist():
         rows = np.flatnonzero(nvert == size)
         ids = np.sort(table.walks(rows, size), axis=1)
         distinct = ~(ids[:, 1:] == ids[:, :-1]).any(axis=1)
         plain = rows[distinct & (nloops[rows] == 1)]
-        fan = fan_accepts(table.coords[table.walks(plain, size)], table.areas[plain],
-                          table.diameters[plain])
-        count[plain[fan]] = size - 2
-        to_clip += plain[~fan].tolist() + rows[distinct & (nloops[rows] > 1)].tolist()
+        accepted = fan_accepts(table.coords[table.walks(plain, size)], table.areas[plain],
+                               table.diameters[plain])
+        fan[plain[accepted]] = True
+        count[plain[accepted]] = size - 2
+        to_clip += plain[~accepted].tolist() + rows[distinct & (nloops[rows] > 1)].tolist()
+    # a label per (loop lengths, triangle count): a fan's is its vertex
+    # count, another key's a number past those, and a facet of a group of
+    # its own gets one past all of them
+    label = np.where(fan, nvert, -1)
+    keys = {((size,), size - 2): size for size in np.unique(nvert).tolist()}
     clipped = {}
     for e in sorted(to_clip):
-        shape[e] = tuple(table.loop_sizes(e).tolist())
         try:
             clipped[e] = triangulate(table.facet(e))
         except PolyVemError:
             continue
         count[e] = len(clipped[e])
-    by_key = {}
-    for e, key in enumerate(zip(shape, count.tolist())):
-        by_key.setdefault(key if key[1] >= 0 else e, []).append(e)
-    runs = sorted(
-        (members[i : i + GROUP_CAP] for members in by_key.values()
-         for i in range(0, len(members), GROUP_CAP)),
-        key=lambda run: run[0],
-    )
+        key = (tuple(table.loop_sizes(e).tolist()), len(clipped[e]))
+        label[e] = keys.setdefault(key, int(nvert.max()) + 1 + len(keys))
+    alone = label < 0
+    label[alone] = label.max(initial=0) + 1 + np.arange(np.count_nonzero(alone))
+    # the facets of each label in id order, split into runs of GROUP_CAP
+    order = np.argsort(label, kind="stable")
+    ordered = label[order]
+    at = np.arange(len(order)) - np.searchsorted(ordered, ordered)  # place within its label
+    starts = np.flatnonzero(at % GROUP_CAP == 0)
+    bounds = np.r_[starts, len(order)]
 
     groups = []
-    for members in runs:
-        ids = np.array(members)
+    for r in np.argsort(order[starts]).tolist():  # by lowest facet id
+        ids = order[bounds[r] : bounds[r + 1]]
         first, size = ids[0], nvert[ids[0]]
         walk = table.walks(ids, size)
         layout = walk_layout(walk[0], table.loop_sizes(first), k)
         triangles = None
         if count[first] >= 0:
             triangles = np.empty((len(ids), count[first], 3), dtype=np.intp)
-            fan = np.array([e not in clipped for e in members])
-            if fan.any():
-                triangles[fan] = walk[fan][:, fan_table(size)]
-            for i in np.flatnonzero(~fan).tolist():
-                triangles[i] = clipped[members[i]]
-        cache = ElementMatrixCache(None if caches is None else [caches[e] for e in members])
+            by_fan = fan[ids]
+            if by_fan.any():
+                triangles[by_fan] = walk[by_fan][:, fan_table(size)]
+            for i in np.flatnonzero(~by_fan).tolist():
+                triangles[i] = clipped[int(ids[i])]
+        cache = ElementMatrixCache(None if caches is None else [caches[e] for e in ids.tolist()])
         groups.append((ids, ElementGroup(table, ids, k, layout, triangles, cache)))
     return groups
 
@@ -354,29 +365,68 @@ def _compute_d(group, cache):
     return D
 
 
+@lru_cache(maxsize=None)
+def _mirror_pairs(n):
+    # flat positions of the strict upper triangle of an (n, n) matrix and of
+    # their mirror images, row 0's n - 1 pairs first
+    i, j = np.triu_indices(n, 1)
+    return i * n + j, j * n + i
+
+
 def _ill_conditioned(M):
     """np.linalg.cond(M) > COND_LIMIT for each of the stacked matrices M,
-    with an SVD only where a cheaper bound cannot decide.
+    with an SVD only for the members that one shifted Cholesky does not
+    clear.
 
-    cond_2(M) <= |M|_F |M^-1|_F, from one batched inverse, clears a member
-    whose bound is at most COND_LIMIT / 100: the margin covers the rounding
-    of the inverse and of the SVD's own figure, which at a condition of
-    1e10 are about 1e-6 relative.  The other members (a NaN or overflowed
-    bound among them) get the exact test, and all of them do if the
-    inverse raises.  A Cholesky test would not serve: G is not symmetric,
-    and any other test moves the line between the elements that raise and
-    those that do not.
+    A member of either shape below is cleared, cond_2 <= L = COND_LIMIT /
+    100, if its least eigenvalue, or that of its block K, is at least lam.
+    One batched np.linalg.cholesky, which reads lower triangles only,
+    proves that bound for all of them at once: where it succeeds on X - mu
+    I with mu = 2 lam, X - mu I plus a perturbation of norm about n^2 u
+    |M| is positive definite (Higham 2002, Thm 10.3), so lambda_min >= mu
+    - n^2 u |M| > lam, as lam >= 1e-10 |M|_F.
+
+    - Symmetric to the bit, as H is: cond_2 <= |M|_F / lambda_min, so lam
+      = |M|_F / L, and X is M.
+    - [[a, b^T], [0, K]] with K symmetric to the bit, as G is: M^-1 =
+      [[1/a, -b^T K^-1 / a], [0, K^-1]], so |M^-1|_F^2 <= 1/a^2 + (|b|^2
+      / a^2 + n - 1) / lambda_min(K)^2, and lam is where that meets
+      (L / |M|_F)^2; X is M with 1 + mu for a, whose lower triangle is
+      diag(1 + mu, K), and the zero column makes the multipliers of row
+      0 zero, so K - mu I is factored as if alone.
+
+    The margin of 100 covers the rounding of the SVD's own figure.  The
+    other members (an entry not finite, |M|_F outside [2^-400, 2^400],
+    where a square could over- or underflow, neither shape, or no lam) get
+    np.linalg.cond, as every member does if the Cholesky raises, so each
+    decision is the one np.linalg.cond makes.
     """
+    limit, n = COND_LIMIT / 100, M.shape[-1]
+    upper, lower = _mirror_pairs(n)
+    flat = M.reshape(len(M), -1)
+    mirrored = flat[:, upper] == flat[:, lower]
+    k_symmetric = mirrored[:, n - 1 :].all(axis=1)
+    symmetric = k_symmetric & mirrored[:, : n - 1].all(axis=1)
+    a, b = M[:, 0, 0], M[:, 0, 1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.sqrt(np.einsum("mij,mij->m", M, M))  # not finite if an entry is not
+        spare = (limit / norm) ** 2 - 1.0 / (a * a)
+        lam = np.where(symmetric, norm / limit,
+                       np.sqrt((np.einsum("mj,mj->m", b, b) / (a * a) + (n - 1)) / spare))
+    g_shaped = k_symmetric & (flat[:, lower[: n - 1]] == 0.0).all(axis=1) & (spare > 0.0)
+    clear = (symmetric | g_shaped) & (2.0**-400 <= norm) & (norm <= 2.0**400) & (lam < np.inf)
+    mu = np.where(clear, 2.0 * lam, 0.0)
+    S = M.copy()
+    S[:, 0, 0] = np.where(symmetric, a, 1.0 + mu)
+    S[~clear] = np.eye(n)
+    S.reshape(len(S), -1)[:, :: n + 1] -= mu[:, None]
     try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError:  # exactly singular somewhere
+        np.linalg.cholesky(S)  # reads the lower triangle only
+    except np.linalg.LinAlgError:  # some member is not cleared
         return np.linalg.cond(M) > COND_LIMIT
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.sqrt(np.einsum("mij,mij->m", M, M) * np.einsum("mij,mij->m", inv, inv))
-    unclear = ~(bound <= COND_LIMIT / 100)
     out = np.zeros(len(M), dtype=bool)
-    if unclear.any():
-        out[unclear] = np.linalg.cond(M[unclear]) > COND_LIMIT
+    if not clear.all():
+        out[~clear] = np.linalg.cond(M[~clear]) > COND_LIMIT
     return out
 
 
@@ -509,7 +559,9 @@ def load_vector(element, f, cache=None):
     degree = 2 * group.k + 2
     rule = group.rule(degree)
     fv = sample(f, rule.points)
-    mf = (group.values(degree) * (rule.weights * fv)[..., None]).sum(axis=1)[..., None]
+    # einsum adds each basis column's terms point by point, as a sum over
+    # the points of their products does; it would sum a lone column pairwise
+    mf = np.einsum("mpi,mp->mi", group.values(degree), rule.weights * fv)[..., None]
     nm = layout.num_moment_dofs
     low = np.linalg.solve(H[:, :nm, :nm], mf[:, :nm])
     return (_swap(PiZ) @ mf[:, :nm] + _swap(PiS) @ (mf - _swap(H[:, :nm, :]) @ low))[..., 0]

@@ -88,9 +88,11 @@ class _VertexGrid:
         extent = (self.hi - self.lo)[:, 0]
         n = points.shape[1]
         # the second term keeps cells small when the points lie on a line;
-        # coincident points get a single cell of any size
+        # coincident points get a single cell of any size.  The area per
+        # point is not formed as extent[0] * extent[1], which overflows
+        # for coordinates near 1e155
         self.cell = max(
-            float(np.sqrt(extent[0] * extent[1] / n)), float(extent.max()) / n
+            float(np.sqrt(extent[0] / n) * np.sqrt(extent[1])), float(extent.max()) / n
         ) or 1.0
         self.shape = np.floor(extent / self.cell).astype(np.intp) + 1
         key = self._key(self._cells(points))

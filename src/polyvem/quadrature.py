@@ -220,10 +220,11 @@ def monomial_integrals(starts, ends, frame, degree):
 def certified(rule, exact, frame, area, degree, tol=1e-12):
     """(ok, max_error) of a rule's integrals of the scaled monomials of
     degree <= `degree` in a (xc, yc, h) frame against their `exact`
-    values, errors relative to max(|exact|, area)."""
+    values, errors relative to max(|exact|, area).  An error that is not
+    a number makes max_error NaN, which fails."""
     approx = monomials.shared_basis(degree).eval(rule.points, frame).T @ rule.weights
     err = np.abs(approx - exact) / np.maximum(np.abs(exact), area)
-    worst = max([0.0] + err.tolist())
+    worst = float(np.max(err, initial=0.0))
     return worst <= tol, worst
 
 

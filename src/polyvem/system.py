@@ -1,12 +1,15 @@
 """Global assembly, Dirichlet elimination, iterative solve, error norms.
 
 Assembly accumulates element triplets through one stable sort of their
-keys row * n + col, a sort of the values of every key with more than one
+keys row * n + col, a sort of the values of every key with three or more
 (the keys of one run length at once, as the rows of an array) and a
 grouped reduction, so the matrix is bit-identical no matter how elements
-are ordered or parallelized upstream; the sorted keys are already in CSR
-order, so the matrix is built from them directly.  Keys and values are
-written into two arrays allocated once, and freed as they are sorted.
+are ordered or parallelized upstream: two values have the same sum in
+either order, as IEEE addition is commutative and returns a NaN operand
+with its payload, and the stable sort keeps two NaNs in input order.  The
+sorted keys are already in CSR order, so the matrix is built from them
+directly.  Keys and values are written into two arrays allocated once,
+and freed as they are sorted.
 Assembly keeps on the mesh's element groups only what later stages read
 (the energy projector coefficients, the stiffness, the moment projector
 and the degree 2k + 2 rules and basis values); the rest of each group's
@@ -162,16 +165,18 @@ def _reduce_triplets(keys, vals):
     """The distinct keys in order, each with the sum of its values taken
     in ascending order (ties in input order), so the order of the triplets
     cannot change a bit of the result.  One stable sort groups the keys;
-    then the runs of each length L >= 2 have their values sorted as the
-    rows of one (runs, L) array.  Passed with no other reference, the
+    then the runs of each length L >= 3 have their values sorted as the
+    rows of one (runs, L) array.  A run of two is left as it is: its sum
+    has the same bits in either order.  Passed with no other reference, the
     unsorted arrays are freed as their sorted copies are made."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     vals = vals[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     lengths = np.diff(np.r_[starts, len(keys)])
-    for length in (np.flatnonzero(np.bincount(lengths)[2:]) + 2).tolist():
-        rows = starts[lengths == length][:, None] + np.arange(length)
+    long = np.flatnonzero(lengths >= 3)
+    for length in np.unique(lengths[long]).tolist():
+        rows = starts[long[lengths[long] == length]][:, None] + np.arange(length)
         vals[rows] = np.sort(vals[rows], axis=1, kind="stable")
     return keys[starts], np.add.reduceat(vals, starts)
 
@@ -229,9 +234,11 @@ def assemble(mesh, k, f=None):
     # the arrays go to _reduce_triplets with no other reference, so the
     # unsorted ones are freed once sorted
     keys, summed = _reduce_triplets(_triplet_keys(maps, n), _triplet_values(stiffness))
-    # the keys are the sorted distinct row * n + col: CSR order already
+    # the keys are the sorted distinct row * n + col: CSR order already,
+    # and a key less its row's row * n is its column
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    A = _csr((summed, keys % n, indptr), shape=(n, n))
+    cols = keys - np.repeat(np.arange(0, n * n, n), np.diff(indptr))
+    A = _csr((summed, cols, indptr), shape=(n, n))
     A.has_canonical_format = True
     b = np.zeros(n)
     if f is not None:
@@ -472,6 +479,23 @@ def _coarse_space(system, inner):
     return _csr((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
+def _moment_blocks(A, mo, nel, nm):
+    """The (nel, nm, nm) diagonal blocks A_mm of the moment rows of the CSR
+    matrix A, zero where A stores no entry.  An element's moments are the
+    last columns its moment rows couple to, so a block row is read off the
+    last nm entries of its row, in sorted order, keeping those that lie in
+    the row and in the block."""
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
+    starts, ends = A.indptr[mo:-1], A.indptr[mo + 1 :]
+    at = (ends - nm).astype(np.intp)[:, None] + np.arange(nm)
+    cols = A.indices.take(at) - np.arange(mo, A.shape[0], nm).repeat(nm)[:, None]
+    cols[(at < starts[:, None]) | (cols < 0) | (cols >= nm)] = nm  # a spare column
+    blocks = np.zeros((len(at), nm + 1))
+    np.put_along_axis(blocks, cols, A.data.take(at), axis=1)
+    return blocks[:, :nm].reshape(nel, nm, nm)
+
+
 def _condensed(system):
     """(S, A_mb, M, A_bm M, diag, P^T, coarse) that condense the moment
     dofs m out of the free dofs b + m, kept on the system for its
@@ -481,35 +505,40 @@ def _condensed(system):
     views.
 
     M = A_mm^-1 is one batched inverse of the (elements, nm, nm) diagonal
-    blocks; a constrained moment's row and column are the identity's there
-    and zero in M.  A singular or non-finite block makes M NaN: CG breaks
-    down.  coarse is (P, the `LevelFactor` of P^T S P) for `jacobi_cg`,
-    with P from `_coarse_space`, or None at k = 1.
+    blocks (`_moment_blocks`); a constrained moment's row and column are
+    the identity's there and zero in M.  A singular or non-finite block
+    makes M NaN: CG breaks down.  At k = 1 there are no moments: A_mb, M
+    and A_bm M are None, and S is A on the free dofs with its stored zeros
+    dropped, as the subtraction of a product with no entries drops them.
+    coarse is (P, the `LevelFactor` of P^T S P) for `jacobi_cg`, with P
+    from `_coarse_space`, or None at k = 1.
     """
     ids = system.constrained_ids
     key = np.asarray([] if ids is None else ids, dtype=np.intp).tobytes()
     if system.condensed is None or system.condensed[0] != key:
         free, mo, n = system.free_ids(), system.dofmap.moment_offset, system.num_dofs
         nel, nm = system.mesh.num_elements, basis_size(system.k - 2)
-        moments = np.arange(n - mo).reshape(nel, nm)
-        owner, local = np.repeat(np.arange(nel), nm), np.tile(np.arange(nm), nel)
-        A_mm = system.A[mo:, mo:].tocoo()
-        blocks = np.zeros((nel, nm, nm))
-        blocks[owner[A_mm.row], local[A_mm.row], local[A_mm.col]] = A_mm.data
-        keep = np.isin(moments + mo, free)
-        both = keep[:, :, None] & keep[:, None, :]
-        try:
-            inv = np.linalg.inv(np.where(both, blocks, np.eye(nm))) * both
-        except np.linalg.LinAlgError:
-            inv = np.full(blocks.shape, np.nan)
-        rows, cols = np.repeat(moments, nm, axis=1), np.tile(moments, (1, nm))
-        M = _csr((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
         inner = free[free < mo]
         A_inner = system.A[inner]
-        A_bm = A_inner[:, mo:]
-        A_bm_M = A_bm @ M
-        A_mb = A_bm.T.tocsr()
-        S = A_inner[:, inner] - A_bm_M @ A_mb
+        S = A_inner[:, inner]
+        A_mb = M = A_bm_M = None
+        if nm:
+            moments = np.arange(n - mo).reshape(nel, nm)
+            blocks = _moment_blocks(system.A, mo, nel, nm)
+            keep = np.isin(moments + mo, free)
+            both = keep[:, :, None] & keep[:, None, :]
+            try:
+                inv = np.linalg.inv(np.where(both, blocks, np.eye(nm))) * both
+            except np.linalg.LinAlgError:
+                inv = np.full(blocks.shape, np.nan)
+            rows, cols = np.repeat(moments, nm, axis=1), np.tile(moments, (1, nm))
+            M = _csr((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
+            A_bm = A_inner[:, mo:]
+            A_bm_M = A_bm @ M
+            A_mb = A_bm.T.tocsr()
+            S = S - A_bm_M @ A_mb
+        else:
+            S.eliminate_zeros()
         diag = S.diagonal()
         diag[diag == 0.0] = 1.0
         P = _coarse_space(system, inner)
@@ -553,7 +582,7 @@ def solve(system, tol=1e-12, maxiter=None):
     # free) dofs round like the A_fc and A_ff slices: rhs_f = r[free]
     r = system.b - system.A @ fixed
     bnorm = float(np.linalg.norm(r[free]))
-    rhs = r[inner] - A_bm_M @ r[mo:]
+    rhs = r[inner] if M is None else r[inner] - A_bm_M @ r[mo:]
     if maxiter is None:
         maxiter = max(10 * len(free), 1)
     target = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
@@ -565,7 +594,8 @@ def solve(system, tol=1e-12, maxiter=None):
             S, rhs, target, maxiter - iterations, coarse, x0, diag)
         elapsed += time.perf_counter() - start
         iterations += its
-        x[mo:] = M @ (r[mo:] - A_mb @ x[inner])
+        if M is not None:
+            x[mo:] = M @ (r[mo:] - A_mb @ x[inner])
         residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
         report = SolveReport(iterations, residual, elapsed, residual <= tol)
         if report.converged:

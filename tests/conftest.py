@@ -1,6 +1,7 @@
 """Shared shape builders, randomized element generators and independent
 oracles for the tests."""
 
+import math
 import warnings
 from collections import namedtuple
 
@@ -289,7 +290,8 @@ class ReferenceLoop:
 
     @property
     def orientation(self):
-        return "ccw" if self.signed_area > 0.0 else "cw"
+        # an area that is not a number (an overflow) has no winding
+        return "ccw" if self.signed_area > 0.0 else "cw" if self.signed_area < 0.0 else None
 
     def points(self):
         return self.coords[self.ids]
@@ -310,8 +312,11 @@ def _winding(p, pts):
 
 class ReferenceFacet:
     """Facet(coords, outer, holes) built loop by loop; `outer` and `holes`
-    are the oriented id arrays, and `perimeter` adds up `boundary_edges`."""
+    are the oriented id arrays, and `perimeter` adds up `boundary_edges`.
+    An area, centroid or diameter that overflows is rejected after the
+    area's sign, before the holes are tested."""
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, coords, outer, holes=()):
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -341,16 +346,20 @@ class ReferenceFacet:
                 area, sx, sy = a, mx, my
         if area <= 0.0:
             raise InvariantViolation("facet area must be positive")
+        centroid = np.array([sx / area, sy / area])
+        allpts = np.concatenate(pts)
+        d2 = ((allpts[:, None, :] - allpts[None, :, :]) ** 2).sum(axis=2)
+        diameter = float(np.sqrt(d2.max()))
+        if not (math.isfinite(area) and np.isfinite(centroid).all() and math.isfinite(diameter)):
+            raise InvariantViolation("facet area, centroid or diameter is not finite")
         for hp in pts[1:]:
             if _winding(hp[0], pts[0]) == 0:
                 raise InvariantViolation("hole loop lies outside the outer loop")
         self.coords = coords
         self.outer, self.holes = loop.ids, [h.ids for h in hole_loops]
         self.area = area
-        self.centroid = np.array([sx / area, sy / area])
-        allpts = np.concatenate(pts)
-        d2 = ((allpts[:, None, :] - allpts[None, :, :]) ** 2).sum(axis=2)
-        self.diameter = float(np.sqrt(d2.max()))
+        self.centroid = centroid
+        self.diameter = diameter
 
     def loops(self):
         return [self.outer] + self.holes

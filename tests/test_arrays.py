@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from polyvem.mesh import (
     CutLine,
     PolyMesh,
     _normalize_element,
+    _VertexGrid,
     build_global_dofs,
     cut_mesh,
     gen_structured,
@@ -48,6 +50,7 @@ from conftest import ReferenceFacet, boundary_edges, random_star
 # -- the per-element reference -------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing element is rejected
 def reference_build(vertices, elements):
     """Elements, facets and edge table as the element-by-element build made
     them, raising what it raised.  The vertex table checks are shared."""
@@ -527,6 +530,40 @@ def test_hanging_vertex_near_a_segment_end_fails_as_element_reference():
         _, ref_error, ref_caught = outcome(reference_build, verts, elements)
         assert error == ref_error == (InvariantViolation, expected)
         assert caught == ref_caught and len(caught) == warned
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e103, 1e104, 1e155, 1e160])
+def test_overflowing_measures_fail_as_element_reference(scale):
+    # coordinates so large that an element's area, centroid or diameter
+    # overflows (its centroid from 1e103 on, here element 2 first, its area
+    # from about 1e154): the first such element is rejected, as the
+    # element-by-element reference rejects it, with no numpy warning and
+    # no orientation warning for an area that is not a number; at 1e100
+    # every measure is finite and the mesh builds
+    rng = np.random.default_rng(7)
+    verts, elements = tables(gen_structured("distortedQuads", 4), rng, 0.3)
+    got, error, caught = outcome(PolyMesh, verts * scale, elements)
+    _, ref_error, ref_caught = outcome(reference_build, verts * scale, elements)
+    assert error == ref_error and caught == ref_caught
+    assert all(category is OrientationWarning for category, _ in caught)
+    if scale == 1e100:
+        assert error is None and np.isfinite(got.shapes.centroids).all()
+    else:
+        first = 2 if scale == 1e103 else 0
+        assert error == (InvariantViolation, "element %d: facet area, centroid or "
+                         "diameter is not finite" % first)
+
+
+def test_vertex_grid_of_huge_coordinates_keeps_its_cells():
+    # the cell size is not formed from the product of the extents, which
+    # overflows at 1e160 and left one cell, so that the duplicate scan of
+    # distortedQuads:64 tested every pair (3.4 s)
+    points = np.ascontiguousarray(gen_structured("distortedQuads", 64).vertices.T)
+    shape = _VertexGrid(points).shape
+    assert shape.tolist() == _VertexGrid(points * 1e160).shape.tolist()
+    assert shape.prod() > 1000
+    with pytest.raises(InvariantViolation, match="^element 0: .* not finite"):
+        PolyMesh(points.T * 1e160, gen_structured("distortedQuads", 64).elements)
 
 
 # -- the fan ---------------------------------------------------------------

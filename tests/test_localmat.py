@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyvem import localmat
@@ -380,9 +380,12 @@ def test_load_vector_pairs_exactly_with_low_order_monomials():
 # -- conditioning gate -----------------------------------------------------
 
 
-def gate_member(size, kind, exponent, scale, seed):
+def gate_member(size, kind, exponent, scale, seed, shape="general"):
     """A (size, size) matrix: of condition about 10**exponent ("graded"),
-    exactly singular, or holding a NaN or an inf; times 10**scale."""
+    exactly singular, or holding a NaN or an inf; times 10**scale.  Other
+    shapes than "general" are made by `shaped_gate_member`."""
+    if shape != "general":
+        return shaped_gate_member(size, kind, exponent, scale, seed, shape)
     rng = np.random.default_rng(seed)
     q1, _ = np.linalg.qr(rng.standard_normal((size, size)))
     q2, _ = np.linalg.qr(rng.standard_normal((size, size)))
@@ -396,6 +399,35 @@ def gate_member(size, kind, exponent, scale, seed):
     return M * 10.0**scale
 
 
+def shaped_gate_member(size, kind, exponent, scale, seed, shape):
+    """A gate member shaped as the gate's proof reads it.  "H": symmetric
+    positive semidefinite to the bit, a repeated or zero row repeated or
+    zeroed as a column too, a NaN or an inf set in both mirror entries.
+    "G": [[a, b^T], [0, K]] with such a K of size - 1.  "G with a column":
+    [[a, b^T], [c, K]] with c = -K w and a = -b.w, which M (1, w) = 0 makes
+    singular however well K is conditioned."""
+    rng = np.random.default_rng(seed)
+    if shape != "H":
+        K = shaped_gate_member(size - 1, kind, exponent, 0, seed, "H")
+        a, b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), rng.standard_normal(size - 1)
+        c = np.zeros(size - 1)
+        if shape == "G with a column":
+            w = 1e-3 * rng.standard_normal(size - 1)  # small, so [[1, c^T], [c, K]] is definite
+            a, c = -float(b @ w), -(K @ w)
+        return np.block([[np.array([[a]]), b[None]], [c[:, None], K]]) * 10.0**scale
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    M = (q * np.logspace(0.0, -exponent, size)) @ q.T
+    M = (M + M.T) * 0.5  # symmetric to the bit
+    i, j = rng.integers(size, size=2)
+    if kind == "repeated row":
+        M[-1], M[:, -1] = M[0], M[:, 0]
+    elif kind == "zero row":
+        M[i], M[:, i] = 0.0, 0.0
+    elif kind in ("nan", "inf"):
+        M[i, j] = M[j, i] = np.nan if kind == "nan" else np.inf
+    return M * 10.0**scale
+
+
 def gate_outcome(test, M):
     try:
         return test(M).tolist()
@@ -403,24 +435,44 @@ def gate_outcome(test, M):
         return "LinAlgError: %s" % err
 
 
+GATE_KINDS = st.sampled_from(["graded"] * 4 + ["repeated row", "zero row", "nan", "inf"])
+GATE_SCALES = st.sampled_from([0, 0, -8, 8, -150, 150, -170, 170])
+
+
 @given(
     st.sampled_from([3, 6, 10, 15]),
     st.lists(
-        st.tuples(
-            st.sampled_from(["graded"] * 4 + ["repeated row", "zero row", "nan", "inf"]),
-            st.one_of(st.floats(0.0, 8.0), st.floats(9.0, 15.0)),
-            st.sampled_from([0, 0, -8, 8, -150, 150, -170, 170]),
-            st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.tuples(
+                GATE_KINDS,
+                st.one_of(st.floats(0.0, 8.0), st.floats(9.0, 15.0)),
+                GATE_SCALES,
+                st.integers(0, 2**32 - 1),
+            ),
+            # H- and G-shaped members, which the Cholesky proof may clear,
+            # also near COND_LIMIT / 100 and COND_LIMIT
+            st.tuples(
+                GATE_KINDS,
+                st.one_of(st.floats(0.0, 8.0), st.floats(9.0, 15.0),
+                          st.floats(9.8, 10.2), st.floats(11.8, 12.2)),
+                GATE_SCALES,
+                st.integers(0, 2**32 - 1),
+                st.sampled_from(["H", "G", "G with a column"]),
+            ),
         ),
         min_size=1,
         max_size=6,
     ),
     st.sampled_from([COND_LIMIT, np.inf]),
 )
-@settings(max_examples=300, deadline=None)
+# a proof that needs no shift, and a G whose first column is not zero
+@example(3, [("graded", 12.0, 0, 0, "H")], COND_LIMIT)
+@example(6, [("graded", 2.0, 0, 0, "G with a column")], COND_LIMIT)
+@settings(max_examples=400, deadline=None)
 def test_conditioning_gate_decides_as_the_svd(size, members, limit):
-    # the bound clears members with cond <= COND_LIMIT / 100; the rest,
-    # and every member if the inverse fails, take np.linalg.cond itself
+    # the shifted Cholesky clears H- and G-shaped members with cond <=
+    # COND_LIMIT / 100; the rest, and every member if the Cholesky fails,
+    # take np.linalg.cond itself
     M = np.stack([gate_member(size, *member) for member in members])
     with mock.patch.object(localmat, "COND_LIMIT", limit):
         got = gate_outcome(localmat._ill_conditioned, M)

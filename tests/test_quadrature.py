@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -242,6 +243,20 @@ class TestPolygonRule:
             r = polygon_rule(f, deg)
             ok, err = certify_rule(r, f, tol=1e-12)
             assert ok, err
+
+    @pytest.mark.parametrize("where", ["weights", "point"])
+    def test_not_a_number_fails_certification(self, where):
+        # a NaN error is the worst error, not one that a maximum skips
+        f = unit_square()
+        r = polygon_rule(f, 3)
+        if where == "weights":
+            r = dataclasses.replace(r, weights=np.full_like(r.weights, np.nan))
+        else:
+            points = r.points.copy()
+            points[1, 0] = np.nan
+            r = dataclasses.replace(r, points=points)
+        ok, err = certify_rule(r, f, tol=1e-12)
+        assert not ok and math.isnan(err)
 
     def test_vertex_rotation_leaves_integrals_alone(self):
         f = unit_square()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from polyvem import localmat, system
 from polyvem.errors import DegenerateCut, InvariantViolation, PolyVemError, SingularG, SingularH
 from polyvem.localmat import Element, ElementMatrixCache, MatrixTag, find_or_compute
+from polyvem.monomials import basis_size
 from polyvem.mesh import (
     PolyMesh,
     CutLine,
@@ -25,6 +26,7 @@ from polyvem.mesh import (
 from polyvem.system import (
     _condensed,
     _level_sets,
+    _moment_blocks,
     _reduce_triplets,
     apply_dirichlet,
     assemble,
@@ -109,19 +111,38 @@ def reduce_by_full_sort(rows, cols, vals):
     return rows[starts], cols[starts], np.add.reduceat(vals, starts)
 
 
-@given(n=st.integers(1, 7), data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_triplet_reduction_equals_full_sort(n, data):
-    # few pairs, so most are shared; values with ties, signed zeros,
-    # infinities and NaNs of any payload
-    size = data.draw(st.integers(1, 80))
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                         -0x0008000000000000]).view(float)
+
+
+@st.composite
+def triplets(draw):
+    """(n, rows, cols, values): few pairs, so most are shared; values with
+    ties, signed zeros, infinities and NaNs of any payload."""
+    n = draw(st.integers(1, 7))
+    size = draw(st.integers(1, 80))
     index = st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
-    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000]).view(float)
-    values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e300, np.inf, -np.inf, *nans])
+    values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e300, np.inf, -np.inf,
+                                       *NAN_PAYLOADS])
                       | st.floats(allow_nan=True, allow_infinity=True),
                       min_size=size, max_size=size)
-    rows, cols = np.array(data.draw(index)), np.array(data.draw(index))
-    vals = np.array(data.draw(values), dtype=float)
+    return n, draw(index), draw(index), draw(values)
+
+
+def two_value_runs(a, b):
+    # key 0 gets a then b, key 1 gets b then a: runs of two, left unsorted
+    return 2, [0, 0, 1, 1], [0, 0, 0, 0], [a, b, b, a]
+
+
+@given(triplets())
+@example(two_value_runs(*NAN_PAYLOADS[1:]))
+@example(two_value_runs(NAN_PAYLOADS[1], 1.0))
+@example(two_value_runs(-0.0, 0.0))
+@example(two_value_runs(np.inf, -np.inf))
+@settings(max_examples=200, deadline=None)
+def test_triplet_reduction_equals_full_sort(case):
+    n, rows, cols, vals = case
+    rows, cols, vals = np.array(rows), np.array(cols), np.array(vals, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         keys, sums = _reduce_triplets(rows * n + cols, vals)
         want_rows, want_cols, want_sums = reduce_by_full_sort(rows, cols, vals)
@@ -522,6 +543,42 @@ def test_constraining_a_moment_dof_rebuilds_the_condensed_operator():
     assert sys_.condensed is not first
     assert rep.converged and x[moment] == 0.3
     assert max_rel_diff(x, uncondensed(sys_)) <= 1e-10
+
+
+def scattered_moment_blocks(A, mo, nel, nm):
+    """The moment blocks as `_condensed` took them before `_moment_blocks`:
+    A's moment rows and columns sliced, then scattered by position."""
+    A_mm = A[mo:, mo:].tocoo()
+    owner, local = np.repeat(np.arange(nel), nm), np.tile(np.arange(nm), nel)
+    blocks = np.zeros((nel, nm, nm))
+    blocks[owner[A_mm.row], local[A_mm.row], local[A_mm.col]] = A_mm.data
+    return blocks
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("edit", ["none", "zeroed", "unsorted"])
+def test_moment_blocks_read_as_the_slice_scatters(k, edit):
+    # read off the row ends, also where entries are missing (a zeroed lil
+    # entry is dropped) or the indices are not sorted
+    sys_ = sine_problem(gen_structured("distortedQuads", 4), k)
+    A, mo, nm = sys_.A, sys_.dofmap.moment_offset, basis_size(k - 2)
+    rng = np.random.default_rng(k)
+    if edit == "zeroed":
+        A = A.tolil()
+        rows = mo + rng.choice(A.shape[0] - mo, 6, replace=False)
+        A[rows, rng.integers(0, A.shape[1], 6)] = 0.0
+        A[rows[:2], rows[:2]] = 0.0
+        A = A.tocsr()
+    elif edit == "unsorted":
+        A = A.copy()
+        for r in range(A.shape[0]):
+            span = slice(A.indptr[r], A.indptr[r + 1])
+            flip = rng.permutation(span.stop - span.start)
+            A.indices[span], A.data[span] = A.indices[span][flip], A.data[span][flip]
+        A.has_sorted_indices = False
+    nel = sys_.mesh.num_elements
+    got = _moment_blocks(A, mo, nel, nm)
+    assert got.tobytes() == scattered_moment_blocks(A, mo, nel, nm).tobytes()
 
 
 def test_singular_moment_block_reports_nonconvergence():
