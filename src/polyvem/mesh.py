@@ -19,13 +19,14 @@ run of points per x-row of cells.  The T-junction scan drops each
 segment's own ends before its exact test, and the duplicate scan ranks
 the vertices only to name a pair it found.  The reader, the writer, the
 cut and the merge work on the same flat loop arrays.  The reader converts
-a file in the writer's layout in one bulk pass (np.fromstring for the
-numbers, the element heads found from the token counts of the lines); any
-other text goes to a walk over the loop count lines that names the first
-bad line.  The writer formats the integer lines digit column by digit
-column, a cut splits only the loops the line crosses and copies the rest
-as slices, and a merge tests overlap in vectorized passes over box pairs
-and splices its hanging nodes into the boundary walks in one scatter.
+an ASCII file in one bulk pass (np.fromstring for the numbers, the element
+heads found from the token counts of the lines), once a numpy pass has put
+any comments and blanks in the writer's layout; only a file that pass
+rejects is read a line at a time, which names its first bad line.  The
+writer formats the integer lines digit column by digit column, a cut
+splits only the loops the line crosses and copies the rest as slices,
+and a merge tests overlap in vectorized passes over box pairs and splices
+its hanging nodes into the boundary walks in one scatter.
 `PolyMesh.elements` and `PolyMesh.facets`, per-element objects, are made
 only on request; no command walks the facets.
 """
@@ -34,7 +35,6 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .quadrature import gauss_lobatto_1d
 DUPLICATE_TOL = 1e-12
 SNAP_TOL = 1e-9
 MERGE_TOL = 1e-9
+_LARGEST = np.finfo(float).max
 
 
 def _normalize_element(entry):
@@ -85,7 +86,11 @@ class _VertexGrid:
         self.points = points
         self.lo = points.min(axis=1, keepdims=True)
         self.hi = points.max(axis=1, keepdims=True)
-        extent = (self.hi - self.lo)[:, 0]
+        # a range past the float range counts as the largest float, and the
+        # points whose offset overflows fall in the last cell
+        with np.errstate(over="ignore"):
+            extent = np.minimum((self.hi - self.lo)[:, 0], _LARGEST)
+            self.diameter = min(float(np.hypot(*extent)), _LARGEST)
         n = points.shape[1]
         # the second term keeps cells small when the points lie on a line;
         # coincident points get a single cell of any size.  The area per
@@ -108,8 +113,10 @@ class _VertexGrid:
     def _cells(self, pts):
         """The (x-row, y-column) cells of points pts (2, m), clipped to the
         grid (truncation rounds as floor once clipped at 0)."""
-        ij = ((pts - self.lo) / self.cell).astype(np.intp)
-        return np.minimum(np.maximum(ij, 0, out=ij), self.shape[:, None] - 1, out=ij)
+        with np.errstate(over="ignore"):
+            x = (pts - self.lo) / self.cell
+        np.minimum(np.maximum(x, 0.0, out=x), self.shape[:, None] - 1, out=x)
+        return x.astype(np.intp)
 
     def _key(self, ij):
         return ij[0] * self.shape[1] + ij[1]
@@ -202,7 +209,7 @@ class PolyMesh:
             raise ValueError("vertex table is empty: a mesh needs vertices")
         self.vertices = vertices
         self._grid = _VertexGrid(np.ascontiguousarray(vertices.T))
-        self.diameter = float(np.hypot(*(self._grid.hi - self._grid.lo)[:, 0]))
+        self.diameter = self._grid.diameter
         self._check_duplicates()
         ids, sizes, counts, error = _flat_loops(elements)
         self.shapes = FacetTable(vertices, ids, sizes, counts, _warn_flip, self._explain)
@@ -390,10 +397,6 @@ class CutLine:
             raise ValueError("line offset must be finite, got %r" % self.c)
         self.a, self.b, self.c = self.a / n, self.b / n, self.c / n
 
-    def signed_distance(self, points):
-        points = np.asarray(points, dtype=float)
-        return points @ np.array([self.a, self.b]) - self.c
-
 
 # -- text format ---------------------------------------------------------
 
@@ -447,9 +450,9 @@ def write_mesh(mesh, path):
         fh.write(_decimal_text(numbers, ends))
 
 
-def _parsed_in_bulk(text):
+def _parsed_in_bulk(data):
     """(vertices, loops) of a valid file in the layout `write_mesh` writes,
-    converted in bulk, or None for any other text.
+    as ASCII bytes, converted in bulk, or None for any other bytes.
 
     The layout: the header line "poly2d 1", then ASCII decimal numbers,
     unsigned integers but for the vertex lines' floats, one space between
@@ -460,9 +463,8 @@ def _parsed_in_bulk(text):
     lines of one token; they must chain by their loop counts, and every
     other line must announce its own length.
     """
-    if not (text.startswith("poly2d 1\n") and text.endswith("\n") and text.isascii()):
+    if not (data.startswith(b"poly2d 1\n") and data.endswith(b"\n")):
         return None
-    data = text.encode()
     b = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((b == ord(" ")) | (b == ord("\n")))  # one after every token
     if (np.diff(seps) == 1).any():  # extra spaces, or a blank line
@@ -507,156 +509,114 @@ def _parsed_in_bulk(text):
     return coords.reshape(nv, 2), _Loops(ids, sizes, nloops)
 
 
-def _convert(kind, tokens):
-    """The tokens converted by kind up to the first one it rejects, and
-    that one's index, or None when it takes them all."""
-    try:
-        return list(map(kind, tokens)), None
-    except ValueError:
-        values = []
-        for token in tokens:
-            try:
-                values.append(kind(token))
-            except ValueError:
-                return values, len(values)
+_BLANK = np.array([chr(c).isspace() for c in range(128)])  # what str.split splits at
 
 
-def _parsed_by_walk(text):
-    """(vertices, loops) of any text, or the ParseError of its first bad
-    line, found as a line-by-line reader finds it.
+def _normalised(data):
+    """ASCII poly2d bytes in the layout `write_mesh` writes, with the
+    content lines and tokens that `_read_by_lines` takes from them: a final
+    newline added, each `#` comment blanked up to the end of its line, each
+    run of blanks made one newline if it holds one and one space if not,
+    and a leading run dropped."""
+    b = np.frombuffer(data + b"\n", dtype=np.uint8)
+    blank = _BLANK.take(b)
+    newlines = np.flatnonzero(b == ord("\n"))
+    if b"#" in data:
+        at = np.flatnonzero(b == ord("#"))
+        end = newlines.take(np.searchsorted(newlines, at))
+        first = np.flatnonzero(np.diff(end, prepend=-1))  # the first # of its line
+        owner, off = _ranges(end[first] - at[first])
+        blank[at[first][owner] + off] = True
+    # runs of blanks alternate with runs of the rest, and a blank ends it
+    starts = np.flatnonzero(np.diff(blank, prepend=not blank[0]))
+    is_run = blank.take(starts)
+    runs, ends = starts[is_run], np.append(starts[1:], len(b))[is_run]
+    out = b.copy()
+    out[runs] = np.where(newlines.take(np.searchsorted(newlines, runs)) < ends,
+                         ord("\n"), ord(" "))
+    keep = ~blank
+    keep[runs] = runs > 0
+    return out[keep].tobytes()
 
-    The loop count lines alone fix which line is what, so they are walked
-    first; then the vertex lines and the loop lines are split and converted
-    in bulk with Python's own float and int, and checked vectorized.  The
-    error raised is that of the first bad line, with the checks of one line
-    in the order of a line-by-line reader (token count, tokens, announced
-    count, id range), and the end of the file last.
+
+def _read_by_lines(text):
+    """(vertices, elements) of any text, read a line at a time, or the
+    ParseError of its first bad line.
+
+    A `#` starts a comment, blank lines go, and each line is split and
+    converted with Python's float and int; the end of the file is reported
+    at its last content line.
     """
-    raw = text.split("\n")
-    if "#" in text:
-        raw = [line.split("#", 1)[0] for line in raw]
-    stripped = list(map(str.strip, raw))
-    lines = list(filter(None, stripped))  # blank lines and comments go
-    end = len(lines)
+    lines = [(n, line) for n, line in enumerate(
+        (raw.split("#", 1)[0].strip() for raw in text.split("\n")), start=1) if line]
+    rest = iter(lines)
 
-    def fail(message, pos):
-        # the content line at pos, or the last one for the end of the file
-        numbered = [n for n, line in enumerate(stripped, start=1) if line]
-        return ParseError(message, numbered[min(pos, end - 1)] if end else 0)
+    def take(what):
+        for line in rest:
+            return line
+        raise ParseError("unexpected end of file, expected %s" % what,
+                         lines[-1][0] if lines else 0)
 
-    def eof(what):
-        return fail("unexpected end of file, expected %s" % what, end)
-
-    def count(pos, what):
-        if pos >= end:
-            raise eof(what)
+    def integer(what, least=float("-inf")):
+        n, line = take(what)
         try:
-            n = int(lines[pos])
+            if (value := int(line)) >= least:
+                return n, value
         except ValueError:
-            n = -1
-        if n < 0:
-            raise fail("expected %s, got %r" % (what, lines[pos]), pos)
-        return n
+            pass
+        raise ParseError("expected %s, got %r" % (what, line), n)
 
-    if not end:
-        raise eof("header")
-    if lines[0].split() != ["poly2d", "1"]:
-        raise fail("not a poly2d version 1 file", 0)
-    nv = count(1, "vertex count")
-    verts = np.empty((nv, 2))
-    parts = list(map(str.split, lines[2:2 + nv]))
-    ntok = np.fromiter(map(len, parts), np.intp, len(parts))
-    short = np.flatnonzero(ntok != 2)
-    two = int(short[0]) if short.size else len(parts)  # lines before have two tokens
-    coords, bad = _convert(float, list(chain.from_iterable(parts[:two])))
-    if bad is not None:
-        raise fail("bad coordinate %r" % lines[2 + bad // 2], 2 + bad // 2)
-    if two < len(parts):
-        raise fail("expected two coordinates", 2 + two)
-    if 2 + nv > end:
-        raise eof("vertex %d" % (end - 2))
-    verts[:] = np.reshape(coords, (nv, 2))
-
-    # the loop count lines, element by element, up to the first bad one
-    first = 3 + nv
-    ne = count(first - 1, "element count")
-    heads, nloops, stop = [], [], None
-    pos = first
-    for e in range(ne):
-        if pos >= end:
-            stop = "unexpected end of file, expected loop count of element %d" % e
-            break
+    n, header = take("header")
+    if header.split() != ["poly2d", "1"]:
+        raise ParseError("not a poly2d version 1 file", n)
+    nv = integer("vertex count", 0)[1]
+    vertices = np.empty((nv, 2))
+    for i in range(nv):
+        n, line = take("vertex %d" % i)
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("expected two coordinates", n)
         try:
-            k = int(lines[pos])
+            vertices[i] = float(parts[0]), float(parts[1])
         except ValueError:
-            stop = "expected loop count of element %d, got %r" % (e, lines[pos])
-            break
-        if k < 1:
-            stop = "element %d has no loops" % e
-            break
-        heads.append(pos)
-        nloops.append(k)
-        pos += 1 + k
-        if pos > end:
-            stop = "unexpected end of file, expected loop %d of element %d" % (
-                end - heads[-1] - 1, e)
-            break
-    limit = min(pos, end)
-
-    # the loop lines before it, in bulk
-    is_loop = np.ones(limit - first, dtype=bool)
-    is_loop[np.array(heads, dtype=np.intp) - first] = False
-    at = np.flatnonzero(is_loop) + first
-    texts = list(compress(lines[first:limit], is_loop.tolist()))
-    parts = list(map(str.split, texts))
-    ntok = np.fromiter(map(len, parts), np.intp, len(parts))
-    starts = np.cumsum(ntok) - ntok
-    values, bad = _convert(int, list(chain.from_iterable(parts)))
-    # lines before `parsed` hold ints only
-    parsed = len(parts)
-    if bad is not None:
-        parsed = int(np.searchsorted(starts, bad, "right")) - 1
-        values = values[:starts[parsed]]
-    try:
-        numbers = np.array(values, dtype=np.intp)
-    except OverflowError:  # beyond any id range, and any token count
-        big = max(nv, len(values)) + 1
-        numbers = np.array([min(max(v, -1), big) for v in values], dtype=np.intp)
-    token_line = np.repeat(np.arange(parsed), ntok[:parsed])
-    is_id = np.ones(len(numbers), dtype=bool)
-    is_id[starts[:parsed]] = False
-    wrong = numbers[starts[:parsed]] != ntok[:parsed] - 1
-    outside = np.zeros(parsed, dtype=bool)
-    outside[token_line[is_id & ((numbers < 0) | (numbers >= nv))]] = True
-    flagged = np.flatnonzero(wrong | outside)
-    j = int(flagged[0]) if flagged.size else parsed
-    if j < len(parts):
-        if j == parsed:
-            raise fail("bad loop line %r" % texts[j], at[j])
-        if wrong[j]:
-            raise fail("loop announces %d ids but has %d"
-                       % (values[starts[j]], ntok[j] - 1), at[j])
-        raise fail("vertex id out of range", at[j])
-    if stop is not None:
-        raise fail(stop, pos)
-    if pos != end:
-        raise fail("trailing content", pos)
-    return verts, _Loops(numbers[is_id], ntok - 1, np.array(nloops, dtype=np.intp))
+            raise ParseError("bad coordinate %r" % line, n) from None
+    elements = []
+    for e in range(integer("element count", 0)[1]):
+        n, nloops = integer("loop count of element %d" % e)
+        if nloops < 1:
+            raise ParseError("element %d has no loops" % e, n)
+        loops = []
+        for j in range(nloops):
+            n, line = take("loop %d of element %d" % (j, e))
+            try:
+                size, *ids = map(int, line.split())
+            except ValueError:
+                raise ParseError("bad loop line %r" % line, n) from None
+            if len(ids) != size:
+                raise ParseError("loop announces %d ids but has %d" % (size, len(ids)), n)
+            if not all(0 <= i < nv for i in ids):
+                raise ParseError("vertex id out of range", n)
+            loops.append(ids)
+        elements.append((loops[0], loops[1:]))
+    for n, _ in rest:
+        raise ParseError("trailing content", n)
+    return vertices, elements
 
 
 def read_mesh(path):
     """Read a poly2d file; parse errors carry the offending line number.
 
-    The file is read once.  A valid file in the layout `write_mesh` writes
-    is converted in one bulk pass; any other text, a file with comments or
-    blank lines say, or one that pass rejects, goes to the walk, which
-    reads what a line-by-line reader reads and raises the error of the
-    first bad line.
+    The text, read once, is converted by `_parsed_in_bulk` as it stands
+    or, failing that, as `_normalised` lays it out.  Only what both reject
+    goes to `_read_by_lines`, which alone raises the error of the first bad
+    line: a bad file, non-ASCII text, or a number that Python's int or
+    float reads but the bulk alphabet does not (+3, 1_0, infinity).
     """
     with open(path) as fh:
         text = fh.read()
-    parsed = _parsed_in_bulk(text)
-    return PolyMesh(*(_parsed_by_walk(text) if parsed is None else parsed))
+    data = text.encode()
+    parsed = text.isascii() and (_parsed_in_bulk(data) or _parsed_in_bulk(_normalised(data)))
+    return PolyMesh(*(parsed or _read_by_lines(text)))
 
 
 # -- generators ----------------------------------------------------------
@@ -754,7 +714,7 @@ def cut_mesh(mesh, line, snap_tol=None):
         line = CutLine(*line)
     if snap_tol is None:
         snap_tol = SNAP_TOL * mesh.diameter
-    d = line.signed_distance(mesh.vertices)
+    d = mesh.vertices @ np.array([line.a, line.b]) - line.c  # signed distances
     snapped = np.abs(d) < snap_tol
     if np.any(snapped):
         warnings.warn(

@@ -65,9 +65,6 @@ class ScaledMonomial:
     def degree(self):
         return self.ex + self.ey
 
-    def __repr__(self):
-        return "ScaledMonomial(X^%d Y^%d, coeff=%g)" % (self.ex, self.ey, self.coeff)
-
 
 def laplacian_terms(m, h):
     """Physical laplacian of m as a short list of scaled monomials.

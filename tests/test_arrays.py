@@ -532,18 +532,23 @@ def test_hanging_vertex_near_a_segment_end_fails_as_element_reference():
         assert caught == ref_caught and len(caught) == warned
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e103, 1e104, 1e155, 1e160])
-def test_overflowing_measures_fail_as_element_reference(scale):
+@pytest.mark.parametrize("scale, centred", [
+    *(pytest.param(scale, False, id="%g" % scale) for scale in (1e100, 1e103, 1e104, 1e155, 1e160)),
+    pytest.param(0.95e308, True, id="centred-9.5e+307"),
+])
+def test_overflowing_measures_fail_as_element_reference(scale, centred):
     # coordinates so large that an element's area, centroid or diameter
     # overflows (its centroid from 1e103 on, here element 2 first, its area
     # from about 1e154): the first such element is rejected, as the
     # element-by-element reference rejects it, with no numpy warning and
     # no orientation warning for an area that is not a number; at 1e100
-    # every measure is finite and the mesh builds
+    # every measure is finite and the mesh builds.  Centred on 0 at
+    # 0.95e308, the vertex range itself is past the float range
     rng = np.random.default_rng(7)
     verts, elements = tables(gen_structured("distortedQuads", 4), rng, 0.3)
-    got, error, caught = outcome(PolyMesh, verts * scale, elements)
-    _, ref_error, ref_caught = outcome(reference_build, verts * scale, elements)
+    verts = (2.0 * verts - 1.0) * scale if centred else verts * scale
+    got, error, caught = outcome(PolyMesh, verts, elements)
+    _, ref_error, ref_caught = outcome(reference_build, verts, elements)
     assert error == ref_error and caught == ref_caught
     assert all(category is OrientationWarning for category, _ in caught)
     if scale == 1e100:

@@ -1,8 +1,10 @@
 """poly2d reading, writing and cutting on the loop arrays.
 
-`read_mesh` converts a file in bulk; `read_mesh_by_lines` in conftest.py is
-the line-by-line reader it replaced.  On valid files and on files with one
-mutation the two must raise the same error or build the same mesh.
+`read_mesh` converts a file in bulk, once its comments and blanks are laid
+out as the writer lays them out, and reads a line at a time only what the
+bulk pass rejects; `read_mesh_by_lines` in conftest.py is the line-by-line
+reader it replaced.  On valid files and on files with one mutation the two
+must raise the same error or build the same mesh.
 `write_mesh` formats the integer lines digit column by digit column;
 `write_mesh_by_format` in conftest.py is the format-string writer it
 replaced, and the two must write the same bytes.  The read, write and cut
@@ -164,11 +166,35 @@ def test_array_reader_equals_line_reader(tmp_path_factory, data, base):
     "poly2d 1\n3\n0 0\n1 0\n0 1\n2\n1\n3 0 1 x\n1\n3 0 1 9\n",
     "poly2d 1\n3\n0 0\n1 0\n0 1\n2\n1\n3 0 1 9\n1\n3 0 1 x\n",
     "poly2d 1\n3\n0 0\n1 0\n0 1\n2\n1\n4 0 1 2\nz\n",
+    "poly2d 1\n3\n0 0\n1 0\n0 1\n1\n1\n+3 0 +1 2\n",
+    "poly2d\t1\n3\n0\t0\n1\t0\n0\t1\n1\n1\n3\t0\t1\t2\n",
+    "poly2d 1\n3\n0 0\n1 0\n0 1\n1\n1\n3 0 1 2",
 ])
 def test_edge_files_read_as_by_lines(tmp_path, text):
     path = tmp_path / "edge.poly2d"
     path.write_text(text)
     assert_same_outcome(path)
+
+
+def test_commented_file_reads_in_bulk(tmp_path, monkeypatch):
+    # comments, blank lines, tabs, \r\n endings and no final newline are
+    # laid out as the writer lays them out, and the bulk pass reads the rest
+    def refuse(text):
+        raise AssertionError("the line reader read a valid file")
+
+    monkeypatch.setattr("polyvem.mesh._read_by_lines", refuse)
+    for i, mesh in enumerate(base_files()):
+        clean, messy = tmp_path / ("%d.poly2d" % i), tmp_path / ("%d-messy.poly2d" % i)
+        write_mesh(mesh, clean)
+        lines = ["# written by hand", ""]
+        for j, line in enumerate(clean.read_text().split("\n")[:-1]):
+            lines.append(("\t " if j % 4 == 1 else "") + line.replace(" ", "\t" if j % 3 else "  ")
+                         + (" # note" if j % 5 == 2 else ""))
+            if j % 7 == 3:
+                lines.append("  # between lines" if j % 2 else "\t")
+        messy.write_bytes("\r\n".join(lines).encode())
+        got, want = read_mesh(messy), read_mesh(clean)
+        assert np.array_equal(got.vertices, want.vertices) and got.elements == want.elements
 
 
 @given(mesh=meshes())
