@@ -570,14 +570,14 @@ def _read_by_lines(text):
     if header.split() != ["poly2d", "1"]:
         raise ParseError("not a poly2d version 1 file", n)
     nv = integer("vertex count", 0)[1]
-    vertices = np.empty((nv, 2))
+    vertices = []  # grown line by line: a count is no bound on the file
     for i in range(nv):
         n, line = take("vertex %d" % i)
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("expected two coordinates", n)
         try:
-            vertices[i] = float(parts[0]), float(parts[1])
+            vertices.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise ParseError("bad coordinate %r" % line, n) from None
     elements = []
@@ -600,22 +600,24 @@ def _read_by_lines(text):
         elements.append((loops[0], loops[1:]))
     for n, _ in rest:
         raise ParseError("trailing content", n)
-    return vertices, elements
+    return np.array(vertices, dtype=float).reshape(nv, 2), elements
 
 
 def read_mesh(path):
     """Read a poly2d file; parse errors carry the offending line number.
 
     The text, read once, is converted by `_parsed_in_bulk` as it stands
-    or, failing that, as `_normalised` lays it out.  Only what both reject
-    goes to `_read_by_lines`, which alone raises the error of the first bad
-    line: a bad file, non-ASCII text, or a number that Python's int or
-    float reads but the bulk alphabet does not (+3, 1_0, infinity).
+    or, failing that, as `_normalised` lays it out where that differs.
+    Only what the bulk parse rejects goes to `_read_by_lines`, which alone
+    raises the error of the first bad line: a bad file, non-ASCII text,
+    or a number that Python's int or float reads but the bulk alphabet
+    does not (+3, 1_0, infinity).
     """
     with open(path) as fh:
         text = fh.read()
     data = text.encode()
-    parsed = text.isascii() and (_parsed_in_bulk(data) or _parsed_in_bulk(_normalised(data)))
+    parsed = text.isascii() and (_parsed_in_bulk(data) or (
+        (laid_out := _normalised(data)) != data and _parsed_in_bulk(laid_out)))
     return PolyMesh(*(parsed or _read_by_lines(text)))
 
 

@@ -25,10 +25,11 @@ both set up once per constrained set with the condensed operator.  The
 coarse problem is solved exactly, by a block LDL^T factor of it in
 level-set order, made once per constrained set: consecutive level sets
 are merged into blocks no wider than the widest one, W, so the factor
-keeps at most 2 W N entries for N coarse unknowns, and it solves over
-views of a work vector of its own, so one factor serves one solve at a
-time.  A solve that misses the tolerance reports the rounding floor and
-the reason it stopped.  scipy.sparse is imported by the first assembly
+keeps at most 2 W N entries for N coarse unknowns, and its build holds
+those rows plus one block's temporaries.  It solves over views of a
+work vector of its own, so one factor serves one solve at a time.  A
+solve that misses the tolerance reports the rounding floor and the
+reason it stopped.  scipy.sparse is imported by the first assembly
 or matrix built (`_sparse`), not with the module, so mesh tooling never
 loads it.
 The error norms read the gradient of each element's projection off the
@@ -172,13 +173,19 @@ def _reduce_triplets(keys, vals):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     vals = vals[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    lengths = np.diff(np.r_[starts, len(keys)])
+    del order
+    opens = np.ones(len(keys), dtype=bool)  # a run starts here
+    np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+    starts = np.flatnonzero(opens)
+    del opens
+    lengths = np.diff(starts, append=len(keys))
     long = np.flatnonzero(lengths >= 3)
-    for length in np.unique(lengths[long]).tolist():
-        rows = starts[long[lengths[long] == length]][:, None] + np.arange(length)
+    lengths = lengths[long]
+    for length in np.unique(lengths).tolist():
+        rows = starts[long[lengths == length]][:, None] + np.arange(length)
         vals[rows] = np.sort(vals[rows], axis=1, kind="stable")
-    return keys[starts], np.add.reduceat(vals, starts)
+    vals = np.add.reduceat(vals, starts)  # the sorted values go
+    return keys[starts], vals
 
 
 def _triplet_keys(maps, n):
@@ -235,10 +242,10 @@ def assemble(mesh, k, f=None):
     # unsorted ones are freed once sorted
     keys, summed = _reduce_triplets(_triplet_keys(maps, n), _triplet_values(stiffness))
     # the keys are the sorted distinct row * n + col: CSR order already,
-    # and a key less its row's row * n is its column
+    # and a key modulo n is its column
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    cols = keys - np.repeat(np.arange(0, n * n, n), np.diff(indptr))
-    A = _csr((summed, cols, indptr), shape=(n, n))
+    keys %= n
+    A = _csr((summed, keys, indptr), shape=(n, n))
     A.has_canonical_format = True
     b = np.zeros(n)
     if f is not None:
@@ -364,12 +371,14 @@ class LevelFactor:
     tridiagonal, because a level set couples only its neighbours.  With
     diagonal blocks A_i and, below them, C_i coupling block i to block
     i - 1, the factor keeps Dinv_i = (A_i - E_i C_i^T)^-1 and E_i =
-    C_i Dinv_{i-1}, built from blocks assigned out of the CSR entries, so
-    A is never dense.  Only the head of block i, its first level set,
-    meets block i - 1, so C_i and E_i are kept as their head rows.  For
-    blocks of widths w_i <= W that is at most sum w_i^2 + w_i w_{i-1}
-    <= 2 W N entries for N unknowns, the bound the unmerged level sets
-    have too.  A singular or non-finite block makes the factor NaN.
+    C_i Dinv_{i-1}, factored in order in the one buffer that keeps them,
+    into which A_i and C_i^T are scattered out of the CSR entries: A is
+    never dense, and the build holds its rows plus one block's
+    temporaries.  Only the head of block i, its first level set, meets
+    block i - 1, so C_i and E_i are kept as their head rows.  For blocks
+    of widths w_i <= W that is at most sum w_i^2 + w_i w_{i-1} <= 2 W N
+    entries for N unknowns, the bound the unmerged level sets have too.
+    A singular or non-finite block makes the factor NaN.
 
     `solve` is one forward and one backward sweep, one small dense product
     per block each, over (block, view, view) triples bound at build time
@@ -398,36 +407,38 @@ class LevelFactor:
         position[self.order] = np.arange(len(self.order))
         rows = position[np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
         cols = position[A.indices]
+        # the backward sweep's row of block i, [Dinv_i, -E_{i+1}^T], in one
+        # buffer: A_i is scattered where Dinv_i goes, and C_{i+1} transposed
+        # where -E_{i+1}^T goes, each entry (r, c) of C_{i+1} to (c, r)
+        spans = widths + np.append(heads[1:], 0)
+        offsets = np.concatenate([[0], np.cumsum(widths * spans)])
+        flat = np.zeros(offsets[-1])
         block = np.repeat(np.arange(len(widths)), widths)  # of each position
         local = np.arange(len(block)) - bounds[block]  # within its block
-        br, bc = block[rows], block[cols]
-
-        def gather(pick, sizes):
-            """The blocks (br, bc) that `pick` selects, one per row block,
-            sizes[i] entries each, flat and row-major."""
-            offsets = np.concatenate([[0], np.cumsum(sizes)])
-            flat = np.zeros(offsets[-1])
-            at = offsets[br[pick]] + local[rows[pick]] * widths[bc[pick]] + local[cols[pick]]
-            flat[at] = A.data[pick]
-            return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-
-        diagonal = gather(bc == br, widths**2)
-        below = gather(bc == br - 1, heads * np.r_[0, widths[:-1]])  # head rows
-        Dinv, E = [], []
-        for i, (w, h) in enumerate(zip(widths.tolist(), heads.tolist())):
-            D = diagonal[i].reshape(w, w)
-            if i:
-                C = below[i].reshape(h, widths[i - 1])
-                E.append(C @ Dinv[-1])
-                D[:h, :h] -= E[-1] @ C.T
+        # entry (p, q) of position p's row goes to flat[row_at[p] + q]
+        row_at = offsets[block] + local * spans[block] - bounds[block]
+        lower = block[cols] == block[rows] - 1
+        rows[lower], cols[lower] = cols[lower], rows[lower]
+        keep = lower | (block[cols] == block[rows])
+        flat[row_at[rows[keep]] + cols[keep]] = A.data[keep]
+        del rows, cols, lower, keep
+        backward = [flat[a:z].reshape(w, s) for a, z, w, s in zip(
+            offsets[:-1].tolist(), offsets[1:].tolist(), widths.tolist(), spans.tolist())]
+        slot = None  # -E_i^T, in the row above
+        for row, w, h in zip(backward, widths.tolist(), heads.tolist()):
+            D = row[:, :w].copy()
+            if slot is not None:
+                C = slot.T.copy()  # contiguous: a product's bits follow its layout
+                E = C @ Dinv
+                D[:h, :h] -= E @ C.T
+                slot[:] = -E.T
             try:
-                Dinv.append(np.linalg.inv(D))
+                Dinv = np.linalg.inv(D)
             except np.linalg.LinAlgError:  # singular or not finite
-                Dinv.append(np.full(D.shape, np.nan))
-        # the backward sweep's row of block i, [Dinv_i, -E_{i+1}^T], and
-        # -E_i as a view of the row above it
-        backward = [np.hstack([d, -e.T]) for d, e in zip(Dinv, E)] + Dinv[-1:]
-        self.nbytes = sum(row.nbytes for row in backward)
+                Dinv = np.full(D.shape, np.nan)
+            row[:, :w] = Dinv
+            slot = row[:, w:]
+        self.nbytes = flat.nbytes
         self.blocks = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
         self.position = position
         self.work = np.empty(len(self.order))
@@ -520,7 +531,8 @@ def _condensed(system):
         nel, nm = system.mesh.num_elements, basis_size(system.k - 2)
         inner = free[free < mo]
         A_inner = system.A[inner]
-        S = A_inner[:, inner]
+        S, A_bm = A_inner[:, inner], A_inner[:, mo:]
+        del A_inner
         A_mb = M = A_bm_M = None
         if nm:
             moments = np.arange(n - mo).reshape(nel, nm)
@@ -533,9 +545,9 @@ def _condensed(system):
                 inv = np.full(blocks.shape, np.nan)
             rows, cols = np.repeat(moments, nm, axis=1), np.tile(moments, (1, nm))
             M = _csr((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
-            A_bm = A_inner[:, mo:]
             A_bm_M = A_bm @ M
             A_mb = A_bm.T.tocsr()
+            del A_bm
             S = S - A_bm_M @ A_mb
         else:
             S.eliminate_zeros()

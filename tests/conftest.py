@@ -13,6 +13,7 @@ from polyvem.localmat import ElementMatrixCache, group_facets
 from polyvem.mesh import PolyMesh
 from polyvem.monomials import MonomialBasis, ScaledMonomial
 from polyvem.quadrature import gauss_1d
+from polyvem.system import _csr, _level_sets
 
 
 def lone_group(facet, k):
@@ -428,14 +429,14 @@ def read_mesh_by_lines(path):
     if header.split() != ["poly2d", "1"]:
         raise ParseError("not a poly2d version 1 file", n)
     nv = r.next_count("vertex count")
-    verts = np.empty((nv, 2))
+    verts = []
     for i in range(nv):
         n, text = r.next("vertex %d" % i)
         parts = text.split()
         if len(parts) != 2:
             raise ParseError("expected two coordinates", n)
         try:
-            verts[i] = [float(parts[0]), float(parts[1])]
+            verts.append([float(parts[0]), float(parts[1])])
         except ValueError:
             raise ParseError("bad coordinate %r" % text, n)
     ne = r.next_count("element count")
@@ -462,7 +463,7 @@ def read_mesh_by_lines(path):
         elements.append((loops[0], loops[1:]))
     if r.pos != len(r.lines):
         raise ParseError("trailing content", r.lines[r.pos][0])
-    return PolyMesh(verts, elements)
+    return PolyMesh(np.array(verts, dtype=float).reshape(nv, 2), elements)
 
 
 # -- the format-string poly2d writer -------------------------------------
@@ -494,3 +495,75 @@ def write_mesh_by_format(mesh, path):
         fh.write("%d\n" % mesh.num_elements)
         fh.write("".join(map(formats.__getitem__, line_sizes.tolist()))
                  % tuple(numbers.tolist()))
+
+
+# -- the list-built coarse factor ----------------------------------------
+#
+# The build `polyvem.system.LevelFactor` replaced: every diagonal and below
+# block gathered at once, every Dinv_i and E_i kept in lists, and the
+# backward rows [Dinv_i, -E_{i+1}^T] copied out of them by hstack.  The
+# in-place build must keep the same rows, blocks, widest and nbytes bit for
+# bit, and solve to the same bits.
+
+
+class LevelFactorByLists:
+    """The coarse factor built from lists of blocks; `rows` holds the
+    backward rows in block order."""
+
+    def __init__(self, A):
+        A = _csr(A)
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        self.order, levels = _level_sets(A.indptr, A.indices)
+        self.widest = int(np.diff(levels).max(initial=0))
+        bounds = [0]
+        for start, end in zip(levels[:-1].tolist(), levels[1:].tolist()):
+            if end - bounds[-1] > self.widest:
+                bounds.append(start)
+        bounds = np.asarray(bounds + levels[-1:].tolist() if len(levels) > 1 else levels)
+        widths = np.diff(bounds)
+        heads = levels[np.searchsorted(levels, bounds[:-1]) + 1] - bounds[:-1]
+        position = np.empty(len(self.order), dtype=np.intp)
+        position[self.order] = np.arange(len(self.order))
+        rows = position[np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))]
+        cols = position[A.indices]
+        block = np.repeat(np.arange(len(widths)), widths)
+        local = np.arange(len(block)) - bounds[block]
+        br, bc = block[rows], block[cols]
+
+        def gather(pick, sizes):
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            flat = np.zeros(offsets[-1])
+            at = offsets[br[pick]] + local[rows[pick]] * widths[bc[pick]] + local[cols[pick]]
+            flat[at] = A.data[pick]
+            return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+        diagonal = gather(bc == br, widths**2)
+        below = gather(bc == br - 1, heads * np.r_[0, widths[:-1]])
+        Dinv, E = [], []
+        for i, (w, h) in enumerate(zip(widths.tolist(), heads.tolist())):
+            D = diagonal[i].reshape(w, w)
+            if i:
+                C = below[i].reshape(h, widths[i - 1])
+                E.append(C @ Dinv[-1])
+                D[:h, :h] -= E[-1] @ C.T
+            try:
+                Dinv.append(np.linalg.inv(D))
+            except np.linalg.LinAlgError:
+                Dinv.append(np.full(D.shape, np.nan))
+        self.rows = [np.hstack([d, -e.T]) for d, e in zip(Dinv, E)] + Dinv[-1:]
+        self.nbytes = sum(row.nbytes for row in self.rows)
+        self.blocks = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        self.position = position
+        self.ends = (bounds[1:-1] + heads[1:]).tolist()
+
+    def solve(self, b):
+        """A^-1 b by the forward and the backward sweep over the rows."""
+        y = b[self.order]
+        for row, s, end, prev in zip(self.rows, self.blocks[1:], self.ends, self.blocks):
+            y[s.start : end] += row[:, len(row) :].T @ y[prev]
+        spans = [slice(s.start, end) for s, end in zip(self.blocks, self.ends)]
+        for row, s, span in list(zip(self.rows, self.blocks, spans + self.blocks[-1:]))[::-1]:
+            y[s] = row @ y[span]
+        return y[self.position]

@@ -333,6 +333,15 @@ def info_lines(capsys, path):
     return {ln.split(":")[0]: ln.split(":", 1)[1].strip() for ln in out}
 
 
+def test_mesh_info_of_a_count_beyond_the_file_exits_1(tmp_path, capsys):
+    # the count is 1.46 TiB of vertices: nothing is reserved for it unread
+    path = tmp_path / "m.poly2d"
+    path.write_text("poly2d 1\n100000000000\n0 0\n")
+    assert cli.main(["mesh", "info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: unexpected end of file, expected vertex 1\n"
+
+
 def test_mesh_gen_then_info(tmp_path, capsys):
     path = str(tmp_path / "m.poly2d")
     assert cli.main(["mesh", "gen", "quads:3", "-o", path]) == 0

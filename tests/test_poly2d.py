@@ -22,7 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyvem import cli
-from polyvem.mesh import PolyMesh, cut_mesh, gen_structured, merge_meshes, read_mesh, write_mesh
+from polyvem.errors import ParseError
+from polyvem.mesh import (
+    PolyMesh, _parsed_in_bulk, cut_mesh, gen_structured, merge_meshes, read_mesh, write_mesh)
 
 from conftest import read_mesh_by_lines, write_mesh_by_format
 from test_arrays import meshes, quads_on, ring_mesh
@@ -169,6 +171,7 @@ def test_array_reader_equals_line_reader(tmp_path_factory, data, base):
     "poly2d 1\n3\n0 0\n1 0\n0 1\n1\n1\n+3 0 +1 2\n",
     "poly2d\t1\n3\n0\t0\n1\t0\n0\t1\n1\n1\n3\t0\t1\t2\n",
     "poly2d 1\n3\n0 0\n1 0\n0 1\n1\n1\n3 0 1 2",
+    "poly2d 1\n100000000000\n0 0\n",  # a count far beyond the file
 ])
 def test_edge_files_read_as_by_lines(tmp_path, text):
     path = tmp_path / "edge.poly2d"
@@ -196,6 +199,19 @@ def test_commented_file_reads_in_bulk(tmp_path, monkeypatch):
         got, want = read_mesh(messy), read_mesh(clean)
         assert np.array_equal(got.vertices, want.vertices) and got.elements == want.elements
 
+
+
+def test_writer_layout_with_a_bad_line_is_parsed_in_bulk_once(tmp_path, monkeypatch):
+    # normalising leaves the writer's layout as it is, so nothing is retried
+    calls = []
+    monkeypatch.setattr("polyvem.mesh._parsed_in_bulk",
+                        lambda data: calls.append(data) or _parsed_in_bulk(data))
+    path = tmp_path / "bad.poly2d"
+    write_mesh(gen_structured("distortedQuads", 4), path)
+    path.write_text(path.read_text()[:-1].rsplit(" ", 1)[0] + " 99\n")
+    with pytest.raises(ParseError, match="vertex id out of range"):
+        read_mesh(path)
+    assert len(calls) == 1
 
 @given(mesh=meshes())
 @settings(max_examples=25, deadline=None)

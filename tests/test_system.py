@@ -36,6 +36,7 @@ from polyvem.system import (
     jacobi_cg,
     solve,
 )
+from conftest import LevelFactorByLists
 from test_acceptance import holed_mesh
 from test_arrays import quads_on
 
@@ -791,6 +792,41 @@ def test_coarse_factor_solves_share_no_state():
     for _ in range(2):  # the two factors used alternately
         assert fa.solve(a).tobytes() == answer.tobytes()
         assert fb.solve(b).tobytes() == alone
+
+
+def coarse_operator(case):
+    """P^T S P as `_condensed` forms it for its coarse factor, or, for
+    "singular", a path's graph Laplacian, whose last pivot is exactly 0."""
+    if case == "singular":
+        return sp.diags([-np.ones(4), [1.0, 2.0, 2.0, 2.0, 1.0], -np.ones(4)], [-1, 0, 1],
+                        format="csr")
+    mesh = holed_mesh() if case == "holed" else gen_structured("distortedQuads", 16)
+    sys_ = sine_problem(mesh, 3 if case == "k=3" else 2)
+    if case == "two components":  # the middle column of vertices held too
+        held = 8 + 17 * np.arange(17)
+    elif case == "no free vertex":
+        held = np.arange(mesh.num_vertices)
+    if case in ("two components", "no free vertex"):
+        sys_.constrained_ids = np.union1d(sys_.constrained_ids, held)
+        sys_.constrained_values = np.zeros(len(sys_.constrained_ids))
+    S, *_, Pt, (P, _) = _condensed(sys_)
+    return Pt @ (S @ P)
+
+
+@pytest.mark.parametrize("case", ["k=2", "k=3", "holed", "two components", "no free vertex",
+                                  "singular"])
+def test_coarse_factor_keeps_the_rows_of_the_list_build(case):
+    Ac = coarse_operator(case)
+    factor, oracle = system.LevelFactor(Ac), LevelFactorByLists(Ac)
+    rows = [row for row, _, _ in factor.backward][::-1]
+    assert [(r.shape, r.tobytes()) for r in rows] == [(r.shape, r.tobytes()) for r in oracle.rows]
+    assert (factor.blocks, factor.widest, factor.nbytes) == (oracle.blocks, oracle.widest,
+                                                              oracle.nbytes)
+    b = np.random.default_rng(5).standard_normal(Ac.shape[0])
+    x = factor.solve(b)
+    assert x.tobytes() == oracle.solve(b).tobytes()
+    assert np.isnan(x).any() == (case == "singular")
+    assert (not rows) == (case == "no free vertex")
 
 
 @pytest.mark.parametrize("reason", ["at the floor", "maxiter", "breakdown", "recovery"])
