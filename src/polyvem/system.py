@@ -20,18 +20,19 @@ elimination: constrained columns move to the right-hand side and the
 reduced operator stays SPD, which is what the preconditioned CG relies
 on.  The moment dofs couple only within their element, so `solve`
 condenses them out block by block: CG runs on their Schur complement,
-preconditioned by its diagonal plus a coarse correction on the vertices,
-both set up once per constrained set with the condensed operator.  The
-coarse problem is solved exactly, by a block LDL^T factor of it in
-level-set order, made once per constrained set: consecutive level sets
-are merged into blocks no wider than the widest one, W, so the factor
-keeps at most 2 W N entries for N coarse unknowns, and its build holds
-those rows plus one block's temporaries.  It solves over views of a
-work vector of its own, so one factor serves one solve at a time.  A
-solve that misses the tolerance reports the rounding floor and the
-reason it stopped.  scipy.sparse is imported by the first assembly
-or matrix built (`_sparse`), not with the module, so mesh tooling never
-loads it.
+preconditioned by one symmetric two-level cycle, an l1-Jacobi smoothing
+step on either side of a coarse correction on the vertices, set up once
+per constrained set with the condensed operator.  The coarse problem is
+solved exactly, by a block LDL^T factor of it in level-set order, made
+once per constrained set: consecutive level sets are merged into blocks
+no wider than the widest one, W, so the factor keeps at most 2 W N
+entries for N coarse unknowns, and its build holds those rows plus one
+block's temporaries.  It solves over views of a work vector of its own,
+so one factor serves one solve at a time.  CG stops where restarting
+from the true residual no longer gains, and a solve that misses the
+tolerance reports the rounding floor and the reason it stopped.
+scipy.sparse is imported by the first assembly or matrix built
+(`_sparse`), not with the module, so mesh tooling never loads it.
 The error norms read the gradient of each element's projection off the
 basis value table that its value uses, through a constant table of
 monomial derivatives.
@@ -78,6 +79,10 @@ class SolveReport:
       x rounded to double can take the residual;
     - "breakdown": CG stopped on a p.Ap that is not positive and finite;
     - "maxiter": CG ran out of iterations;
+    - "stalled": CG stopped because a restart from the true residual did
+      not take it below half of the previous restart's: the condensed
+      system is solved as closely as its rounding allows, and the whole
+      system's residual is still above twice the floor;
     - "recovery": CG met tol on the condensed system, but the residual of
       the whole system, moments recovered, misses it by more, also after
       one retry with a tighter target (see `solve`).
@@ -266,51 +271,92 @@ def apply_dirichlet(system, g):
     return system
 
 
+# the weight of the two-level cycle's smoother r / d, d the l1 row sums of
+# A over OMEGA: lambda(D_l1^-1 A) <= 1, so the cycle is SPD for any
+# OMEGA < 2, and 1.6 to 1.8 was a flat optimum on every mesh tried
+OMEGA = 1.7
+
+
+def _l1_divisor(A):
+    """The l1 row sums of the CSR matrix A over OMEGA, read off its
+    entries, with zeros replaced by ones: the divisor of the two-level
+    cycle's smoother."""
+    sums = np.zeros(A.shape[0])
+    rows = np.flatnonzero(np.diff(A.indptr))
+    sums[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
+    sums /= OMEGA
+    sums[sums == 0.0] = 1.0
+    return sums
+
+
+def _preconditioner(A, coarse, diag):
+    """The preconditioner of `jacobi_cg`, which see for coarse and diag:
+    a function of r that writes z into one array of its own and returns
+    it."""
+    if diag is None and coarse is not None:
+        diag = _l1_divisor(A)
+    elif diag is None:
+        diag = A.diagonal().copy()
+        diag[diag == 0.0] = 1.0
+    z = np.empty(len(diag))
+    if coarse is None:
+        return lambda r: np.divide(r, diag, out=z)
+    P, Ac = coarse[:2]
+    Pt = coarse[2] if len(coarse) > 2 else P.T
+    AP = coarse[3] if len(coarse) > 3 else A @ P
+    factor = Ac if isinstance(Ac, LevelFactor) else LevelFactor(Ac)
+
+    def cycle(r):
+        np.divide(r, diag, out=z)
+        t = r - A @ z
+        c = factor.solve(Pt @ t)
+        np.add(z, P @ c, out=z)
+        t -= AP @ c
+        t /= diag
+        return np.add(z, t, out=z)
+
+    return cycle
+
+
 def jacobi_cg(A, b, tol, maxiter, coarse=None, x0=None, diag=None):
-    """Conjugate gradients with diagonal preconditioning, plus a coarse
-    correction when `coarse` is given.
+    """Conjugate gradients preconditioned by Jacobi, or by one symmetric
+    two-level cycle when `coarse` is given.
 
     Returns (x, iterations, relative residual, converged).  CG starts from
     x0 if given, else from zero.  The test and the residual are of the
     true ||b - A x|| / ||b||: a recurrence residual under tol restarts CG
-    from the true one unless that meets tol too.  A zero right hand side
-    is solved in zero iterations.  A breakdown, where p.Ap is not positive
-    or not finite (A is not SPD, or holds a NaN), stops at once:
-    converged=False, with the iterations and the recurrence residual from
-    before it.
+    from the true one unless that meets tol too.  A restart whose true
+    residual is not below half of the previous restart's has gained
+    nothing, so CG stops there with converged=None: it is as close as its
+    rounding lets it come.  Reaching maxiter returns converged=False with
+    the true residual.  A zero right hand side is solved in zero
+    iterations.  A breakdown, where p.Ap is not positive or not finite (A
+    is not SPD, or holds a NaN), stops at once: converged=False, with the
+    iterations and the recurrence residual from before it.
 
-    coarse = (P, Ac) adds P Ac^-1 P^T r to the preconditioned residual,
-    with Ac = P^T A P given as its `LevelFactor` (or as a matrix, which is
-    factored here).  A third entry, P^T as a CSR matrix, is applied in
-    place of scipy's P.T, a CSC view that is slower to apply.  The coarse
-    solve is exact, so the preconditioner is one fixed SPD operator and CG
-    keeps its finite termination.  diag, if given, is A's diagonal with
-    its zeros replaced by ones, which saves reading it again.
+    Jacobi takes z = r / d, with d A's diagonal, its zeros replaced by
+    ones.  coarse = (P, Ac) makes it the cycle z = r / d, t = r - A z;
+    c = Ac^-1 P^T t, z += P c; t -= (A P) c, z += t / d, with d A's l1
+    row sums over OMEGA (`_l1_divisor`) and Ac = P^T A P given as its
+    `LevelFactor` (or as a matrix, which is factored here).  A third and
+    a fourth entry, P^T as a CSR matrix and A P, save forming them here
+    (scipy's P.T is a CSC view that is slower to apply).  The coarse solve
+    is exact and both smoothing steps are the same, so the preconditioner
+    is one fixed SPD operator and CG keeps its finite termination.  diag,
+    if given, is d, which saves computing it again.
     """
     n = len(b)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     bnorm = math.sqrt(b @ b)
     if n == 0 or bnorm == 0.0:
         return np.zeros(n), 0, 0.0, True
-    if diag is None:
-        diag = A.diagonal().copy()
-        diag[diag == 0.0] = 1.0
-    if coarse is not None:
-        P, Ac = coarse[:2]
-        Pt = coarse[2] if len(coarse) > 2 else P.T
-        factor = Ac if isinstance(Ac, LevelFactor) else LevelFactor(Ac)
-    z = np.empty(n)
-
-    def precondition(r):
-        np.divide(r, diag, out=z)
-        if coarse is not None:
-            np.add(z, P @ factor.solve(Pt @ r), out=z)
-
+    precondition = _preconditioner(A, coarse, diag)
     r = b.copy() if x0 is None else b - A @ x
-    precondition(r)
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     residual = math.sqrt(r @ r) / bnorm
+    restarted = math.inf  # the true residual at the last restart
     for it in range(1, maxiter + 1):
         q = A @ p
         pq = float(p @ q)
@@ -325,6 +371,11 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None, x0=None, diag=None):
             residual = math.sqrt(r @ r) / bnorm
             if residual <= tol:
                 return x, it, residual, True
+            if it == maxiter:
+                break
+            if residual >= 0.5 * restarted:
+                return x, it, residual, None
+            restarted = residual
             p[:] = 0.0  # the next direction is the preconditioned r alone
         precondition(r)
         rz_next = float(r @ z)
@@ -508,12 +559,13 @@ def _moment_blocks(A, mo, nel, nm):
 
 
 def _condensed(system):
-    """(S, A_mb, M, A_bm M, diag, P^T, coarse) that condense the moment
-    dofs m out of the free dofs b + m, kept on the system for its
-    constrained set (A stays fixed), with what every CG run on S reads:
-    S's diagonal (zeros replaced by ones) and P^T.  The transposes A_mb =
-    A_bm^T and P^T are CSR copies, which apply faster than scipy's CSC
-    views.
+    """(S, A_mb, M, A_bm M, A_c, d, S P, P^T, coarse) that condense the
+    moment dofs m out of the free dofs b + m, kept on the system for its
+    constrained set (A stays fixed), with what every solve reads: A_c =
+    A[:, constrained] (None when nothing is), which lifts the boundary
+    values onto the right hand side, and the parts of `jacobi_cg`'s
+    preconditioner.  The transposes A_mb = A_bm^T and P^T are CSR copies,
+    which apply faster than scipy's CSC views.
 
     M = A_mm^-1 is one batched inverse of the (elements, nm, nm) diagonal
     blocks (`_moment_blocks`); a constrained moment's row and column are
@@ -521,8 +573,11 @@ def _condensed(system):
     makes M NaN: CG breaks down.  At k = 1 there are no moments: A_mb, M
     and A_bm M are None, and S is A on the free dofs with its stored zeros
     dropped, as the subtraction of a product with no entries drops them.
-    coarse is (P, the `LevelFactor` of P^T S P) for `jacobi_cg`, with P
-    from `_coarse_space`, or None at k = 1.
+    coarse is (P, the `LevelFactor` of P^T (S P)) for the two-level cycle,
+    with P from `_coarse_space`, and d is S's l1 row sums over OMEGA
+    (`_l1_divisor`).  At k = 1 there is no coarse space: S P, P^T and
+    coarse are None, and d is S's diagonal, zeros replaced by ones, for
+    Jacobi.
     """
     ids = system.constrained_ids
     key = np.asarray([] if ids is None else ids, dtype=np.intp).tobytes()
@@ -551,12 +606,17 @@ def _condensed(system):
             S = S - A_bm_M @ A_mb
         else:
             S.eliminate_zeros()
-        diag = S.diagonal()
-        diag[diag == 0.0] = 1.0
+        A_c = None if ids is None else system.A[:, ids]
         P = _coarse_space(system, inner)
-        Pt = None if P is None else P.T.tocsr()
-        coarse = None if P is None else (P, LevelFactor(Pt @ (S @ P)))
-        system.condensed = (key, S, A_mb, M, A_bm_M, diag, Pt, coarse)
+        if P is None:
+            d = S.diagonal()
+            d[d == 0.0] = 1.0
+            SP = Pt = coarse = None
+        else:
+            d = _l1_divisor(S)
+            SP, Pt = S @ P, P.T.tocsr()
+            coarse = (P, LevelFactor(Pt @ SP))
+        system.condensed = (key, S, A_mb, M, A_bm_M, A_c, d, SP, Pt, coarse)
     return system.condensed[1:]
 
 
@@ -584,26 +644,28 @@ def solve(system, tol=1e-12, maxiter=None):
     flag on the report, with the rounding floor and the reason.
     """
     check_solve_args(tol, maxiter)
-    S, A_mb, M, A_bm_M, diag, Pt, coarse = _condensed(system)
+    S, A_mb, M, A_bm_M, A_c, d, SP, Pt, coarse = _condensed(system)
     free, mo = system.free_ids(), system.dofmap.moment_offset
     inner = free[free < mo]
     fixed = np.zeros(system.num_dofs)
-    if system.constrained_ids is not None:
+    r = system.b.copy()
+    if A_c is not None:
         fixed[system.constrained_ids] = system.constrained_values
-    # products with the full A over vectors zero on the constrained (or the
-    # free) dofs round like the A_fc and A_ff slices: rhs_f = r[free]
-    r = system.b - system.A @ fixed
+        # A_c sums the nonzero terms of A @ fixed in their order, so
+        # rhs_f = r[free] is bitwise b_f - A_fc g; products of the full A
+        # with vectors zero on the constrained dofs round like A_ff's
+        r -= A_c @ system.constrained_values
     bnorm = float(np.linalg.norm(r[free]))
     rhs = r[inner] if M is None else r[inner] - A_bm_M @ r[mo:]
     if maxiter is None:
         maxiter = max(10 * len(free), 1)
     target = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
-    coarse = None if coarse is None else coarse + (Pt,)
+    coarse = None if coarse is None else coarse + (Pt, SP)
     x, x0, iterations, elapsed = np.zeros(system.num_dofs), None, 0, 0.0
     for retried in (False, True):
         start = time.perf_counter()
         x[inner], its, _, met = SOLVERS["jacobi_cg"](
-            S, rhs, target, maxiter - iterations, coarse, x0, diag)
+            S, rhs, target, maxiter - iterations, coarse, x0, d)
         elapsed += time.perf_counter() - start
         iterations += its
         if M is not None:
@@ -616,6 +678,8 @@ def solve(system, tol=1e-12, maxiter=None):
         report.floor = float(np.finfo(float).eps * np.linalg.norm(spread)) / (bnorm or 1.0)
         if residual <= 2.0 * report.floor:
             report.reason = "at the floor"
+        elif met is None:
+            report.reason = "stalled"
         elif not met:
             report.reason = "breakdown" if iterations < maxiter else "maxiter"
         else:

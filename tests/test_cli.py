@@ -199,9 +199,9 @@ def test_dump_matrices_builds_one_group(tmp_path, monkeypatch):
 # when H, G and D's moment rows moved to boundary integrals; the holed
 # out.vtk when the vertex coarse space of CG on the condensed system came
 # to be solved exactly; the holed err.csv when the error norms came to take
-# the gradient of the projection from the basis value table; the
-# distortedQuads out.vtk and err.csv and the convergence table when the
-# exact coarse factor came to merge its level sets into wider blocks.
+# the gradient of the projection from the basis value table; every
+# out.vtk and err.csv and the convergence table when CG's preconditioner
+# became the symmetric two-level cycle.
 #
 # Re-recording: a change that alters the arithmetic on purpose (a new
 # summation order, quadrature or solver) records new digests here and in
@@ -212,19 +212,19 @@ def test_dump_matrices_builds_one_group(tmp_path, monkeypatch):
 # other change of a digest is a defect.
 SOLVE_SHA256 = {
     "distortedQuads": {
-        "out.vtk": "e3e9bb9138521c0ee62be8c52b5f30c2ccb66093087c0fcfdd8ce79c60ed2ad9",
-        "err.csv": "f714041dbab26fd2c024176a0304fc6fc21e5a67922f4cf76c8da60168ab5ae4",
+        "out.vtk": "7101c09f70aef55acf6691a19a86dcce73a5c150166ddeff4325794ef1170f0e",
+        "err.csv": "f5f63bfdab0eb80cd134f0f57407ced20d02f559ef7ddf88646a53411c233b3c",
         "matrices_element5.csv":
             "a8d5063a0594ad71aacf10514faa82fee5e08985ba74435e292a1dde4f4f6042",
     },
     "holed": {
-        "out.vtk": "3e997f03776c4f02f36057e569aa3376911873de8c11861bbbb19923d5b61ab1",
-        "err.csv": "0dcc5e6e5c50887cf55e69acadc16de05a70499475af83971312a9da43c6286e",
+        "out.vtk": "4239c302522e687aacb6fd9ce7ede898508d4685fe874311501dc51d8cda8c7b",
+        "err.csv": "60e87d29ef26087a7a7c666e509f7be58411bdecbcfb74ff726c5cf6500e029b",
         "matrices_element0.csv":
             "d85f232a6846db30ec68c7f77a3b83162ee79d6fa3fdae3180fc5be115f95252",
     },
 }
-CONVERGENCE_SHA256 = "ca8c2fe5133065230162f1cc034c81181fec45c37a9044ea01048435e15d3192"
+CONVERGENCE_SHA256 = "04f4d0670685bbe829e76ef0536375a66e4df8b67c0bf70ca783e549ec72374d"
 
 
 def sha256(path):

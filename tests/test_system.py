@@ -399,13 +399,13 @@ def test_cg_stops_on_breakdown(A):
 
 
 class CountingOperator:
-    """A matrix that counts its products with a vector."""
+    """A matrix that counts its products; its other attributes are A's."""
 
     def __init__(self, A):
         self.A, self.products = A, 0
 
-    def diagonal(self):
-        return self.A.diagonal()
+    def __getattr__(self, name):
+        return getattr(self.A, name)
 
     def __matmul__(self, v):
         self.products += 1
@@ -421,21 +421,23 @@ def hat_coarse_space(A, width):
 
 @pytest.mark.parametrize(
     "two_level, tol, products",
-    [(False, 1e-13, 103), (True, 5e-14, 38)],
+    [(False, 1e-13, 103), (True, 5e-14, 45)],
     ids=["jacobi", "two-level"],
 )
 def test_cg_restarts_from_the_true_residual(two_level, tol, products):
     # the recurrence residual meets tol once while b - A x does not: one
     # product more checks it, CG restarts from it, and one more at the
     # real stop.  With the exact coarse solve b - A x levels off at about
-    # 9e-14, so that case needs a tol below it.
+    # 9e-14, so that case needs a tol below it.  The two-level cycle makes
+    # one product more before each step (the last is a stop) and forms
+    # A P once.
     n = 100
     A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     b = np.random.default_rng(0).standard_normal(n)
     op = CountingOperator(A)
     coarse = hat_coarse_space(A, 4) if two_level else None
     x, it, res, ok = jacobi_cg(op, b, tol, 10 * n, coarse)
-    assert ok and op.products == it + 2 == products
+    assert ok and op.products == (2 * it + 3 if two_level else it + 2) == products
     assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= tol
 
 
@@ -666,19 +668,13 @@ def components(A):
         reach = wider
 
 
-@pytest.mark.parametrize("kind", ["cut", "merged", "two components", "no free vertex"])
-@given(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
-@example(3, 3, 8601)  # the cut leaves a sliver: its H is singular
-@example(5, 3, 31)  # CG meets its target on S, the recovered moments miss tol
-# cuts whose solve misses tol = 1e-12 within twice the rounding floor
-@example(5, 3, 831303)
-@example(5, 3, 643667599)
-@example(4, 3, 1322537447)
-@example(5, 3, 633211230)
-@example(6, 3, 3218031636)
-@example(4, 3, 2391259022)
-@settings(max_examples=10, deadline=None)
-def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
+def constrained_set(kind, n, k, seed):
+    """The solve with a unit load on distortedQuads:n at order k, every
+    boundary value 0, as `kind` makes it: "cut" by a line drawn from
+    seed, "merged" with a finer column of quads along x = 1 (hanging
+    nodes), "two components" with the middle column of vertices held too,
+    or "no free vertex" with every vertex held; with the generator, whose
+    draws go on from the cut's."""
     rng = np.random.default_rng(seed)
     mesh = gen_structured("distortedQuads", n)
     if kind == "cut":
@@ -694,13 +690,30 @@ def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
     sys_ = assemble_cut(mesh, k, f) if kind == "cut" else assemble(mesh, k, f)
     apply_dirichlet(sys_, lambda x, y: np.zeros_like(x))
     if kind == "two components":  # the middle column of vertices held too
-        assume(n >= 4)
         middle = n // 2 + (n + 1) * np.arange(n + 1)
         sys_.constrained_ids = np.union1d(sys_.constrained_ids, middle)
         sys_.constrained_values = np.zeros(len(sys_.constrained_ids))
     elif kind == "no free vertex":
         sys_.constrained_ids = np.union1d(sys_.constrained_ids, np.arange(mesh.num_vertices))
         sys_.constrained_values = np.zeros(len(sys_.constrained_ids))
+    return sys_, rng
+
+
+@pytest.mark.parametrize("kind", ["cut", "merged", "two components", "no free vertex"])
+@given(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+@example(3, 3, 8601)  # the cut leaves a sliver: its H is singular
+@example(5, 3, 31)  # CG meets its target on S, the recovered moments miss tol
+# cuts whose solve misses tol = 1e-12 within twice the rounding floor
+@example(5, 3, 831303)
+@example(5, 3, 643667599)
+@example(4, 3, 1322537447)
+@example(5, 3, 633211230)
+@example(6, 3, 3218031636)
+@example(4, 3, 2391259022)
+@settings(max_examples=10, deadline=None)
+def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
+    assume(kind != "two components" or n >= 4)
+    sys_, rng = constrained_set(kind, n, k, seed)
     S, *_, (P, factor) = _condensed(sys_)
     Ac = (P.T @ (S @ P)).tocsr()
     if kind in ("two components", "no free vertex"):
@@ -711,6 +724,19 @@ def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
     assert np.linalg.norm(Ac @ y - b) <= 1e-12 * np.linalg.norm(b)
     x, rep = solve(sys_)
     assert rep.converged or rep.reason == "at the floor"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["cut", "merged", "two components", "no free vertex", "holed"])
+def test_two_level_cycle_is_symmetric_positive_definite(kind, k):
+    # B, the cycle as one matrix, formed column by column: CG needs one
+    # fixed SPD operator, which the l1 smoother makes it for OMEGA < 2
+    sys_ = sine_problem(holed_mesh(), k) if kind == "holed" else constrained_set(kind, 5, k, 31)[0]
+    S, _, _, _, _, d, SP, Pt, (P, factor) = _condensed(sys_)
+    cycle = system._preconditioner(S, (P, factor, Pt, SP), d)
+    B = np.column_stack([cycle(e).copy() for e in np.eye(S.shape[0])])
+    assert np.abs(B - B.T).max() <= 1e-13 * np.abs(B).max()
+    assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 0.0
 
 
 def level_sets_by_queue(A):
@@ -859,9 +885,9 @@ def test_failed_solve_reports_its_floor_and_reason(reason, monkeypatch):
 
 
 def test_recovery_retry_continues_from_the_first_run(monkeypatch):
-    # the pinned cut case: CG meets its target on S in 20 iterations, the
-    # recovered moments miss tol, and the retry starts from that x
-    rng = np.random.default_rng(31)
+    # a cut case: CG meets its target on S in 16 iterations, the recovered
+    # moments miss tol, and the retry starts from that x
+    rng = np.random.default_rng(1938)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mesh = cut_mesh(gen_structured("distortedQuads", 5),
@@ -877,7 +903,7 @@ def test_recovery_retry_continues_from_the_first_run(monkeypatch):
     monkeypatch.setitem(system.SOLVERS, "jacobi_cg", recording)
     x, rep = solve(sys_)
     assert rep.converged and rep.reason == "met"
-    assert [out[1] for _, out in runs] == [20, 1] and rep.iterations == 21
+    assert [out[1] for _, out in runs] == [16, 1] and rep.iterations == 17
     assert runs[0][0] is None and np.array_equal(runs[1][0], runs[0][1][0])
 
 
@@ -918,6 +944,43 @@ def test_two_level_iterations_do_not_grow_with_refinement():
         assert rep.converged
         iterations[n] = rep.iterations
     assert iterations[32] <= 1.5 * iterations[8]
+    assert max(iterations.values()) <= 10
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_solve_at_high_degree_stops_when_it_can_go_no_further(n):
+    # at k = 6 the attainable accuracy on S is above tol = 1e-12: CG's
+    # restarts from the true residual stop gaining, and the solve stops
+    # there instead of running to maxiter (15,690 iterations at n = 8)
+    x, rep = solve(sine_problem(gen_structured("distortedQuads", n), 6))
+    assert rep.iterations <= 100 and rep.reason != "maxiter"
+
+
+def test_cg_stops_when_a_restart_gains_nothing():
+    # a tol below what b - A x can reach: the second restart's true
+    # residual is not below half of the first's
+    n = 100
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    b = np.random.default_rng(0).standard_normal(n)
+    x, it, res, ok = jacobi_cg(A, b, 1e-18, 10 * n, hat_coarse_space(A, 4))
+    assert ok is None and it < 10 * n
+    assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) > 1e-18
+
+
+@pytest.mark.parametrize("case", ["distortedQuads", "holed", "moment held"])
+def test_lifting_reads_only_the_constrained_columns(case):
+    # b - A_c g, with A_c = A[:, constrained], is bitwise b - A x_g with x_g
+    # zero off the constrained dofs: the same terms in the same order
+    mesh = holed_mesh() if case == "holed" else gen_structured("distortedQuads", 8)
+    sys_ = sine_problem(mesh, 3)
+    if case == "moment held":
+        sys_.constrained_ids = np.append(sys_.constrained_ids, sys_.dofmap.moment_offset + 7)
+        sys_.constrained_values = np.append(sys_.constrained_values, 0.3)
+    A_c = _condensed(sys_)[4]
+    fixed = np.zeros(sys_.num_dofs)
+    fixed[sys_.constrained_ids] = sys_.constrained_values
+    lifted = sys_.b - A_c @ sys_.constrained_values
+    assert lifted.tobytes() == (sys_.b - sys_.A @ fixed).tobytes()
 
 
 # -- patch tests ---------------------------------------------------------
