@@ -18,19 +18,13 @@ one group's intermediates, at most `localmat.GROUP_CAP` members, are
 alive at a time.  Dirichlet conditions are applied by symmetric
 elimination: constrained columns move to the right-hand side and the
 reduced operator stays SPD, which is what the preconditioned CG relies
-on.  The moment dofs couple only within their element, so `solve`
-condenses them out block by block: CG runs on their Schur complement,
-preconditioned by one symmetric two-level cycle, an l1-Jacobi smoothing
-step on either side of a coarse correction on the vertices, set up once
-per constrained set with the condensed operator.  The coarse problem is
-solved exactly, by a block LDL^T factor of it in level-set order, made
-once per constrained set: consecutive level sets are merged into blocks
-no wider than the widest one, W, so the factor keeps at most 2 W N
-entries for N coarse unknowns, and its build holds those rows plus one
-block's temporaries.  It solves over views of a work vector of its own,
-so one factor serves one solve at a time.  CG stops where restarting
-from the true residual no longer gains, and a solve that misses the
-tolerance reports the rounding floor and the reason it stopped.
+on.  `solve` runs on a `Condensed`, built once per A and constrained set:
+the moment dofs, which couple only within their element, condensed out
+block by block, and one preconditioner for CG on their Schur complement,
+a symmetric two-level cycle whose exact coarse solver, `LevelFactor`, is
+one constructor argument.  CG stops where restarting from the true
+residual no longer gains, and a solve that misses the tolerance reports
+the rounding floor and the reason it stopped.
 scipy.sparse is imported by the first assembly or matrix built
 (`_sparse`), not with the module, so mesh tooling never loads it.
 The error norms read the gradient of each element's projection off the
@@ -110,7 +104,7 @@ class SparseSystem:
         self.k = k
         self.constrained_ids = None
         self.constrained_values = None
-        self.condensed = None  # (constrained_ids bytes, `_condensed` operators)
+        self.condensed = None  # the `Condensed` the last solve ran on
 
     @property
     def num_dofs(self):
@@ -272,55 +266,51 @@ def apply_dirichlet(system, g):
 
 
 # the weight of the two-level cycle's smoother r / d, d the l1 row sums of
-# A over OMEGA: lambda(D_l1^-1 A) <= 1, so the cycle is SPD for any
+# S over OMEGA: lambda(D_l1^-1 S) <= 1, so the cycle is SPD for any
 # OMEGA < 2, and 1.6 to 1.8 was a flat optimum on every mesh tried
 OMEGA = 1.7
 
 
-def _l1_divisor(A):
-    """The l1 row sums of the CSR matrix A over OMEGA, read off its
-    entries, with zeros replaced by ones: the divisor of the two-level
-    cycle's smoother."""
-    sums = np.zeros(A.shape[0])
-    rows = np.flatnonzero(np.diff(A.indptr))
-    sums[rows] = np.add.reduceat(np.abs(A.data), A.indptr[rows])
-    sums /= OMEGA
-    sums[sums == 0.0] = 1.0
-    return sums
+def _jacobi(A):
+    """Jacobi for A: z = r / d, d A's diagonal with its zeros replaced by
+    ones, written into one array of its own."""
+    d = A.diagonal().copy()
+    d[d == 0.0] = 1.0
+    z = np.empty(len(d))
+    return lambda r: np.divide(r, d, out=z)
 
 
-def _preconditioner(A, coarse, diag):
-    """The preconditioner of `jacobi_cg`, which see for coarse and diag:
-    a function of r that writes z into one array of its own and returns
-    it."""
-    if diag is None and coarse is not None:
-        diag = _l1_divisor(A)
-    elif diag is None:
-        diag = A.diagonal().copy()
-        diag[diag == 0.0] = 1.0
-    z = np.empty(len(diag))
-    if coarse is None:
-        return lambda r: np.divide(r, diag, out=z)
-    P, Ac = coarse[:2]
-    Pt = coarse[2] if len(coarse) > 2 else P.T
-    AP = coarse[3] if len(coarse) > 3 else A @ P
-    factor = Ac if isinstance(Ac, LevelFactor) else LevelFactor(Ac)
+def _two_level(S, P, Pt, SP, coarse):
+    """The symmetric two-level cycle for the CSR matrix S: z = r / d, t =
+    r - S z; c = coarse.solve(P^T t), z += P c; t -= (S P) c, z += t / d,
+    written into one array of its own.  Pt is P^T in CSR (scipy's P.T is
+    a slower CSC view), SP is S P, coarse solves P^T S P exactly, and d
+    is S's l1 row sums over OMEGA, zeros replaced by ones: the cycle is
+    one fixed SPD operator."""
+    d = np.zeros(S.shape[0])
+    rows = np.flatnonzero(np.diff(S.indptr))
+    d[rows] = np.add.reduceat(np.abs(S.data), S.indptr[rows])
+    d /= OMEGA
+    d[d == 0.0] = 1.0
+    z = np.empty(len(d))
 
     def cycle(r):
-        np.divide(r, diag, out=z)
-        t = r - A @ z
-        c = factor.solve(Pt @ t)
+        np.divide(r, d, out=z)
+        t = r - S @ z
+        c = coarse.solve(Pt @ t)
         np.add(z, P @ c, out=z)
-        t -= AP @ c
-        t /= diag
+        t -= SP @ c
+        t /= d
         return np.add(z, t, out=z)
 
     return cycle
 
 
-def jacobi_cg(A, b, tol, maxiter, coarse=None, x0=None, diag=None):
-    """Conjugate gradients preconditioned by Jacobi, or by one symmetric
-    two-level cycle when `coarse` is given.
+def jacobi_cg(A, b, tol, maxiter, precondition=None, x0=None):
+    """Conjugate gradients preconditioned by precondition(r) = B r, for
+    one fixed SPD B, so that CG keeps its finite termination, or by
+    Jacobi on A's diagonal (`_jacobi`) if None.  Each B r is read before
+    the next call, so all may be written into one array.
 
     Returns (x, iterations, relative residual, converged).  CG starts from
     x0 if given, else from zero.  The test and the residual are of the
@@ -333,24 +323,14 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None, x0=None, diag=None):
     iterations.  A breakdown, where p.Ap is not positive or not finite (A
     is not SPD, or holds a NaN), stops at once: converged=False, with the
     iterations and the recurrence residual from before it.
-
-    Jacobi takes z = r / d, with d A's diagonal, its zeros replaced by
-    ones.  coarse = (P, Ac) makes it the cycle z = r / d, t = r - A z;
-    c = Ac^-1 P^T t, z += P c; t -= (A P) c, z += t / d, with d A's l1
-    row sums over OMEGA (`_l1_divisor`) and Ac = P^T A P given as its
-    `LevelFactor` (or as a matrix, which is factored here).  A third and
-    a fourth entry, P^T as a CSR matrix and A P, save forming them here
-    (scipy's P.T is a CSC view that is slower to apply).  The coarse solve
-    is exact and both smoothing steps are the same, so the preconditioner
-    is one fixed SPD operator and CG keeps its finite termination.  diag,
-    if given, is d, which saves computing it again.
     """
     n = len(b)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     bnorm = math.sqrt(b @ b)
     if n == 0 or bnorm == 0.0:
         return np.zeros(n), 0, 0.0, True
-    precondition = _preconditioner(A, coarse, diag)
+    if precondition is None:
+        precondition = _jacobi(A)
     r = b.copy() if x0 is None else b - A @ x
     z = precondition(r)
     p = z.copy()
@@ -377,7 +357,7 @@ def jacobi_cg(A, b, tol, maxiter, coarse=None, x0=None, diag=None):
                 return x, it, residual, None
             restarted = residual
             p[:] = 0.0  # the next direction is the preconditioned r alone
-        precondition(r)
+        z = precondition(r)
         rz_next = float(r @ z)
         p *= rz_next / rz
         p += z
@@ -413,7 +393,7 @@ def _level_sets(indptr, indices):
 
 
 class LevelFactor:
-    """Exact block LDL^T factor of a sparse SPD matrix A in level-set order.
+    """Exact block LDL^T factor of an SPD CSR matrix A in level-set order.
 
     Ordered by `_level_sets` of its own graph, A is block tridiagonal in
     its level sets.  Consecutive level sets are merged into blocks, each
@@ -441,7 +421,6 @@ class LevelFactor:
     """
 
     def __init__(self, A):
-        A = _csr(A)
         if not A.has_canonical_format:  # one entry per (row, col)
             A = A.copy()
             A.sum_duplicates()
@@ -523,10 +502,8 @@ def _coarse_space(system, inner):
     """P, the linear interpolation from the free vertices onto the free
     skeleton dofs `inner` (sorted, so the free vertices lead it): the
     identity on vertices, (1 - t) u_lo + t u_hi at the Lobatto node t of
-    edge (lo, hi).  None at k = 1, where every skeleton dof is a vertex."""
+    edge (lo, hi), for k >= 2."""
     k, nv = system.k, system.mesh.num_vertices
-    if k == 1:
-        return None
     t = gauss_lobatto_1d(k + 1)[0][1:k]
     ends = system.mesh.edge_ends
     on_edges = nv + np.arange(len(ends) * (k - 1))
@@ -558,66 +535,73 @@ def _moment_blocks(A, mo, nel, nm):
     return blocks[:, :nm].reshape(nel, nm, nm)
 
 
-def _condensed(system):
-    """(S, A_mb, M, A_bm M, A_c, d, S P, P^T, coarse) that condense the
-    moment dofs m out of the free dofs b + m, kept on the system for its
-    constrained set (A stays fixed), with what every solve reads: A_c =
-    A[:, constrained] (None when nothing is), which lifts the boundary
-    values onto the right hand side, and the parts of `jacobi_cg`'s
-    preconditioner.  The transposes A_mb = A_bm^T and P^T are CSR copies,
-    which apply faster than scipy's CSC views.
+class Condensed:
+    """The solve of one A on one constrained set: the moment dofs m are
+    condensed out of the free skeleton dofs b, CG runs on the Schur
+    complement S = A_bb - A_bm M A_mb, M = A_mm^-1, with `precondition`,
+    and `rhs` and `recover` are the stages on either side of it.
 
-    M = A_mm^-1 is one batched inverse of the (elements, nm, nm) diagonal
-    blocks (`_moment_blocks`); a constrained moment's row and column are
-    the identity's there and zero in M.  A singular or non-finite block
-    makes M NaN: CG breaks down.  At k = 1 there are no moments: A_mb, M
-    and A_bm M are None, and S is A on the free dofs with its stored zeros
-    dropped, as the subtraction of a product with no entries drops them.
-    coarse is (P, the `LevelFactor` of P^T (S P)) for the two-level cycle,
-    with P from `_coarse_space`, and d is S's l1 row sums over OMEGA
-    (`_l1_divisor`).  At k = 1 there is no coarse space: S P, P^T and
-    coarse are None, and d is S's diagonal, zeros replaced by ones, for
-    Jacobi.
+    `free` and `inner` are the free dofs and the free skeleton dofs; A_c
+    = A[constrained].T (A is symmetric to the bit) and A_mb = A_bm^T, a
+    CSR copy faster to apply than scipy's CSC view.  M inverts the moment
+    blocks (`_moment_blocks`) in one batch, a constrained moment's row
+    and column the identity's there and zero in M; a singular or
+    non-finite block makes M NaN, and CG breaks down.  `precondition`,
+    built once, is the two-level cycle over P of `_coarse_space` and the
+    solver of P^T S P that the class passed as `coarse` builds, kept as
+    `coarse`.  At k = 1 A_mb, M, A_bm M, P and coarse are None, S is A on
+    the free dofs with its stored zeros dropped (as the subtraction of an
+    empty product drops them) and `precondition` is Jacobi.
+
+    The object is of A itself, kept as `A`: `solve` builds a new one when
+    A is replaced, so A must be replaced, not edited in place.
     """
-    ids = system.constrained_ids
-    key = np.asarray([] if ids is None else ids, dtype=np.intp).tobytes()
-    if system.condensed is None or system.condensed[0] != key:
-        free, mo, n = system.free_ids(), system.dofmap.moment_offset, system.num_dofs
-        nel, nm = system.mesh.num_elements, basis_size(system.k - 2)
-        inner = free[free < mo]
-        A_inner = system.A[inner]
+
+    def __init__(self, system, coarse=LevelFactor):
+        A, ids, mo = system.A, system.constrained_ids, system.dofmap.moment_offset
+        n, nel, nm = system.num_dofs, system.mesh.num_elements, basis_size(system.k - 2)
+        self.A, self.ids, self.mo = A, None if ids is None else np.array(ids), mo
+        self.free = system.free_ids()
+        self.inner = inner = self.free[self.free < mo]
+        A_inner = A[inner]
         S, A_bm = A_inner[:, inner], A_inner[:, mo:]
         del A_inner
-        A_mb = M = A_bm_M = None
-        if nm:
-            moments = np.arange(n - mo).reshape(nel, nm)
-            blocks = _moment_blocks(system.A, mo, nel, nm)
-            keep = np.isin(moments + mo, free)
-            both = keep[:, :, None] & keep[:, None, :]
-            try:
-                inv = np.linalg.inv(np.where(both, blocks, np.eye(nm))) * both
-            except np.linalg.LinAlgError:
-                inv = np.full(blocks.shape, np.nan)
-            rows, cols = np.repeat(moments, nm, axis=1), np.tile(moments, (1, nm))
-            M = _csr((inv.ravel(), (rows.ravel(), cols.ravel())), shape=(n - mo,) * 2)
-            A_bm_M = A_bm @ M
-            A_mb = A_bm.T.tocsr()
-            del A_bm
-            S = S - A_bm_M @ A_mb
-        else:
+        self.A_c = None if ids is None else A[ids].T
+        self.A_mb = self.M = self.A_bm_M = self.P = self.coarse = None
+        if not nm:
             S.eliminate_zeros()
-        A_c = None if ids is None else system.A[:, ids]
-        P = _coarse_space(system, inner)
-        if P is None:
-            d = S.diagonal()
-            d[d == 0.0] = 1.0
-            SP = Pt = coarse = None
-        else:
-            d = _l1_divisor(S)
-            SP, Pt = S @ P, P.T.tocsr()
-            coarse = (P, LevelFactor(Pt @ SP))
-        system.condensed = (key, S, A_mb, M, A_bm_M, A_c, d, SP, Pt, coarse)
-    return system.condensed[1:]
+            self.S, self.precondition = S, _jacobi(S)
+            return
+        moments = np.arange(n - mo).reshape(nel, nm)
+        blocks = _moment_blocks(A, mo, nel, nm)
+        keep = np.isin(moments + mo, self.free)
+        both = keep[:, :, None] & keep[:, None, :]
+        try:
+            inv = np.linalg.inv(np.where(both, blocks, np.eye(nm))) * both
+        except np.linalg.LinAlgError:
+            inv = np.full(blocks.shape, np.nan)
+        cols, indptr = np.tile(moments, (1, nm)).ravel(), np.arange(0, inv.size + 1, nm)
+        self.M = _csr((inv.ravel(), cols, indptr), shape=(n - mo,) * 2)
+        self.A_bm_M = A_bm @ self.M
+        self.A_mb = A_bm.T.tocsr()
+        del A_bm
+        self.S = S = S - self.A_bm_M @ self.A_mb
+        self.P = P = _coarse_space(system, inner)
+        SP, Pt = S @ P, P.T.tocsr()
+        self.coarse = coarse(Pt @ SP)
+        self.precondition = _two_level(S, P, Pt, SP, self.coarse)
+
+    def rhs(self, b, g):
+        """(r, S's right hand side r_b - A_bm M r_m), r = b - A_c g the
+        constrained values g moved over: for sorted ids bitwise b - A x_g,
+        x_g zero off them, as it sums the same terms in the same order."""
+        r = b.copy() if self.A_c is None else b - self.A_c @ g
+        return r, r[self.inner] if self.M is None else r[self.inner] - self.A_bm_M @ r[self.mo :]
+
+    def recover(self, x, r):
+        """Write x's moments, M (r_m - A_mb x_b), from its skeleton dofs."""
+        if self.M is not None:
+            x[self.mo :] = self.M @ (r[self.mo :] - self.A_mb @ x[self.inner])
 
 
 def check_solve_args(tol, maxiter):
@@ -630,51 +614,40 @@ def check_solve_args(tol, maxiter):
 
 
 def solve(system, tol=1e-12, maxiter=None):
-    """Solve the (reduced) system; boundary values are re-inserted.
-
-    The solver runs on the Schur complement S of `_condensed`, with its
-    coarse space, so the report's iterations are on S, with tol rescaled
-    so that its residual and `converged` are of the whole reduced system
-    after the moments are recovered: ||rhs_f - A_ff x_f|| / ||rhs_f|| <=
-    tol.  If CG meets its target on S but that residual misses tol by
-    more than twice the rounding floor, CG runs once more from the first
-    run's x, its target scaled by tol / 2 over the miss, within the
-    iterations left;
-    the report sums both runs.  Non-convergence is reported through the
-    flag on the report, with the rounding floor and the reason.
+    """Solve the (reduced) system on its `Condensed`, `system.condensed`,
+    built again when A (the object) or the constrained ids change;
+    boundary values are re-inserted.  The report's iterations are CG's
+    on S, with tol rescaled so that its residual and `converged` are of
+    the whole reduced system after the moments are recovered: ||rhs_f -
+    A_ff x_f|| / ||rhs_f|| <= tol.  If CG meets its target on S but that
+    residual misses tol by more than twice the rounding floor, CG runs
+    once more from the first run's x, its target scaled by tol / 2 over
+    the miss, within the iterations left; the report sums both runs.
+    Non-convergence is reported through the flag on the report, with the
+    rounding floor and the reason.
     """
     check_solve_args(tol, maxiter)
-    S, A_mb, M, A_bm_M, A_c, d, SP, Pt, coarse = _condensed(system)
-    free, mo = system.free_ids(), system.dofmap.moment_offset
-    inner = free[free < mo]
-    fixed = np.zeros(system.num_dofs)
-    r = system.b.copy()
-    if A_c is not None:
-        fixed[system.constrained_ids] = system.constrained_values
-        # A_c sums the nonzero terms of A @ fixed in their order, so
-        # rhs_f = r[free] is bitwise b_f - A_fc g; products of the full A
-        # with vectors zero on the constrained dofs round like A_ff's
-        r -= A_c @ system.constrained_values
-    bnorm = float(np.linalg.norm(r[free]))
-    rhs = r[inner] if M is None else r[inner] - A_bm_M @ r[mo:]
+    c = system.condensed
+    if c is None or c.A is not system.A or not np.array_equal(c.ids, system.constrained_ids):
+        c = system.condensed = Condensed(system)
+    r, rhs = c.rhs(system.b, system.constrained_values)
+    bnorm = float(np.linalg.norm(r[c.free]))
     if maxiter is None:
-        maxiter = max(10 * len(free), 1)
+        maxiter = max(10 * len(c.free), 1)
     target = tol * bnorm / (float(np.linalg.norm(rhs)) or 1.0)
-    coarse = None if coarse is None else coarse + (Pt, SP)
     x, x0, iterations, elapsed = np.zeros(system.num_dofs), None, 0, 0.0
     for retried in (False, True):
         start = time.perf_counter()
-        x[inner], its, _, met = SOLVERS["jacobi_cg"](
-            S, rhs, target, maxiter - iterations, coarse, x0, d)
+        x[c.inner], its, _, met = SOLVERS["jacobi_cg"](
+            c.S, rhs, target, maxiter - iterations, c.precondition, x0)
         elapsed += time.perf_counter() - start
         iterations += its
-        if M is not None:
-            x[mo:] = M @ (r[mo:] - A_mb @ x[inner])
-        residual = float(np.linalg.norm((r - system.A @ x)[free])) / (bnorm or 1.0)
+        c.recover(x, r)
+        residual = float(np.linalg.norm((r - system.A @ x)[c.free])) / (bnorm or 1.0)
         report = SolveReport(iterations, residual, elapsed, residual <= tol)
         if report.converged:
             break
-        spread = (abs(system.A) @ np.abs(x))[free] + np.abs(r[free])
+        spread = (abs(system.A) @ np.abs(x))[c.free] + np.abs(r[c.free])
         report.floor = float(np.finfo(float).eps * np.linalg.norm(spread)) / (bnorm or 1.0)
         if residual <= 2.0 * report.floor:
             report.reason = "at the floor"
@@ -687,8 +660,10 @@ def solve(system, tol=1e-12, maxiter=None):
         if report.reason != "recovery" or retried or iterations >= maxiter:
             break
         target *= 0.5 * tol / residual
-        x0 = x[inner]
-    return x + fixed, report
+        x0 = x[c.inner]
+    if system.constrained_ids is not None:  # x was 0 there, so A @ x was A_ff x_f
+        x[system.constrained_ids] += system.constrained_values
+    return x, report
 
 
 def interpolate_dofs(mesh, k, u):

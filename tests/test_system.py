@@ -24,7 +24,7 @@ from polyvem.mesh import (
     merge_meshes,
 )
 from polyvem.system import (
-    _condensed,
+    Condensed,
     _level_sets,
     _moment_blocks,
     _reduce_triplets,
@@ -412,11 +412,13 @@ class CountingOperator:
         return self.A @ v
 
 
-def hat_coarse_space(A, width):
-    """Linear hats centred every `width` nodes of the 1d Laplacian A."""
+def hat_cycle(A, width):
+    """The two-level cycle for the 1d Laplacian A over linear hats centred
+    every `width` nodes, built as `Condensed` builds its own."""
     i = np.arange(A.shape[0])
     P = sp.csr_matrix(np.maximum(0.0, 1.0 - np.abs(i[:, None] - i[width - 1 :: width]) / width))
-    return P, (P.T @ (A @ P)).tocsr()
+    AP, Pt = A @ P, P.T.tocsr()
+    return system._two_level(A, P, Pt, AP, system.LevelFactor(Pt @ AP))
 
 
 @pytest.mark.parametrize(
@@ -435,8 +437,8 @@ def test_cg_restarts_from_the_true_residual(two_level, tol, products):
     A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     b = np.random.default_rng(0).standard_normal(n)
     op = CountingOperator(A)
-    coarse = hat_coarse_space(A, 4) if two_level else None
-    x, it, res, ok = jacobi_cg(op, b, tol, 10 * n, coarse)
+    precondition = hat_cycle(op, 4) if two_level else None
+    x, it, res, ok = jacobi_cg(op, b, tol, 10 * n, precondition)
     assert ok and op.products == (2 * it + 3 if two_level else it + 2) == products
     assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) <= tol
 
@@ -523,16 +525,57 @@ def test_condensed_solve_matches_uncondensed_cg(name, k):
     assert max_rel_diff(x, uncondensed(sys_)) <= 1e-10
 
 
-def test_repeated_dirichlet_solves_reuse_the_condensed_operator():
+def test_repeated_dirichlet_solves_reuse_the_condensed_operator(monkeypatch):
+    # one operator, one preconditioner and one coarse factor serve every
+    # solve on the constrained set
     mesh = gen_structured("distortedQuads", 8)
     sys_ = assemble(mesh, 3)
-    operators = []
+    builds, build = [], system.LevelFactor.__init__
+    monkeypatch.setattr(system.LevelFactor, "__init__",
+                        lambda self, A: builds.append(build(self, A)))
+    operators, preconditioners, built = [], [], []
     for g in (lambda x, y: x * y - y**3, lambda x, y: np.exp(x) * np.cos(y)):
+        before = len(builds)
         x, rep = solve(apply_dirichlet(sys_, g))
+        built.append(len(builds) - before)
         operators.append(sys_.condensed)
+        preconditioners.append(sys_.condensed.precondition)
         fresh, _ = solve(apply_dirichlet(assemble(mesh, 3), g))
         assert rep.converged and np.array_equal(x, fresh)
     assert operators[0] is operators[1]
+    assert preconditioners[0] is preconditioners[1]
+    assert built == [1, 0]
+
+
+def test_replacing_the_operator_rebuilds_the_condensed_operator():
+    # the condensed operator is of A itself: a new A on the same
+    # constrained set solved with the old one stalls at residual 1
+    sys_ = sine_problem(gen_structured("distortedQuads", 4), 2)
+    solve(sys_)
+    first = sys_.condensed
+    sys_.A = (2.0 * sys_.A).tocsr()
+    x, rep = solve(sys_)
+    fresh = sine_problem(gen_structured("distortedQuads", 4), 2)
+    fresh.A = (2.0 * fresh.A).tocsr()
+    y, _ = solve(fresh)
+    assert sys_.condensed is not first and sys_.condensed.A is sys_.A
+    assert rep.converged and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n, most", [(2, 22), (32, 23)])
+def test_condensed_setup_builds_few_sparse_matrices(n, most, monkeypatch):
+    # each scipy sparse object costs format checks and index-dtype probes
+    # whatever its size: a fixed cost of the set-up that host speed cannot
+    # move, so a change that adds constructions fails here without timing
+    from scipy.sparse._base import _spbase
+
+    sys_ = sine_problem(gen_structured("distortedQuads", n), 2)
+    built, init = [], _spbase.__init__
+    monkeypatch.setattr(_spbase, "__init__",
+                        lambda self, *a, **kw: built.append(init(self, *a, **kw)))
+    Condensed(sys_)
+    monkeypatch.undo()
+    assert len(built) <= most
 
 
 def test_constraining_a_moment_dof_rebuilds_the_condensed_operator():
@@ -549,7 +592,7 @@ def test_constraining_a_moment_dof_rebuilds_the_condensed_operator():
 
 
 def scattered_moment_blocks(A, mo, nel, nm):
-    """The moment blocks as `_condensed` took them before `_moment_blocks`:
+    """The moment blocks as `Condensed` took them before `_moment_blocks`:
     A's moment rows and columns sliced, then scattered by position."""
     A_mm = A[mo:, mo:].tocoo()
     owner, local = np.repeat(np.arange(nel), nm), np.tile(np.arange(nm), nel)
@@ -646,7 +689,7 @@ def test_coarse_space_interpolates_linears_exactly(n, k, cut, coeffs, line):
             assume(False)
     # unconstrained, P maps every vertex onto every skeleton dof
     sys_ = assemble_cut(mesh, k) if cut else assemble(mesh, k)
-    P, _ = _condensed(sys_)[-1]
+    P = Condensed(sys_).P
     points = sys_.dofmap.dof_points[: sys_.dofmap.moment_offset]
     u = coeffs[0] + coeffs[1] * points[:, 0] + coeffs[2] * points[:, 1]
     assert np.allclose(P @ u[: mesh.num_vertices], u, rtol=0.0, atol=1e-12)
@@ -654,7 +697,7 @@ def test_coarse_space_interpolates_linears_exactly(n, k, cut, coeffs, line):
     apply_dirichlet(sys_, lambda x, y: np.zeros_like(x))
     free = sys_.free_ids()
     inner = free[free < sys_.dofmap.moment_offset]
-    P_free, _ = _condensed(sys_)[-1]
+    P_free = Condensed(sys_).P
     assert (P_free != P[inner][:, inner[inner < mesh.num_vertices]]).nnz == 0
 
 
@@ -714,8 +757,8 @@ def constrained_set(kind, n, k, seed):
 def test_coarse_factor_solves_the_coarse_problem(kind, n, k, seed):
     assume(kind != "two components" or n >= 4)
     sys_, rng = constrained_set(kind, n, k, seed)
-    S, *_, (P, factor) = _condensed(sys_)
-    Ac = (P.T @ (S @ P)).tocsr()
+    c = Condensed(sys_)
+    Ac, factor = (c.P.T @ (c.S @ c.P)).tocsr(), c.coarse
     if kind in ("two components", "no free vertex"):
         assert components(Ac) == (2 if kind == "two components" else 0)
     b = rng.standard_normal(Ac.shape[0])
@@ -732,9 +775,8 @@ def test_two_level_cycle_is_symmetric_positive_definite(kind, k):
     # B, the cycle as one matrix, formed column by column: CG needs one
     # fixed SPD operator, which the l1 smoother makes it for OMEGA < 2
     sys_ = sine_problem(holed_mesh(), k) if kind == "holed" else constrained_set(kind, 5, k, 31)[0]
-    S, _, _, _, _, d, SP, Pt, (P, factor) = _condensed(sys_)
-    cycle = system._preconditioner(S, (P, factor, Pt, SP), d)
-    B = np.column_stack([cycle(e).copy() for e in np.eye(S.shape[0])])
+    c = Condensed(sys_)
+    B = np.column_stack([c.precondition(e).copy() for e in np.eye(c.S.shape[0])])
     assert np.abs(B - B.T).max() <= 1e-13 * np.abs(B).max()
     assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 0.0
 
@@ -775,8 +817,8 @@ FACTOR_MESHES = {
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", sorted(FACTOR_MESHES))
 def test_coarse_factor_blocks_merge_level_sets_within_the_bound(name, k):
-    S, *_, (P, factor) = _condensed(sine_problem(FACTOR_MESHES[name](), k))
-    Ac = (P.T @ (S @ P)).tocsr()
+    c = Condensed(sine_problem(FACTOR_MESHES[name](), k))
+    Ac, factor = (c.P.T @ (c.S @ c.P)).tocsr(), c.coarse
     N = Ac.shape[0]
     _, levels = _level_sets(Ac.indptr, Ac.indices)
     # the blocks tile the level-set order, each a run of whole level sets
@@ -801,9 +843,9 @@ def test_coarse_factor_solves_share_no_state():
     factors, rhs = [], []
     rng = np.random.default_rng(3)
     for mesh in (gen_structured("distortedQuads", 8), holed_mesh()):
-        *_, (P, factor) = _condensed(sine_problem(mesh, 3))
-        factors.append(factor)
-        rhs.append(rng.standard_normal(P.shape[1]))
+        c = Condensed(sine_problem(mesh, 3))
+        factors.append(c.coarse)
+        rhs.append(rng.standard_normal(c.P.shape[1]))
     fa, fb = factors
     a, b = rhs
     kept = a.copy()
@@ -821,7 +863,7 @@ def test_coarse_factor_solves_share_no_state():
 
 
 def coarse_operator(case):
-    """P^T S P as `_condensed` forms it for its coarse factor, or, for
+    """P^T S P as `Condensed` forms it for its coarse factor, or, for
     "singular", a path's graph Laplacian, whose last pivot is exactly 0."""
     if case == "singular":
         return sp.diags([-np.ones(4), [1.0, 2.0, 2.0, 2.0, 1.0], -np.ones(4)], [-1, 0, 1],
@@ -835,8 +877,8 @@ def coarse_operator(case):
     if case in ("two components", "no free vertex"):
         sys_.constrained_ids = np.union1d(sys_.constrained_ids, held)
         sys_.constrained_values = np.zeros(len(sys_.constrained_ids))
-    S, *_, Pt, (P, _) = _condensed(sys_)
-    return Pt @ (S @ P)
+    c = Condensed(sys_)
+    return c.P.T.tocsr() @ (c.S @ c.P)
 
 
 @pytest.mark.parametrize("case", ["k=2", "k=3", "holed", "two components", "no free vertex",
@@ -853,6 +895,20 @@ def test_coarse_factor_keeps_the_rows_of_the_list_build(case):
     assert x.tobytes() == oracle.solve(b).tobytes()
     assert np.isnan(x).any() == (case == "singular")
     assert (not rows) == (case == "no free vertex")
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_MESHES))
+def test_two_level_cycle_takes_any_exact_coarse_solver(name):
+    # the coarse solver is one constructor argument: the list-built factor
+    # solves to the bits of `LevelFactor`, so the cycle and CG do too
+    sys_ = sine_problem(FACTOR_MESHES[name](), 3)
+    ours, oracle = Condensed(sys_), Condensed(sys_, coarse=LevelFactorByLists)
+    assert isinstance(oracle.coarse, LevelFactorByLists)
+    r = np.random.default_rng(7).standard_normal(ours.S.shape[0])
+    assert ours.precondition(r).tobytes() == oracle.precondition(r).tobytes()
+    x, it, res, ok = jacobi_cg(ours.S, r, 1e-12, 1000, ours.precondition)
+    y, *again = jacobi_cg(oracle.S, r, 1e-12, 1000, oracle.precondition)
+    assert ok and x.tobytes() == y.tobytes() and again == [it, res, ok]
 
 
 @pytest.mark.parametrize("reason", ["at the floor", "maxiter", "breakdown", "recovery"])
@@ -896,8 +952,8 @@ def test_recovery_retry_continues_from_the_first_run(monkeypatch):
                            lambda x, y: np.zeros_like(x))
     runs = []
 
-    def recording(S, rhs, tol, maxiter, coarse, x0, diag):
-        runs.append((x0, jacobi_cg(S, rhs, tol, maxiter, coarse, x0, diag)))
+    def recording(S, rhs, tol, maxiter, precondition, x0):
+        runs.append((x0, jacobi_cg(S, rhs, tol, maxiter, precondition, x0)))
         return runs[-1][1]
 
     monkeypatch.setitem(system.SOLVERS, "jacobi_cg", recording)
@@ -932,9 +988,8 @@ def test_two_level_cg_terminates_within_the_unknowns(k):
     # with an exact coarse solve the preconditioner is one SPD operator,
     # so CG on S ends within as many iterations as S has unknowns
     sys_ = sine_problem(holed_mesh(), k)
-    S = _condensed(sys_)[0]
     x, rep = solve(sys_)
-    assert rep.converged and rep.iterations <= S.shape[0]
+    assert rep.converged and rep.iterations <= sys_.condensed.S.shape[0]
 
 
 def test_two_level_iterations_do_not_grow_with_refinement():
@@ -962,21 +1017,22 @@ def test_cg_stops_when_a_restart_gains_nothing():
     n = 100
     A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     b = np.random.default_rng(0).standard_normal(n)
-    x, it, res, ok = jacobi_cg(A, b, 1e-18, 10 * n, hat_coarse_space(A, 4))
+    x, it, res, ok = jacobi_cg(A, b, 1e-18, 10 * n, hat_cycle(A, 4))
     assert ok is None and it < 10 * n
     assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) > 1e-18
 
 
 @pytest.mark.parametrize("case", ["distortedQuads", "holed", "moment held"])
 def test_lifting_reads_only_the_constrained_columns(case):
-    # b - A_c g, with A_c = A[:, constrained], is bitwise b - A x_g with x_g
-    # zero off the constrained dofs: the same terms in the same order
+    # b - A_c g, with A_c = A[constrained].T, is bitwise b - A x_g with x_g
+    # zero off the constrained dofs: A is symmetric to the bit, and A_c
+    # sums the same terms in the same order
     mesh = holed_mesh() if case == "holed" else gen_structured("distortedQuads", 8)
     sys_ = sine_problem(mesh, 3)
     if case == "moment held":
         sys_.constrained_ids = np.append(sys_.constrained_ids, sys_.dofmap.moment_offset + 7)
         sys_.constrained_values = np.append(sys_.constrained_values, 0.3)
-    A_c = _condensed(sys_)[4]
+    A_c = Condensed(sys_).A_c
     fixed = np.zeros(sys_.num_dofs)
     fixed[sys_.constrained_ids] = sys_.constrained_values
     lifted = sys_.b - A_c @ sys_.constrained_values
